@@ -13,10 +13,7 @@ Neville tableau over a geometric eps ladder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import DomainError, PreconditionError
 
@@ -66,69 +63,6 @@ def neville_extrapolate(xs, ys):
         if level == n - 2:
             previous = work[0].copy()
     return work[0], np.abs(work[0] - previous)
-
-
-@dataclass(frozen=True)
-class CircleGrid:
-    """Uniform quadrature nodes on a circle of given radius.
-
-    The weights are the normalized length measure, i.e. they sum to one.
-    """
-
-    radius: float = 1.0
-    count: int = 256
-
-    def __post_init__(self):
-        if not 0.0 < self.radius <= 1.0:
-            raise PreconditionError(f"circle radius must lie in (0, 1], got {self.radius}")
-        if self.count < 1:
-            raise PreconditionError("circle grid needs at least one node")
-
-    @property
-    def angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.count) / self.count
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.radius * unit_circle(self.count)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.count, 1.0 / self.count)
-
-    def integrate(self, values) -> complex:
-        return complex(np.mean(np.asarray(values, dtype=complex)))
-
-
-class DiskGrid:
-    """Tensor quadrature for the normalized area measure on the disk.
-
-    Gauss-Legendre nodes in the radius times a uniform angular grid; the
-    combined weights sum to one and integrate z^n conj(z)^m exactly to
-    delta_{nm}/(n+1) for polynomial degrees within reach of the rule.
-    """
-
-    def __init__(self, radial_count: int = 64, angular_count: int = 256):
-        if radial_count < 1 or angular_count < 1:
-            raise PreconditionError("disk grid needs positive node counts")
-        x, w = roots_legendre(radial_count)
-        self.radii = 0.5 * (x + 1.0)
-        self._radial_weights = 0.5 * w
-        self.angular_count = angular_count
-        self.angles = 2.0 * np.pi * np.arange(angular_count) / angular_count
-        # area element (1/pi) r dr dtheta, normalized: per-node weight 2 r w_r / M_theta
-        self.node_weights = (2.0 * self.radii * self._radial_weights)[:, None] / angular_count
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.radii[:, None] * np.exp(1j * self.angles)[None, :]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.broadcast_to(self.node_weights, (self.radii.size, self.angular_count))
-
-    def integrate(self, values) -> complex:
-        return complex(np.sum(self.node_weights * np.asarray(values, dtype=complex)))
 
 
 class AnalyticFn:

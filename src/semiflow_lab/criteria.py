@@ -19,14 +19,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.special import roots_legendre
 
-from .analytic import AnalyticFn, neville_extrapolate, unit_circle
+from .analytic import AnalyticFn, neville_extrapolate  # noqa: F401 (perfbench patches it here)
 from .cocycle import Cocycle, limsup_probe
 from .errors import PreconditionError, QuadratureError, RegularityError
 from .flow import Semiflow
-from .spaces import (DEFAULT_QUAD, QuadConfig, RadialWeight, SpaceSpec,
-                     _jacobi_unit_rule, carleson_measure, default_gamma, is_regular)
+from .spaces import (DEFAULT_QUAD, BoundaryLadder, DiskRule, QuadConfig, RadialWeight,
+                     SpaceSpec, carleson_measure, default_gamma, is_regular)
 
 
 @dataclass(frozen=True)
@@ -174,37 +173,33 @@ def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
     scan = scan or DEFAULT_SCAN
     quad = quad or DEFAULT_QUAD
     cocycle = _scan_cocycle(cocycle, scan)
-    ladder = quad.ladder()
     cache: dict = {}
 
     def circle_data(n_theta):
         if n_theta not in cache:
-            circ = unit_circle(n_theta)
-            phi = np.empty((ladder.size, n_theta), dtype=complex)
-            wmp = np.empty((ladder.size, n_theta))
+            ladder = BoundaryLadder(quad, n_theta)
+            phi = np.empty((ladder.eps.size, n_theta), dtype=complex)
+            wmp = np.empty((ladder.eps.size, n_theta))
             with np.errstate(over="ignore", invalid="ignore"):
-                for i, eps in enumerate(ladder):
-                    z = (1.0 - eps) * circ
+                for i, (_, z) in enumerate(ladder):
                     phi[i] = flow.at_times([t], z, check=False)[0]
                     wmp[i] = np.abs(cocycle.eval(t, z)) ** p
-            cache[n_theta] = (phi, wmp)
+            cache[n_theta] = (ladder, phi, wmp)
         return cache[n_theta]
 
     def integral(a):
-        n_theta = scan.n_theta(abs(a))
-        phi, wmp = circle_data(n_theta)
+        ladder, phi, wmp = circle_data(scan.n_theta(abs(a)))
         abar = np.conj(a)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             rows = (1.0 - abs(a) ** 2) * wmp / np.abs(1.0 - abar * phi) ** 2
             means = rows.mean(axis=1)
         if not np.all(np.isfinite(means)):
             level, node = np.argwhere(~np.isfinite(rows))[0]
-            z_bad = (1.0 - ladder[level]) * unit_circle(n_theta)[node]
+            z_bad = (1.0 - ladder.eps[level]) * ladder.circle[node]
             raise QuadratureError(
                 f"criterion integrand blows up near z = {z_bad:.6g} "
                 f"(anchor a = {a:.6g})", witness=z_bad)
-        value, _ = neville_extrapolate(ladder, means)
-        return float(value.real)
+        return float(ladder.limit(means)[0].real)
 
     return _sup_scan(integral, scan)
 
@@ -233,21 +228,12 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
 
     def disk_data(sizes):
         if sizes not in cache:
-            n_rad, n_ang = sizes
-            circ = unit_circle(n_ang)
-            if weight.is_standard:
-                s, w = _jacobi_unit_rule(n_rad, weight.alpha)
-                radii = np.sqrt(s)
-                radial_w = (weight.alpha + 1.0) * w
-            else:
-                x, w = roots_legendre(n_rad)
-                radii = 0.5 * (x + 1.0)
-                radial_w = 2.0 * 0.5 * w * radii * weight(radii)
-            z = radii[:, None] * circ[None, :]
+            rule = DiskRule(weight, *sizes)
+            z = rule.nodes()
             with np.errstate(over="ignore", invalid="ignore"):
                 phi = flow.at_times([t], z.ravel(), check=False)[0].reshape(z.shape)
                 wmp = np.abs(cocycle.eval(t, z.ravel())).reshape(z.shape) ** p
-            cache[sizes] = (phi, wmp, radial_w, radii)
+            cache[sizes] = (rule, phi, wmp)
         return cache[sizes]
 
     def omega_s(a_abs):
@@ -257,20 +243,15 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
         return carleson_cache[key]
 
     def integral(a):
-        sizes = scan.disk_sizes(abs(a))
-        phi, wmp, radial_w, radii = disk_data(sizes)
+        rule, phi, wmp = disk_data(scan.disk_sizes(abs(a)))
         abar = np.conj(a)
         head = (1.0 - abs(a)) ** (gamma + 1.0) / omega_s(abs(a))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             rows = head * wmp / np.abs(1.0 - abar * phi) ** (gamma + 1.0)
-            value = float(np.sum(radial_w * rows.mean(axis=1)))
+            value = float(rule.integrate(rows))
         if not np.isfinite(value):
             bad = np.argwhere(~np.isfinite(rows))
-            if bad.size:
-                j, k = bad[0]
-                z_bad = radii[j] * unit_circle(sizes[1])[k]
-            else:
-                z_bad = a
+            z_bad = rule.nodes()[tuple(bad[0])] if bad.size else a
             raise QuadratureError(
                 f"criterion integrand blows up near z = {z_bad:.6g} "
                 f"(anchor a = {a:.6g})", witness=z_bad)
@@ -451,44 +432,31 @@ def direct_decay_probe(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     t_seq = np.asarray(t_seq, dtype=float)
     if np.any(np.diff(t_seq) >= 0):
         raise PreconditionError("decay probe times must decrease")
-    quad = space.quad
-    circ = unit_circle(quad.n_theta)
     p = space.p
+    if space.is_hardy:
+        ladder = BoundaryLadder(space.quad)
+    else:
+        rule = DiskRule.for_quad(space.weight, space.quad)
+        z = rule.nodes()
     entries = np.empty((len(family), t_seq.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for j, t in enumerate(t_seq):
             if space.is_hardy:
-                ladder = quad.ladder()
-                means = np.empty((len(family), ladder.size))
-                for i, eps in enumerate(ladder):
-                    z = (1.0 - eps) * circ
+                means = np.empty((len(family), ladder.eps.size))
+                for i, (_, z) in enumerate(ladder):
                     phi = flow.at_times([t], z, check=False)[0]
                     mul = cocycle.eval(t, z)
                     for k, f in enumerate(family):
                         means[k, i] = np.mean(np.abs(mul * f(phi) - f(z)) ** p)
                 for k in range(len(family)):
-                    if np.all(np.isfinite(means[k])):
-                        val, _ = neville_extrapolate(ladder, means[k])
-                        v = float(val.real)
-                        entries[k, j] = abs(v) ** (1.0 / p) if v > 0 else 0.0
-                    else:
-                        entries[k, j] = np.inf
+                    finite = np.all(np.isfinite(means[k]))
+                    v = float(ladder.limit(means[k])[0].real) if finite else np.inf
+                    entries[k, j] = abs(v) ** (1.0 / p) if v > 0 else 0.0
             else:
-                weight = space.weight
-                if weight.is_standard:
-                    s, w = _jacobi_unit_rule(quad.n_radial, weight.alpha)
-                    radii = np.sqrt(s)
-                    radial_w = (weight.alpha + 1.0) * w
-                else:
-                    x, w = roots_legendre(quad.n_radial_custom)
-                    radii = 0.5 * (x + 1.0)
-                    radial_w = 2.0 * 0.5 * w * radii * weight(radii)
-                z = radii[:, None] * circ[None, :]
                 phi = flow.at_times([t], z.ravel(), check=False)[0].reshape(z.shape)
                 mul = cocycle.eval(t, z.ravel()).reshape(z.shape)
                 for k, f in enumerate(family):
-                    rows = np.abs(mul * f(phi) - f(z)) ** p
-                    total = float(np.sum(radial_w * rows.mean(axis=1)))
+                    total = float(rule.integrate(np.abs(mul * f(phi) - f(z)) ** p))
                     entries[k, j] = total ** (1.0 / p) if np.isfinite(total) else np.inf
     decayed = bool(np.all(np.isfinite(entries[:, -1])) and np.all(entries[:, -1] < tol))
     return DecayTable([f.label for f in family], [float(t) for t in t_seq],

@@ -175,11 +175,6 @@ class Semiflow:
                           label=f"{self.name}.phi[{t:g}]")
 
 
-def flow_point(s: Semiflow, t: float, z):
-    """Convenience wrapper: phi_t(z)."""
-    return s(t, z)
-
-
 def estimate_generator(s: Semiflow, z, h: float = 1e-3):
     """Second-order estimate of G(z) from two forward difference quotients.
 
@@ -334,8 +329,3 @@ def resolve_flow(text: str) -> Semiflow:
     if name not in GALLERY:
         raise PreconditionError(f"unknown gallery flow {name!r}")
     return GALLERY[name](*(float(p) for p in params))
-
-
-def closed_form_gallery():
-    """The three closed-form gallery flows used throughout the test batteries."""
-    return [dilation(), rotation(1.0), attraction()]

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AnalyticFn, disk_samples, neville_extrapolate, unit_circle
+from .analytic import AnalyticFn, disk_samples, neville_extrapolate  # noqa: F401 (perfbench patches it)
 from .cocycle import Cocycle
 from .errors import DomainError, PreconditionError
 from .flow import Semiflow
-from .spaces import SpaceSpec, monomial_bergman_norm, test_function
+from .spaces import BoundaryLadder, DiskRule, SpaceSpec, monomial_bergman_norm, test_function
 
 _SELFMAP_TOL = 1e-9
 
@@ -96,15 +96,13 @@ def matrix(op: WeightedCompOp, space: SpaceSpec, dim: int = 64) -> OperatorMatri
     if space.p != 2:
         raise PreconditionError("matrix sections are defined on p = 2 spaces")
     n_theta = max(space.quad.n_theta, 4 * dim)
-    circ = unit_circle(n_theta)
     scales = basis_scales(space, dim)
     rows = np.arange(dim)
     if space.is_hardy:
-        ladder = space.quad.ladder()
-        pairs = np.empty((ladder.size, dim, dim), dtype=complex)
+        ladder = BoundaryLadder(space.quad, n_theta)
+        pairs = np.empty((ladder.eps.size, dim, dim), dtype=complex)
         tail = 0.0
-        for k, eps in enumerate(ladder):
-            z = (1.0 - eps) * circ
+        for k, (eps, z) in enumerate(ladder):
             mv = op.m(z)
             pv = op.phi(z)
             col = np.ones_like(z)
@@ -113,31 +111,26 @@ def matrix(op: WeightedCompOp, space: SpaceSpec, dim: int = 64) -> OperatorMatri
                 spec = np.fft.fft(vals) / n_theta
                 # <g, e_i> on the circle of radius 1-eps equals hat{g}_i (1-eps)^{2i}
                 pairs[k, :, j] = spec[:dim] * (1.0 - eps) ** rows
-                if k == ladder.size - 1:
+                if k == ladder.eps.size - 1:
                     energy = float(np.mean(np.abs(vals) ** 2))
                     captured = float(np.sum(np.abs(spec[:dim]) ** 2))
                     tail = max(tail, np.sqrt(max(energy - captured, 0.0)))
                 col = col * pv
-        entries, _ = neville_extrapolate(ladder, pairs)
-        return OperatorMatrix(entries, space.label(), dim, tail)
-    from .spaces import _jacobi_unit_rule  # shared radial rule
-
-    alpha = space.weight.alpha
-    s, w = _jacobi_unit_rule(max(space.quad.n_radial, dim), alpha)
-    radii = np.sqrt(s)
-    z = radii[:, None] * circ[None, :]
+        return OperatorMatrix(ladder.limit(pairs)[0], space.label(), dim, tail)
+    rule = DiskRule(space.weight, max(space.quad.n_radial, dim), n_theta)
+    z = rule.nodes()
     mv = op.m(z)
     pv = op.phi(z)
-    radial_pow = radii[:, None] ** rows[None, :]          # [R, dim]
+    radial_pow = rule.radii[:, None] ** rows[None, :]     # [R, dim]
     entries = np.empty((dim, dim), dtype=complex)
     tail = 0.0
     col = np.ones_like(z)
     for j in range(dim):
         vals = mv * col / scales[j]
         spec = np.fft.fft(vals, axis=1) / n_theta          # [R, modes]
-        proj = (alpha + 1.0) * np.sum(w[:, None] * spec[:, :dim] * radial_pow, axis=0)
+        proj = rule.scale * np.sum(rule.radial_w[:, None] * spec[:, :dim] * radial_pow, axis=0)
         entries[:, j] = proj / scales
-        energy = (alpha + 1.0) * float(np.sum(w * np.mean(np.abs(vals) ** 2, axis=1)))
+        energy = float(rule.integrate(np.abs(vals) ** 2))
         captured = float(np.sum(np.abs(entries[:, j]) ** 2))
         tail = max(tail, np.sqrt(max(energy - captured, 0.0)))
         col = col * pv

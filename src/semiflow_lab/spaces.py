@@ -89,9 +89,6 @@ class QuadConfig:
     eps_factor: float = 0.5
     eps_count: int = 12
 
-    def ladder(self) -> np.ndarray:
-        return eps_ladder(self.eps_start, self.eps_factor, self.eps_count)
-
 
 DEFAULT_QUAD = QuadConfig()
 
@@ -169,6 +166,66 @@ def _jacobi_unit_rule(n: int, alpha: float):
     return 0.5 * (x + 1.0), w * 2.0 ** (-alpha - 1.0)
 
 
+class BoundaryLadder:
+    """Circles of radius 1 - eps on the eps ladder of a quadrature config.
+
+    Iterating yields ``(eps, nodes)`` one rung at a time; :meth:`limit`
+    extrapolates per-rung values to the boundary with a Neville tableau.
+    """
+
+    def __init__(self, quad: QuadConfig, n_theta: int | None = None):
+        self.eps = eps_ladder(quad.eps_start, quad.eps_factor, quad.eps_count)
+        self.circle = unit_circle(n_theta or quad.n_theta)
+
+    def __iter__(self):
+        for eps in self.eps:
+            yield eps, (1.0 - eps) * self.circle
+
+    def limit(self, rung_values):
+        """``(value, correction)`` at eps = 0; see :func:`neville_extrapolate`."""
+        return neville_extrapolate(self.eps, rung_values)
+
+
+class DiskRule:
+    """Radial rule times a uniform angular grid for integrals against omega dA.
+
+    Standard weights use Gauss-Jacobi in s = r^2, exact on the (1-s)^alpha
+    endpoint, and keep their (alpha+1) factor apart as ``scale``; custom
+    weights use Gauss-Legendre in r with r omega(r) folded into the weights.
+    """
+
+    def __init__(self, weight: RadialWeight, n_rad: int, n_ang: int):
+        if weight.is_standard:
+            s, self.radial_w = _jacobi_unit_rule(n_rad, weight.alpha)
+            self.radii, self.scale = np.sqrt(s), weight.alpha + 1.0
+        else:
+            x, w = roots_legendre(n_rad)
+            self.radii, self.scale = 0.5 * (x + 1.0), 1.0
+            self.radial_w = w * self.radii * weight(self.radii)
+        self.circle = unit_circle(n_ang)
+
+    @classmethod
+    def for_quad(cls, weight: RadialWeight, quad: QuadConfig) -> "DiskRule":
+        """The rule ``quad`` prescribes, with its radial count for this kind of weight."""
+        n_rad = quad.n_radial if weight.is_standard else quad.n_radial_custom
+        return cls(weight, n_rad, quad.n_theta)
+
+    def nodes(self) -> np.ndarray:
+        """The (n_rad, n_ang) tensor nodes, built on each call so no cache holds them."""
+        return self.radii[:, None] * self.circle[None, :]
+
+    def integrate(self, values):
+        """``scale`` times the radial sum of the angular means of ``values``."""
+        return self.scale * np.sum(self.radial_w * np.mean(values, axis=1))
+
+
+def _require_finite(value, samples, nodes, message: str) -> None:
+    """Raise on a non-finite value; the witness is the first non-finite sample's node."""
+    if not np.isfinite(value):
+        bad = np.flatnonzero(~np.isfinite(samples))
+        raise QuadratureError(message, witness=complex(nodes.flat[bad[0]]) if bad.size else None)
+
+
 def hardy_norm(f: AnalyticFn, p: float, quad: QuadConfig | None = None) -> float:
     """Hardy-space norm: circle p-means extrapolated to the boundary.
 
@@ -177,19 +234,14 @@ def hardy_norm(f: AnalyticFn, p: float, quad: QuadConfig | None = None) -> float
     """
     if p < 1:
         raise PreconditionError("hardy_norm needs p >= 1")
-    quad = quad or DEFAULT_QUAD
-    ladder = quad.ladder()
-    circ = unit_circle(quad.n_theta)
-    vals = np.empty(ladder.size)
+    ladder = BoundaryLadder(quad or DEFAULT_QUAD)
+    vals = np.empty(ladder.eps.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, eps in enumerate(ladder):
-            samples = np.abs(f((1.0 - eps) * circ))
-            vals[i] = float(np.mean(samples ** p) ** (1.0 / p))
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError(f"non-finite circle means for {f.label}",
-                              witness=float(ladder[int(np.argmax(~np.isfinite(vals)))]))
-    value, _ = neville_extrapolate(ladder, vals)
-    return float(value.real)
+        for i, (_, z) in enumerate(ladder):
+            samples = np.abs(f(z)) ** p
+            vals[i] = float(np.mean(samples) ** (1.0 / p))
+            _require_finite(vals[i], samples, z, f"non-finite circle means for {f.label}")
+    return float(ladder.limit(vals)[0].real)
 
 
 def bergman_norm(f: AnalyticFn, p: float, weight: RadialWeight,
@@ -197,23 +249,12 @@ def bergman_norm(f: AnalyticFn, p: float, weight: RadialWeight,
     """Weighted Bergman norm by disk quadrature with the weight folded in."""
     if p < 1:
         raise PreconditionError("bergman_norm needs p >= 1")
-    quad = quad or DEFAULT_QUAD
-    circ = unit_circle(quad.n_theta)
+    rule = DiskRule.for_quad(weight, quad or DEFAULT_QUAD)
+    z = rule.nodes()
     with np.errstate(over="ignore", invalid="ignore"):
-        if weight.is_standard:
-            s, w = _jacobi_unit_rule(quad.n_radial, weight.alpha)
-            radii = np.sqrt(s)
-            samples = np.abs(f(radii[:, None] * circ[None, :])) ** p
-            radial_means = samples.mean(axis=1)
-            total = (weight.alpha + 1.0) * float(np.sum(w * radial_means))
-        else:
-            x, w = roots_legendre(quad.n_radial_custom)
-            radii = 0.5 * (x + 1.0)
-            samples = np.abs(f(radii[:, None] * circ[None, :])) ** p
-            radial_means = samples.mean(axis=1)
-            total = 2.0 * float(np.sum(0.5 * w * radii * weight(radii) * radial_means))
-    if not np.isfinite(total):
-        raise QuadratureError(f"non-finite Bergman integrand for {f.label}")
+        samples = np.abs(f(z)) ** p
+        total = float(rule.integrate(samples))
+    _require_finite(total, samples, z, f"non-finite Bergman integrand for {f.label}")
     return total ** (1.0 / p)
 
 
@@ -378,28 +419,22 @@ def pairing(f: AnalyticFn, g: AnalyticFn, space: SpaceSpec) -> complex:
     """Duality pairing <f, g>; requires p > 1 (the p = 1 duals are out of scope)."""
     if space.p <= 1:
         raise PreconditionError("pairing is supported for p > 1 only")
-    quad = space.quad
-    circ = unit_circle(quad.n_theta)
-    if space.is_hardy:
-        ladder = quad.ladder()
-        vals = np.empty(ladder.size, dtype=complex)
-        for i, eps in enumerate(ladder):
-            z = (1.0 - eps) * circ
-            vals[i] = np.mean(f(z) * np.conj(g(z)))
-        value, _ = neville_extrapolate(ladder, vals)
-        return complex(value)
-    weight = space.weight
-    if weight.is_standard:
-        s, w = _jacobi_unit_rule(quad.n_radial, weight.alpha)
-        radii = np.sqrt(s)
-        z = radii[:, None] * circ[None, :]
-        means = np.mean(f(z) * np.conj(g(z)), axis=1)
-        return complex((weight.alpha + 1.0) * np.sum(w * means))
-    x, w = roots_legendre(quad.n_radial_custom)
-    radii = 0.5 * (x + 1.0)
-    z = radii[:, None] * circ[None, :]
-    means = np.mean(f(z) * np.conj(g(z)), axis=1)
-    return complex(2.0 * np.sum(0.5 * w * radii * weight(radii) * means))
+    message = f"non-finite pairing samples for {f.label} and {g.label}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        if space.is_hardy:
+            ladder = BoundaryLadder(space.quad)
+            vals = np.empty(ladder.eps.size, dtype=complex)
+            for i, (_, z) in enumerate(ladder):
+                samples = f(z) * np.conj(g(z))
+                vals[i] = np.mean(samples)
+                _require_finite(vals[i], samples, z, message)
+            return complex(ladder.limit(vals)[0])
+        rule = DiskRule.for_quad(space.weight, space.quad)
+        z = rule.nodes()
+        samples = f(z) * np.conj(g(z))
+        total = complex(rule.integrate(samples))
+    _require_finite(total, samples, z, message)
+    return total
 
 
 def growth_bound_check(f: AnalyticFn, p: float, alpha: float, grid=None) -> float:

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from semiflow_lab.analytic import (AnalyticFn, CircleGrid, DiskGrid, derivative,
-                                   disk_samples, eps_ladder, neville_extrapolate,
-                                   principal_power, taylor_coefficients)
+from semiflow_lab.analytic import (AnalyticFn, derivative, disk_samples, eps_ladder,
+                                   neville_extrapolate, principal_power, taylor_coefficients)
 from semiflow_lab.errors import DomainError, PreconditionError
 
 import oracles
@@ -73,33 +71,6 @@ def test_taylor_exponential():
 def test_taylor_rejects_bad_radius():
     with pytest.raises(DomainError):
         taylor_coefficients(AnalyticFn(lambda z: z), 3, radius=1.5)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=-40, max_value=40))
-def test_circle_grid_integrates_harmonics_exactly(n):
-    grid = CircleGrid(1.0, 64)
-    vals = np.exp(1j * n * grid.angles)
-    expected = 1.0 if n == 0 else (1.0 if n % 64 == 0 else 0.0)
-    assert abs(grid.integrate(vals) - expected) < 1e-13
-
-
-def test_circle_grid_weights_normalized():
-    assert CircleGrid(0.7, 100).weights.sum() == pytest.approx(1.0, abs=1e-14)
-
-
-def test_disk_grid_weights_sum_to_one():
-    grid = DiskGrid(64, 256)
-    assert float(np.sum(grid.weights)) == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("n,m", [(0, 0), (1, 1), (20, 20), (3, 5), (20, 19), (7, 0)])
-def test_disk_grid_monomial_moments(n, m):
-    grid = DiskGrid(64, 256)
-    z = grid.nodes
-    vals = z ** n * np.conj(z) ** m
-    expected = 1.0 / (n + 1) if n == m else 0.0
-    assert abs(grid.integrate(vals) - expected) < 1e-10
 
 
 def test_derivative_matches_coefficient_derivative_on_polynomials():

@@ -2,17 +2,36 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.special import beta
+
 from semiflow_lab.analytic import AnalyticFn
-from semiflow_lab.errors import PreconditionError, RegularityError
-from semiflow_lab.spaces import (QuadConfig, RadialWeight, SpaceSpec, bergman_norm,
-                                 carleson_measure, default_gamma, growth_bound_check,
-                                 hardy_norm, is_regular, monomial_bergman_norm, pairing)
+from semiflow_lab.errors import PreconditionError, QuadratureError, RegularityError
+from semiflow_lab.spaces import (BoundaryLadder, DiskRule, QuadConfig, RadialWeight,
+                                 SpaceSpec, bergman_norm, carleson_measure, default_gamma,
+                                 growth_bound_check, hardy_norm, is_regular,
+                                 monomial_bergman_norm, pairing)
 from semiflow_lab.spaces import test_function as anchor_test_function
 
 import oracles
 
 
 W0 = RadialWeight.standard(0.0)
+ONE = RadialWeight.custom(lambda r: np.ones_like(r), label="one")
+
+# exp(1/(1-z)) overflows on the circles and rings closest to z = 1
+SPIKE = AnalyticFn(lambda z: np.exp(1.0 / (1.0 - z)), label="ess-sing")
+
+
+def assert_witnesses_blowup(exc, sample):
+    """The witness is a disk point where the quadrature sample is non-finite."""
+    witness = exc.witness
+    assert isinstance(witness, complex) and abs(witness) < 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(sample(witness))
+
+
+def spike_squared(z):
+    return np.abs(SPIKE(z)) ** 2
 
 
 def test_hardy_norm_linear_polynomial():
@@ -40,11 +59,16 @@ def test_hardy_norm_matches_coefficient_l2():
 
 
 def test_hardy_norm_rejects_overflowing_samples():
-    from semiflow_lab.errors import QuadratureError
-    spike = AnalyticFn(lambda z: np.exp(1.0 / (1.0 - z)), label="ess-sing")
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError) as info:
         with np.errstate(over="ignore"):
-            hardy_norm(spike, 2)
+            hardy_norm(SPIKE, 2)
+    assert_witnesses_blowup(info.value, spike_squared)
+
+
+def test_bergman_norm_rejects_overflowing_samples():
+    with pytest.raises(QuadratureError) as info:
+        bergman_norm(SPIKE, 2, W0)
+    assert_witnesses_blowup(info.value, spike_squared)
 
 
 def test_bergman_norm_constant_is_one():
@@ -185,6 +209,19 @@ def test_pairing_bergman():
     assert pairing(z, z, a0) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_pairing_bergman_custom_weight():
+    z = AnalyticFn.identity()
+    assert pairing(z, z, SpaceSpec.bergman(2, ONE)) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("space", [SpaceSpec.hardy(2), SpaceSpec.bergman(2, W0)],
+                         ids=["hardy", "bergman"])
+def test_pairing_rejects_overflowing_samples(space):
+    with pytest.raises(QuadratureError) as info:
+        pairing(SPIKE, AnalyticFn.constant(1.0), space)
+    assert_witnesses_blowup(info.value, SPIKE)
+
+
 def test_pairing_rejects_p1():
     with pytest.raises(PreconditionError):
         pairing(AnalyticFn.identity(), AnalyticFn.identity(), SpaceSpec.hardy(1))
@@ -241,3 +278,33 @@ def test_parseval_property(re_coeffs):
     coeffs = np.asarray(re_coeffs, dtype=complex)
     f = AnalyticFn.from_coefficients(coeffs)
     assert hardy_norm(f, 2) == pytest.approx(oracles.coefficient_l2(coeffs), abs=1e-8)
+
+
+@pytest.mark.parametrize("weight,alpha", [(W0, 0.0), (RadialWeight.standard(0.5), 0.5),
+                                          (RadialWeight.standard(-0.5), -0.5), (ONE, 0.0)],
+                         ids=["alpha0", "alpha0.5", "alpha-0.5", "custom-one"])
+@pytest.mark.parametrize("n,m", [(0, 0), (1, 1), (20, 20), (3, 5), (20, 19), (7, 0)])
+def test_disk_rule_monomial_moments(n, m, weight, alpha):
+    # int z^n conj(z)^m omega dA = (alpha+1) B(n+1, alpha+1) delta_nm; omega = 1 is alpha = 0
+    rule = DiskRule(weight, 64, 256)
+    z = rule.nodes()
+    expected = (alpha + 1.0) * beta(n + 1, alpha + 1.0) if n == m else 0.0
+    assert abs(rule.integrate(z ** n * np.conj(z) ** m) - expected) < 1e-10
+
+
+def test_disk_rule_for_quad_picks_radial_count():
+    quad = QuadConfig(n_theta=64, n_radial=16, n_radial_custom=40)
+    assert DiskRule.for_quad(W0, quad).nodes().shape == (16, 64)
+    assert DiskRule.for_quad(ONE, quad).nodes().shape == (40, 64)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_boundary_ladder_extrapolates_circle_means(n):
+    ladder = BoundaryLadder(QuadConfig(), 64)
+    means = []
+    for eps, z in ladder:
+        assert np.allclose(np.abs(z), 1.0 - eps, rtol=0, atol=1e-15)
+        means.append(np.mean(np.abs(z ** n) ** 2))     # (1 - eps)^(2n)
+    value, correction = ladder.limit(means)
+    assert abs(value - 1.0) < 1e-12
+    assert correction < 1e-10
