@@ -91,19 +91,27 @@ def _seed_of(cfg, args):
                                                               fallback=0)
 
 
+_SCAN_INTS = ("ladder_depth", "n_angles", "refine_rounds", "angular_base", "angular_cap",
+              "disk_angular_cap", "disk_radial_base")
+_SCAN_FLOATS = ("refine_contraction", "bound_threshold", "stability_rel")
+
+
 def _scan_from(cfg, args) -> criteria.SupScanConfig:
     scan = criteria.DEFAULT_SCAN
     overrides = {}
     if cfg.has_section("scan"):
-        for key in ("ladder_depth", "n_angles", "refine_rounds", "angular_base",
-                    "angular_cap", "disk_angular_cap", "disk_radial_base"):
-            if cfg.has_option("scan", key):
-                overrides[key] = cfg.getint("scan", key)
-        for key in ("refine_contraction", "bound_threshold", "stability_rel"):
-            if cfg.has_option("scan", key):
-                overrides[key] = cfg.getfloat("scan", key)
+        for key in _SCAN_INTS + _SCAN_FLOATS:
+            if not cfg.has_option("scan", key):
+                continue
+            integer = key in _SCAN_INTS
+            try:
+                overrides[key] = (cfg.getint if integer else cfg.getfloat)("scan", key)
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigError(f"[scan] {key} must be {'an integer' if integer else 'a number'}"
+                                  f": {exc}")
     if args.threads:
         overrides["threads"] = args.threads
+    # SupScanConfig rejects out-of-range values with PreconditionError (exit 2)
     return replace(scan, **overrides) if overrides else scan
 
 

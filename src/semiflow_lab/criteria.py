@@ -15,8 +15,9 @@ direct decay probe are offered.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .analytic import AnalyticFn, neville_extrapolate  # noqa: F401 (perfbench p
 from .cocycle import Cocycle, limsup_probe
 from .errors import PreconditionError, QuadratureError, RegularityError
 from .flow import Semiflow
-from .spaces import (DEFAULT_QUAD, BoundaryLadder, DiskRule, QuadConfig, RadialWeight,
-                     SpaceSpec, carleson_measure, default_gamma, is_regular)
+from .spaces import (DEFAULT_QUAD, BoundaryLadder, DiskRule, GradedDiskRule, QuadConfig,
+                     RadialWeight, SpaceSpec, carleson_measure, default_gamma, is_regular)
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,8 @@ class SupScanConfig:
     The anchor grid is a geometric radius ladder toward the boundary times
     a uniform fan of angles, followed by local refinement around the
     running argmax.  Angular quadrature resolution grows like 1/(1-|a|) so
-    the Poisson spike stays resolved.
+    the Poisson spike stays resolved; on the disk it is graded per ring
+    (see :func:`bergman_criterion`).
     """
 
     small_radii: tuple = (0.05, 0.1, 0.25)
@@ -47,15 +49,25 @@ class SupScanConfig:
     angular_scale: float = 32.0
     angular_cap: int = 32768
     disk_angular_base: int = 256
-    disk_angular_scale: float = 16.0
-    disk_angular_cap: int = 8192
+    disk_angular_scale: float = 32.0
+    disk_angular_cap: int = 65536
     disk_radial_base: int = 64
     disk_radial_scale: float = 6.0
-    disk_radial_cap: int = 160
+    disk_radial_cap: int = 272
     bound_threshold: float = 1e8
     stability_rel: float = 0.01
     derivative_ring_nodes: int = 16
     threads: int = 1
+
+    def __post_init__(self):
+        for name in ("ladder_depth", "refine_rounds"):
+            if getattr(self, name) < 0:
+                raise PreconditionError(f"scan {name} must be >= 0, got {getattr(self, name)}")
+        if self.n_angles < 1:
+            raise PreconditionError(f"scan n_angles must be >= 1, got {self.n_angles}")
+        for f in fields(self):
+            if f.name.endswith(("_base", "_scale", "_cap")) and not getattr(self, f.name) > 0:
+                raise PreconditionError(f"scan {f.name} must be > 0, got {getattr(self, f.name)}")
 
     def anchor_radii(self) -> np.ndarray:
         ladder = 1.0 - 2.0 ** -np.arange(1, self.ladder_depth + 1)
@@ -64,14 +76,6 @@ class SupScanConfig:
     def n_theta(self, a_abs: float) -> int:
         return int(min(self.angular_cap,
                        max(self.angular_base, self.angular_scale / (1.0 - a_abs))))
-
-    def disk_sizes(self, a_abs: float) -> tuple:
-        n_ang = int(min(self.disk_angular_cap,
-                        max(self.disk_angular_base, self.disk_angular_scale / (1.0 - a_abs))))
-        n_rad = int(min(self.disk_radial_cap,
-                        max(self.disk_radial_base,
-                            self.disk_radial_scale / np.sqrt(1.0 - a_abs))))
-        return n_rad, n_ang
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -94,13 +98,6 @@ class CriterionSample:
     rung_profile: list = field(default_factory=list)
 
 
-def _pmap(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _scan_cocycle(cocycle: Cocycle, scan: SupScanConfig) -> Cocycle:
     """Derivative cocycles get a cheaper Cauchy ring inside the scans.
 
@@ -117,8 +114,17 @@ def _sup_scan(integral, scan: SupScanConfig) -> CriterionSample:
     """Maximize ``integral(a)`` over the anchor grid with local refinement.
 
     ``integral`` may raise QuadratureError to signal a blowup at its anchor,
-    which short-circuits the scan with an infinite sample.
+    which short-circuits the scan with an infinite sample.  With
+    ``scan.threads > 1`` each rung's fan of angles runs on one thread pool
+    that lives for the whole scan.
     """
+    if scan.threads and scan.threads > 1:
+        with ThreadPoolExecutor(max_workers=scan.threads) as pool:
+            return _scan_anchors(integral, scan, pool.map)
+    return _scan_anchors(integral, scan, map)
+
+
+def _scan_anchors(integral, scan: SupScanConfig, pmap) -> CriterionSample:
     radii = scan.anchor_radii()
     angles = 2.0 * np.pi * np.arange(scan.n_angles) / scan.n_angles
 
@@ -131,7 +137,7 @@ def _sup_scan(integral, scan: SupScanConfig) -> CriterionSample:
     best_val, best_a = -np.inf, complex(radii[0])
     rung_profile = []
     for r in radii:
-        vals = _pmap(lambda ang: safe(r * np.exp(1j * ang)), angles, scan.threads)
+        vals = list(pmap(lambda ang: safe(r * np.exp(1j * ang)), angles))
         top = int(np.argmax(vals))
         rung_profile.append(float(vals[top]))
         if vals[top] > best_val:
@@ -226,32 +232,50 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
     cache: dict = {}
     carleson_cache: dict = {}
 
-    def disk_data(sizes):
-        if sizes not in cache:
-            rule = DiskRule(weight, *sizes)
+    def disk_data(a_abs):
+        # Dyadic level k = ceil(-log2(1 - |a|)) (frexp writes 1 - |a| as
+        # m 2^e with m in [0.5, 1), so k = 1 - e), and d = 2^-k <= 1 - |a|:
+        # the grid of a level resolves every anchor on it, refinement anchors
+        # included.  By Schwarz-Pick the kernel's angular width on ring r is
+        # about max(1 - r, 1 - |a|), hence the per-ring counts floored at d.
+        # |r e^{i theta}| can round a few ulps above a rung radius
+        # r = 1 - 2^-k; the 1e-9 slack keeps such anchors on level k.
+        level = 1 - math.frexp((1.0 - a_abs) * (1.0 + 1e-9))[1]
+        if level not in cache:
+            d = 2.0 ** -level
+            n_rad = min(scan.disk_radial_cap,
+                        max(scan.disk_radial_base, int(scan.disk_radial_scale / math.sqrt(d))))
+            rule = GradedDiskRule(weight, n_rad, d, scan.disk_angular_scale,
+                                  scan.disk_angular_base, scan.disk_angular_cap)
             z = rule.nodes()
             with np.errstate(over="ignore", invalid="ignore"):
-                phi = flow.at_times([t], z.ravel(), check=False)[0].reshape(z.shape)
-                wmp = np.abs(cocycle.eval(t, z.ravel())).reshape(z.shape) ** p
-            cache[sizes] = (rule, phi, wmp)
-        return cache[sizes]
+                phi = flow.at_times([t], z, check=False)[0]
+                wmp = rule.weights * np.abs(cocycle.eval(t, z)) ** p
+            cache[level] = (rule, phi, wmp)
+        return cache[level]
 
     def omega_s(a_abs):
-        key = round(a_abs, 12)
-        if key not in carleson_cache:
-            carleson_cache[key] = carleson_measure(weight, a_abs)
-        return carleson_cache[key]
+        # keyed by the exact |a|: a rounded key would keep the value of
+        # whichever anchor reached it first, which with threads is timing
+        if a_abs not in carleson_cache:
+            carleson_cache[a_abs] = carleson_measure(weight, a_abs)
+        return carleson_cache[a_abs]
 
     def integral(a):
-        rule, phi, wmp = disk_data(scan.disk_sizes(abs(a)))
-        abar = np.conj(a)
+        rule, phi, wmp = disk_data(abs(a))
         head = (1.0 - abs(a)) ** (gamma + 1.0) / omega_s(abs(a))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rows = head * wmp / np.abs(1.0 - abar * phi) ** (gamma + 1.0)
-            value = float(rule.integrate(rows))
+            kernel = np.conj(a) * phi
+            kernel -= 1.0
+            kernel = np.abs(kernel)
+            kernel **= -(gamma + 1.0)
+            kernel *= wmp
+            # numpy's sum, whose order, unlike a BLAS dot's, does not
+            # depend on the BLAS thread count
+            value = float(head * kernel.sum())
         if not np.isfinite(value):
-            bad = np.argwhere(~np.isfinite(rows))
-            z_bad = rule.nodes()[tuple(bad[0])] if bad.size else a
+            bad = np.flatnonzero(~np.isfinite(kernel))
+            z_bad = rule.nodes()[bad[0]] if bad.size else a
             raise QuadratureError(
                 f"criterion integrand blows up near z = {z_bad:.6g} "
                 f"(anchor a = {a:.6g})", witness=z_bad)

@@ -4,7 +4,8 @@ Norms are computed by quadrature only: Hardy p-means on a geometric ladder
 of circles extrapolated to the boundary, Bergman integrals by a radial rule
 with the weight folded in (Gauss-Jacobi in s = r^2 for standard weights, so
 the algebraic endpoint singularity of (1-s)^alpha is handled exactly) times
-a uniform angular grid.
+a uniform angular grid, or, for kernels that concentrate at the boundary,
+a per-ring angular grid graded toward it.
 
 Also here: weight regularity probes, Carleson squares and their measures,
 the boundary-concentrated test functions, duality pairings for p > 1, and
@@ -186,22 +187,26 @@ class BoundaryLadder:
         return neville_extrapolate(self.eps, rung_values)
 
 
-class DiskRule:
-    """Radial rule times a uniform angular grid for integrals against omega dA.
+def _radial_rule(weight: RadialWeight, n_rad: int):
+    """``(radii, radial_w, scale)`` with scale * sum radial_w g(r) ~ int_0^1 g(r) omega(r) 2r dr.
 
     Standard weights use Gauss-Jacobi in s = r^2, exact on the (1-s)^alpha
     endpoint, and keep their (alpha+1) factor apart as ``scale``; custom
     weights use Gauss-Legendre in r with r omega(r) folded into the weights.
     """
+    if weight.is_standard:
+        s, radial_w = _jacobi_unit_rule(n_rad, weight.alpha)
+        return np.sqrt(s), radial_w, weight.alpha + 1.0
+    x, w = roots_legendre(n_rad)
+    radii = 0.5 * (x + 1.0)
+    return radii, w * radii * weight(radii), 1.0
+
+
+class DiskRule:
+    """Radial rule times a uniform angular grid for integrals against omega dA."""
 
     def __init__(self, weight: RadialWeight, n_rad: int, n_ang: int):
-        if weight.is_standard:
-            s, self.radial_w = _jacobi_unit_rule(n_rad, weight.alpha)
-            self.radii, self.scale = np.sqrt(s), weight.alpha + 1.0
-        else:
-            x, w = roots_legendre(n_rad)
-            self.radii, self.scale = 0.5 * (x + 1.0), 1.0
-            self.radial_w = w * self.radii * weight(self.radii)
+        self.radii, self.radial_w, self.scale = _radial_rule(weight, n_rad)
         self.circle = unit_circle(n_ang)
 
     @classmethod
@@ -217,6 +222,28 @@ class DiskRule:
     def integrate(self, values):
         """``scale`` times the radial sum of the angular means of ``values``."""
         return self.scale * np.sum(self.radial_w * np.mean(values, axis=1))
+
+
+class GradedDiskRule:
+    """The radial rule of :class:`DiskRule` with an angular count per ring.
+
+    Ring i gets n_i = clip(ceil(ang_scale / max(1 - r_i, floor)), ang_base,
+    ang_cap) uniform angles, so an integrand whose angular width on ring r
+    is about max(1 - r, floor) is resolved alike on every ring.  Nodes and
+    weights are flat, ring by ring, and ``weights @ values`` is the
+    integral; node weights are scale * radial_w_i / n_i.
+    """
+
+    def __init__(self, weight: RadialWeight, n_rad: int, floor: float,
+                 ang_scale: float, ang_base: int, ang_cap: int):
+        self.radii, radial_w, scale = _radial_rule(weight, n_rad)
+        counts = np.ceil(ang_scale / np.maximum(1.0 - self.radii, floor))
+        self.counts = np.clip(counts, ang_base, ang_cap).astype(int)
+        self.weights = np.repeat(scale * radial_w / self.counts, self.counts)
+
+    def nodes(self) -> np.ndarray:
+        """The flat nodes, built on each call so no cache holds them."""
+        return np.concatenate([r * unit_circle(n) for r, n in zip(self.radii, self.counts)])
 
 
 def _require_finite(value, samples, nodes, message: str) -> None:

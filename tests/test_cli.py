@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -161,3 +162,22 @@ def test_format_selection(scenario, tmp_path):
                  "--format", "json"]) == 0
     assert (out / "ok-case.decay.json").exists()
     assert not (out / "ok-case.decay.csv").exists()
+
+
+@pytest.mark.parametrize("value,message", [("abc", "ladder_depth must be an integer"),
+                                           ("-3", "ladder_depth must be >= 0")])
+def test_malformed_scan_value_is_config_error(tmp_path, capsys, value, message):
+    scen = write_scenario(tmp_path / "scan.ini", "bad-scan",
+                          extra=f"\n[scan]\nladder_depth = {value}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verdict", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_scan_float_names_the_key(tmp_path, capsys):
+    scen = write_scenario(tmp_path / "scan.ini", "bad-scan",
+                          extra="\n[scan]\nstability_rel = one percent\n")
+    assert main(["verdict", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert "stability_rel must be a number" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,18 +13,36 @@ from semiflow_lab.criteria import (DEFAULT_T_GRID, SupScanConfig, bergman_criter
 from semiflow_lab.errors import PreconditionError, RegularityError
 from semiflow_lab.flow import attraction, dilation, identity_flow, rotation
 from semiflow_lab.operators import gallery_semigroups
-from semiflow_lab.spaces import RadialWeight, SpaceSpec
+from semiflow_lab.spaces import DiskRule, RadialWeight, SpaceSpec, carleson_measure
 
 import oracles
 
 H2 = SpaceSpec.hardy(2)
-A0 = SpaceSpec.bergman(2, RadialWeight.standard(0.0))
+W0 = RadialWeight.standard(0.0)
+A0 = SpaceSpec.bergman(2, W0)
 
 FAST_SCAN = SupScanConfig(ladder_depth=7, n_angles=8, refine_rounds=1)
 
 
 def cob_z(flow):
     return make_coboundary(AnalyticFn.identity(), flow, zero_candidates=(0.0,))
+
+
+def deep_scan(a_abs):
+    """A scan that evaluates the single anchor a = a_abs."""
+    return SupScanConfig(small_radii=(a_abs,), ladder_depth=0, n_angles=1, refine_rounds=0)
+
+
+def tensor_criterion(flow, cocycle, weight, t, a, gamma, n_rad, n_ang, p=2):
+    """The Bergman criterion integral at ``a`` on a tensor DiskRule, a block of rings at a time."""
+    rule = DiskRule(weight, n_rad, n_ang)
+    total = 0.0
+    for rows in np.array_split(np.arange(n_rad), max(1, n_rad * n_ang // 2_000_000)):
+        z = (rule.radii[rows, None] * rule.circle[None, :]).ravel()
+        phi = flow.at_times([t], z, check=False)[0]
+        vals = np.abs(cocycle.eval(t, z)) ** p / np.abs(1.0 - np.conj(a) * phi) ** (gamma + 1.0)
+        total += np.sum(rule.radial_w[rows] * vals.reshape(rows.size, n_ang).mean(axis=1))
+    return (1.0 - abs(a)) ** (gamma + 1.0) / carleson_measure(weight, abs(a)) * rule.scale * total
 
 
 def test_poisson_normalization_at_zero():
@@ -65,6 +85,57 @@ def test_bergman_criterion_zero_time_matches_normalization_sweep():
         norms.append(bergman_norm(anchor(a, 2, weight=RadialWeight.standard(0.0)), 2,
                                   RadialWeight.standard(0.0), quad) ** 2)
     assert sample.value == pytest.approx(max(norms), rel=0.05)
+
+
+def test_bergman_criterion_deep_anchor_matches_doubled_uncapped_tensor_grid():
+    # |a| = 1 - 2^-11 is where refinement stops; twice the counts the old
+    # tensor grid asked for there, with no cap, is 542 x 65536 nodes
+    a = 1.0 - 2.0 ** -11
+    flow = rotation(1.0)
+    m = cob_z(flow)
+    value = bergman_criterion(flow, m, 2, W0, 0.5, scan=deep_scan(a)).value
+    reference = tensor_criterion(flow, m, W0, 0.5, a, 5.0,
+                                 2 * int(6.0 / np.sqrt(1.0 - a)), 2 * int(16.0 / (1.0 - a)))
+    assert value == pytest.approx(reference, rel=1e-8)
+    # |m_t| = 1 and phi_t is a rotation, so the integral is the closed-form
+    # ||(1 - |a| z)^-3||^2 = (2 + |a|^2) / (2 (1 - |a|^2)^4) of A^2_0
+    x = a * a
+    closed = (1.0 - a) ** 6 / carleson_measure(W0, a) * (2.0 + x) / (2.0 * (1.0 - x) ** 4)
+    assert value == pytest.approx(closed, rel=1e-8)
+
+
+def test_bergman_criterion_custom_weight_matches_tensor_grid():
+    # omega = 2(1 - r^2) as a table-free custom weight takes the Legendre
+    # radial rule; at |a| = 1 - 2^-9 the graded grid uses 135 rings
+    weight = RadialWeight.custom(lambda r: 2.0 * (1.0 - r ** 2), label="2(1-r^2)")
+    a = 1.0 - 2.0 ** -9
+    flow = attraction()
+    m = Cocycle.derivative(flow, nodes=16)      # the Cauchy ring the scans use
+    value = bergman_criterion(flow, m, 2, weight, 0.5, scan=deep_scan(a)).value
+    reference = tensor_criterion(flow, m, weight, 0.5, a, 7.0, 135, 2 * 16 * 512)
+    assert value == pytest.approx(reference, rel=1e-8)
+    # the same weight as the standard alpha = 1 weight, through the Jacobi rule
+    standard = bergman_criterion(flow, m, 2, RadialWeight.standard(1.0), 0.5, scan=FAST_SCAN)
+    custom = bergman_criterion(flow, m, 2, weight, 0.5, scan=FAST_SCAN)
+    assert custom.value == pytest.approx(standard.value, rel=1e-10)
+
+
+def test_threads_give_the_same_bergman_sample():
+    flow = attraction()
+    m = Cocycle.derivative(flow)
+    serial = bergman_criterion(flow, m, 2, W0, 0.5, scan=FAST_SCAN)
+    pooled = bergman_criterion(flow, m, 2, W0, 0.5, scan=replace(FAST_SCAN, threads=2))
+    assert (pooled.value, pooled.witness, pooled.rung_profile) == \
+        (serial.value, serial.witness, serial.rung_profile)
+
+
+@pytest.mark.parametrize("field,value", [("ladder_depth", -3), ("refine_rounds", -1),
+                                         ("n_angles", 0), ("angular_base", 0),
+                                         ("disk_angular_scale", -1.0), ("disk_radial_base", 0),
+                                         ("disk_angular_cap", 0)])
+def test_scan_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(PreconditionError, match=field):
+        SupScanConfig(**{field: value})
 
 
 def test_bergman_criterion_insists_on_regular_weight():

@@ -6,9 +6,9 @@ from scipy.special import beta
 
 from semiflow_lab.analytic import AnalyticFn
 from semiflow_lab.errors import PreconditionError, QuadratureError, RegularityError
-from semiflow_lab.spaces import (BoundaryLadder, DiskRule, QuadConfig, RadialWeight,
-                                 SpaceSpec, bergman_norm, carleson_measure, default_gamma,
-                                 growth_bound_check, hardy_norm, is_regular,
+from semiflow_lab.spaces import (BoundaryLadder, DiskRule, GradedDiskRule, QuadConfig,
+                                 RadialWeight, SpaceSpec, bergman_norm, carleson_measure,
+                                 default_gamma, growth_bound_check, hardy_norm, is_regular,
                                  monomial_bergman_norm, pairing)
 from semiflow_lab.spaces import test_function as anchor_test_function
 
@@ -290,6 +290,30 @@ def test_disk_rule_monomial_moments(n, m, weight, alpha):
     z = rule.nodes()
     expected = (alpha + 1.0) * beta(n + 1, alpha + 1.0) if n == m else 0.0
     assert abs(rule.integrate(z ** n * np.conj(z) ** m) - expected) < 1e-10
+
+
+@pytest.mark.parametrize("weight,alpha", [(W0, 0.0), (RadialWeight.standard(0.5), 0.5),
+                                          (RadialWeight.standard(-0.5), -0.5), (ONE, 0.0)],
+                         ids=["alpha0", "alpha0.5", "alpha-0.5", "custom-one"])
+@pytest.mark.parametrize("n,m", [(0, 0), (1, 1), (20, 20), (3, 5), (20, 19), (7, 0)])
+def test_graded_disk_rule_monomial_moments(n, m, weight, alpha):
+    # counts clip(ceil(4 / max(1 - r, 2^-6)), 16, 200) run from the base to the cap
+    rule = GradedDiskRule(weight, 64, 2.0 ** -6, 4.0, 16, 200)
+    assert rule.counts.min() == 16 and rule.counts.max() == 200
+    assert len(set(rule.counts.tolist())) > 10
+    z = rule.nodes()
+    assert z.shape == rule.weights.shape == (rule.counts.sum(),)
+    expected = (alpha + 1.0) * beta(n + 1, alpha + 1.0) if n == m else 0.0
+    assert abs(rule.weights @ (z ** n * np.conj(z) ** m) - expected) < 1e-10
+
+
+def test_graded_disk_rule_counts_follow_the_floor():
+    rule = GradedDiskRule(W0, 32, 2.0 ** -4, 8.0, 4, 10 ** 6)
+    expected = np.ceil(8.0 / np.maximum(1.0 - rule.radii, 2.0 ** -4))
+    assert np.array_equal(rule.counts, np.maximum(expected, 4))
+    assert rule.counts.max() == 128                   # 8 / 2^-4 on the rings past 1 - 2^-4
+    np.testing.assert_allclose(np.abs(rule.nodes()), np.repeat(rule.radii, rule.counts),
+                               rtol=0, atol=1e-15)
 
 
 def test_disk_rule_for_quad_picks_radial_count():
