@@ -86,59 +86,63 @@ def _build_space(cfg):
         raise ConfigError(f"bad space spec: {exc}")
 
 
+_KINDS = {int: "an integer", float: "a number", _floats: "a list of numbers"}
+
+
+def _read(cfg, section, key, kind, fallback=None):
+    """``[section] key`` converted by ``kind``; a malformed value is a ConfigError naming it."""
+    if not cfg.has_option(section, key):
+        return fallback
+    try:
+        return kind(cfg.get(section, key))
+    except (ValueError, configparser.Error) as exc:
+        raise ConfigError(f"[{section}] {key} must be {_KINDS[kind]}: {exc}")
+
+
 def _seed_of(cfg, args):
-    return args.seed if args.seed is not None else cfg.getint("scenario", "seed",
-                                                              fallback=0)
+    return args.seed if args.seed is not None else _read(cfg, "scenario", "seed", int, 0)
 
 
-_SCAN_INTS = ("ladder_depth", "n_angles", "refine_rounds", "angular_base", "angular_cap",
-              "disk_angular_cap", "disk_radial_base")
-_SCAN_FLOATS = ("refine_contraction", "bound_threshold", "stability_rel")
+_SCAN_KINDS = {"ladder_depth": int, "n_angles": int, "refine_rounds": int, "angular_base": int,
+               "angular_cap": int, "disk_angular_cap": int, "disk_radial_base": int,
+               "refine_contraction": float, "bound_threshold": float, "stability_rel": float}
 
 
 def _scan_from(cfg, args) -> criteria.SupScanConfig:
     scan = criteria.DEFAULT_SCAN
-    overrides = {}
-    if cfg.has_section("scan"):
-        for key in _SCAN_INTS + _SCAN_FLOATS:
-            if not cfg.has_option("scan", key):
-                continue
-            integer = key in _SCAN_INTS
-            try:
-                overrides[key] = (cfg.getint if integer else cfg.getfloat)("scan", key)
-            except (ValueError, configparser.Error) as exc:
-                raise ConfigError(f"[scan] {key} must be {'an integer' if integer else 'a number'}"
-                                  f": {exc}")
+    overrides = {key: _read(cfg, "scan", key, kind) for key, kind in _SCAN_KINDS.items()
+                 if cfg.has_option("scan", key)}
     if args.threads:
         overrides["threads"] = args.threads
     # SupScanConfig rejects out-of-range values with PreconditionError (exit 2)
     return replace(scan, **overrides) if overrides else scan
 
 
-def _report_header(cfg, seed) -> dict:
-    return {"scenario": cfg.get("scenario", "name"), "seed": seed,
-            "generated_at": _utc_stamp()}
+def _write_reports(cfg, args, seed, kind, body: dict, rows) -> None:
+    """<name>.<kind>.json (a header plus ``body``) and <name>.<kind>.csv (``rows``)
+    in the output directory, as ``--format`` selects."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    name = cfg.get("scenario", "name")
+    if args.format in ("json", "both"):
+        header = {"scenario": name, "seed": seed, "generated_at": _utc_stamp()}
+        _write_json(out / f"{name}.{kind}.json", {**header, **body})
+    if args.format in ("csv", "both"):
+        _write_csv(out / f"{name}.{kind}.csv", rows)
 
 
 def cmd_flow_verify(args) -> int:
     cfg = load_scenario(args.scenario)
     flow = _build_flow(cfg)
     seed = _seed_of(cfg, args)
-    tol = args.tol if args.tol is not None else cfg.getfloat("scenario", "tol", fallback=1e-8)
-    t_grid = _floats(cfg.get("grid", "t_values", fallback="")) or None
+    tol = args.tol if args.tol is not None else _read(cfg, "scenario", "tol", float, 1e-8)
+    t_grid = _read(cfg, "grid", "t_values", _floats) or None
     report = verify_semiflow(flow, t_grid=t_grid, tol=tol)
-    payload = _report_header(cfg, seed)
-    payload["flow"] = flow.name
-    payload["report"] = {k: (v if not isinstance(v, float) or np.isfinite(v) else None)
-                         for k, v in report.to_dict().items()}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    name = cfg.get("scenario", "name")
-    if args.format in ("json", "both"):
-        _write_json(out / f"{name}.flow.json", payload)
-    if args.format in ("csv", "both"):
-        rows = [("field", "value")] + sorted(report.to_dict().items())
-        _write_csv(out / f"{name}.flow.csv", rows)
+    body = {"flow": flow.name,
+            "report": {k: (v if not isinstance(v, float) or np.isfinite(v) else None)
+                       for k, v in report.to_dict().items()}}
+    _write_reports(cfg, args, seed, "flow", body,
+                   [("field", "value")] + sorted(report.to_dict().items()))
     print(f"flow-verify {flow.name}: {'pass' if report.passed else 'FAIL'} "
           f"(law residual {report.max_law_residual:.3g})")
     return 0 if report.passed else 1
@@ -155,18 +159,10 @@ def cmd_verdict(args) -> int:
     if space.p <= 1:
         raise ConfigError("the criterion equivalences need p > 1; "
                           "use the decay command for p = 1")
-    t_grid = _floats(cfg.get("grid", "t_values", fallback="")) or None
+    t_grid = _read(cfg, "grid", "t_values", _floats) or None
     scan = _scan_from(cfg, args)
     report = criteria.uniform_bound_verdict(flow, cocycle, space, t_grid=t_grid, scan=scan)
-    payload = _report_header(cfg, seed)
-    payload.update(report.to_json_dict())
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    name = cfg.get("scenario", "name")
-    if args.format in ("json", "both"):
-        _write_json(out / f"{name}.criterion.json", payload)
-    if args.format in ("csv", "both"):
-        _write_csv(out / f"{name}.criterion.csv", report.csv_rows())
+    _write_reports(cfg, args, seed, "criterion", report.to_json_dict(), report.csv_rows())
     print(f"verdict {flow.name}/{cocycle.name} on {space.label()}: {report.verdict}")
     return 0 if report.verdict == "BOUNDED" else 1
 
@@ -179,18 +175,9 @@ def cmd_decay(args) -> int:
     seed = _seed_of(cfg, args)
     if space is None:
         raise ConfigError("decay needs a [space] section")
-    tol = args.tol if args.tol is not None else cfg.getfloat("scenario", "decay_tol",
-                                                             fallback=1e-3)
+    tol = args.tol if args.tol is not None else _read(cfg, "scenario", "decay_tol", float, 1e-3)
     table = criteria.direct_decay_probe(flow, cocycle, space, tol=tol)
-    payload = _report_header(cfg, seed)
-    payload.update(table.to_json_dict())
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    name = cfg.get("scenario", "name")
-    if args.format in ("json", "both"):
-        _write_json(out / f"{name}.decay.json", payload)
-    if args.format in ("csv", "both"):
-        _write_csv(out / f"{name}.decay.csv", table.csv_rows())
+    _write_reports(cfg, args, seed, "decay", table.to_json_dict(), table.csv_rows())
     print(f"decay {flow.name}/{cocycle.name} on {space.label()}: "
           f"{'decays' if table.decayed else 'NO DECAY'}")
     return 0 if table.decayed else 1

@@ -3,7 +3,8 @@
 A cocycle is a family m_t of analytic functions with m_0 = 1 and
 m_{t+s}(z) = m_t(z) m_s(phi_t(z)).  Coboundaries are the quotients
 (w o phi_t)/w for a weight w whose zeros are fixed points of the flow; the
-derivative cocycle is phi_t', computed by Cauchy circle quadrature.
+derivative cocycle is phi_t', the exact derivative the flow carries (a
+closed form, or the variational equation integrated with the flow).
 
 Sup norms over the disk are estimated from below by circle maxima on a
 radius ladder; the estimates are labeled as lower bounds throughout.
@@ -26,14 +27,13 @@ class Cocycle:
     """Multiplier family m_t bound to (or compatible with) a semiflow."""
 
     def __init__(self, kind: str, *, closed_map=None, weight: AnalyticFn | None = None,
-                 flow: Semiflow | None = None, zeros=(), deriv_radius: float = 0.2,
-                 deriv_nodes: int = 32, name: str = "cocycle"):
+                 flow: Semiflow | None = None, zeros=(), name: str = "cocycle"):
         if kind not in ("closed", "coboundary", "derivative"):
             raise PreconditionError(f"unknown cocycle kind {kind!r}")
         if kind == "coboundary" and (weight is None or flow is None):
             raise PreconditionError("a coboundary needs a weight and a flow")
-        if kind == "derivative" and flow is None:
-            raise PreconditionError("a derivative cocycle needs a flow")
+        if kind == "derivative" and (flow is None or flow.derivative is None):
+            raise PreconditionError("a derivative cocycle needs a flow carrying its derivative")
         if kind == "closed" and closed_map is None:
             raise PreconditionError("a closed-form cocycle needs its map")
         self.kind = kind
@@ -41,8 +41,6 @@ class Cocycle:
         self.weight = weight
         self.flow = flow
         self.zeros = tuple(complex(z) for z in zeros)
-        self.deriv_radius = float(deriv_radius)
-        self.deriv_nodes = int(deriv_nodes)
         self.name = name
 
     @classmethod
@@ -51,14 +49,13 @@ class Cocycle:
         return cls("closed", closed_map=fn, name=name)
 
     @classmethod
-    def derivative(cls, flow: Semiflow, radius: float = 0.2, nodes: int = 32) -> "Cocycle":
-        """m_t = phi_t' via Cauchy quadrature on circles inside the disk.
+    def derivative(cls, flow: Semiflow) -> "Cocycle":
+        """m_t = phi_t', evaluated by ``flow.z_derivative``.
 
-        The ring radius shrinks to 0.45 (1 - |z|) near the boundary, so the
-        quadrature tail decays like 0.45^nodes for any self-map flow.
+        The flow must carry its derivative (see :class:`Semiflow`); the
+        cocycle is evaluated at interior points only.
         """
-        return cls("derivative", flow=flow, deriv_radius=radius, deriv_nodes=nodes,
-                   name=f"derivative[{flow.name}]")
+        return cls("derivative", flow=flow, name=f"derivative[{flow.name}]")
 
     def __repr__(self):
         return f"Cocycle({self.name!r}, kind={self.kind})"
@@ -98,14 +95,7 @@ class Cocycle:
     def _eval_derivative(self, t, flat):
         if flat.size and float(np.max(np.abs(flat))) >= 1.0:
             raise PreconditionError("derivative cocycle needs interior points")
-        rho = np.minimum(self.deriv_radius, 0.45 * (1.0 - np.abs(flat)))
-        circ = unit_circle(self.deriv_nodes)
-        # One flow sweep per ring node keeps the temporaries small; the ring
-        # stays strictly inside the disk so the self-map check is skipped.
-        acc = np.zeros(flat.size, dtype=complex)
-        for c in circ:
-            acc += self.flow.at_times([t], flat + rho * c, check=False)[0] * np.conj(c)
-        return acc / (self.deriv_nodes * rho)
+        return self.flow.z_derivative(t, flat)
 
     def fn(self, t: float) -> AnalyticFn:
         """m_t as an AnalyticFn."""

@@ -16,6 +16,7 @@ direct decay probe are offered.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 
@@ -56,7 +57,6 @@ class SupScanConfig:
     disk_radial_cap: int = 272
     bound_threshold: float = 1e8
     stability_rel: float = 0.01
-    derivative_ring_nodes: int = 16
     threads: int = 1
 
     def __post_init__(self):
@@ -96,18 +96,6 @@ class CriterionSample:
     witness: complex
     corrections: list = field(default_factory=list)
     rung_profile: list = field(default_factory=list)
-
-
-def _scan_cocycle(cocycle: Cocycle, scan: SupScanConfig) -> Cocycle:
-    """Derivative cocycles get a cheaper Cauchy ring inside the scans.
-
-    The ring tail decays like 0.45^nodes, so the reduced default of 16
-    nodes still sits orders of magnitude below the scan tolerances.
-    """
-    if cocycle.kind == "derivative" and cocycle.deriv_nodes > scan.derivative_ring_nodes:
-        return Cocycle("derivative", flow=cocycle.flow, deriv_radius=cocycle.deriv_radius,
-                       deriv_nodes=scan.derivative_ring_nodes, name=cocycle.name)
-    return cocycle
 
 
 def _sup_scan(integral, scan: SupScanConfig) -> CriterionSample:
@@ -178,20 +166,21 @@ def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
         raise PreconditionError("the Hardy criterion requires p > 1")
     scan = scan or DEFAULT_SCAN
     quad = quad or DEFAULT_QUAD
-    cocycle = _scan_cocycle(cocycle, scan)
     cache: dict = {}
+    lock = threading.Lock()     # scan threads must not build the same level twice
 
     def circle_data(n_theta):
-        if n_theta not in cache:
-            ladder = BoundaryLadder(quad, n_theta)
-            phi = np.empty((ladder.eps.size, n_theta), dtype=complex)
-            wmp = np.empty((ladder.eps.size, n_theta))
-            with np.errstate(over="ignore", invalid="ignore"):
-                for i, (_, z) in enumerate(ladder):
-                    phi[i] = flow.at_times([t], z, check=False)[0]
-                    wmp[i] = np.abs(cocycle.eval(t, z)) ** p
-            cache[n_theta] = (ladder, phi, wmp)
-        return cache[n_theta]
+        with lock:
+            if n_theta not in cache:
+                ladder = BoundaryLadder(quad, n_theta)
+                phi = np.empty((ladder.eps.size, n_theta), dtype=complex)
+                wmp = np.empty((ladder.eps.size, n_theta))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for i, (_, z) in enumerate(ladder):
+                        phi[i] = flow.at_times([t], z, check=False)[0]
+                        wmp[i] = np.abs(cocycle.eval(t, z)) ** p
+                cache[n_theta] = (ladder, phi, wmp)
+            return cache[n_theta]
 
     def integral(a):
         ladder, phi, wmp = circle_data(scan.n_theta(abs(a)))
@@ -228,9 +217,9 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
     if gamma < gamma_floor:
         raise PreconditionError(f"gamma = {gamma} below the convergent floor {gamma_floor}")
     scan = scan or DEFAULT_SCAN
-    cocycle = _scan_cocycle(cocycle, scan)
     cache: dict = {}
     carleson_cache: dict = {}
+    lock = threading.Lock()     # scan threads must not build the same level twice
 
     def disk_data(a_abs):
         # Dyadic level k = ceil(-log2(1 - |a|)) (frexp writes 1 - |a| as
@@ -241,25 +230,27 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
         # |r e^{i theta}| can round a few ulps above a rung radius
         # r = 1 - 2^-k; the 1e-9 slack keeps such anchors on level k.
         level = 1 - math.frexp((1.0 - a_abs) * (1.0 + 1e-9))[1]
-        if level not in cache:
-            d = 2.0 ** -level
-            n_rad = min(scan.disk_radial_cap,
-                        max(scan.disk_radial_base, int(scan.disk_radial_scale / math.sqrt(d))))
-            rule = GradedDiskRule(weight, n_rad, d, scan.disk_angular_scale,
-                                  scan.disk_angular_base, scan.disk_angular_cap)
-            z = rule.nodes()
-            with np.errstate(over="ignore", invalid="ignore"):
-                phi = flow.at_times([t], z, check=False)[0]
-                wmp = rule.weights * np.abs(cocycle.eval(t, z)) ** p
-            cache[level] = (rule, phi, wmp)
-        return cache[level]
+        with lock:
+            if level not in cache:
+                d = 2.0 ** -level
+                n_rad = min(scan.disk_radial_cap,
+                            max(scan.disk_radial_base, int(scan.disk_radial_scale / math.sqrt(d))))
+                rule = GradedDiskRule(weight, n_rad, d, scan.disk_angular_scale,
+                                      scan.disk_angular_base, scan.disk_angular_cap)
+                z = rule.nodes()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    phi = flow.at_times([t], z, check=False)[0]
+                    wmp = rule.weights * np.abs(cocycle.eval(t, z)) ** p
+                cache[level] = (rule, phi, wmp)
+            return cache[level]
 
     def omega_s(a_abs):
         # keyed by the exact |a|: a rounded key would keep the value of
         # whichever anchor reached it first, which with threads is timing
-        if a_abs not in carleson_cache:
-            carleson_cache[a_abs] = carleson_measure(weight, a_abs)
-        return carleson_cache[a_abs]
+        with lock:
+            if a_abs not in carleson_cache:
+                carleson_cache[a_abs] = carleson_measure(weight, a_abs)
+            return carleson_cache[a_abs]
 
     def integral(a):
         rule, phi, wmp = disk_data(abs(a))

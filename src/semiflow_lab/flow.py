@@ -20,8 +20,6 @@ from .analytic import AnalyticFn, disk_samples, neville_extrapolate
 from .errors import (DomainError, IntegrationError, InvalidSemiflowError,
                      PreconditionError)
 
-_ESCAPE_BASE = 1.0 - 1e-12
-
 # Dormand-Prince 4(5) tableau.
 _DP_A = (
     (),
@@ -38,8 +36,9 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 210
 def _integrate_to_stops(g, z0, stops, rtol, atol, max_steps, escape_tol):
     """Solve w' = g(w) for a batch of starts, recording the state at each stop.
 
-    ``stops`` must be sorted, nonnegative and unique.  Returns an array of
-    shape (len(stops), len(z0)).
+    ``z0`` has shape (k, n): row 0 holds the positions, the only row the
+    escape check reads.  ``stops`` must be sorted, nonnegative and unique.
+    Returns an array of shape (len(stops), k, n).
     """
     def g_eval(y):
         try:
@@ -49,7 +48,7 @@ def _integrate_to_stops(g, z0, stops, rtol, atol, max_steps, escape_tol):
                 f"generator evaluation left the closed disk: {exc}")
 
     w = np.array(z0, dtype=complex)
-    out = np.empty((len(stops), w.size), dtype=complex)
+    out = np.empty((len(stops),) + w.shape, dtype=complex)
     limit = 1.0 - 1e-12 + escape_tol
     t = 0.0
     idx = 0
@@ -77,7 +76,7 @@ def _integrate_to_stops(g, z0, stops, rtol, atol, max_steps, escape_tol):
             t += h_try
             w = w5
             k_first = k[6]
-            top = float(np.max(np.abs(w))) if w.size else 0.0
+            top = float(np.max(np.abs(w[0]))) if w.size else 0.0
             if top > limit:
                 raise InvalidSemiflowError(
                     f"trajectory escaped the disk (|w| = {top:.12g} at t = {t:.6g}); "
@@ -99,15 +98,20 @@ def _integrate_to_stops(g, z0, stops, rtol, atol, max_steps, escape_tol):
 
 
 class Semiflow:
-    """One-parameter family phi_t of analytic self-maps of the unit disk."""
+    """One-parameter family phi_t of analytic self-maps of the unit disk.
 
-    def __init__(self, *, closed_map=None, generator=None, name: str = "semiflow",
-                 fixed_points=(), ode_rtol: float = 1e-10, ode_atol: float = 1e-12,
-                 max_steps: int = 200_000, escape_tol: float = 1e-9):
+    ``derivative``, if given, is the closed-form map (t, z_array) -> d/dz phi_t
+    of a closed-form flow, or G' as an AnalyticFn for a generator-driven one.
+    """
+
+    def __init__(self, *, closed_map=None, generator=None, derivative=None,
+                 name: str = "semiflow", fixed_points=(), ode_rtol: float = 1e-10,
+                 ode_atol: float = 1e-12, max_steps: int = 200_000, escape_tol: float = 1e-9):
         if (closed_map is None) == (generator is None):
             raise PreconditionError("provide exactly one of closed_map or generator")
         self._closed = closed_map
         self.generator = generator
+        self.derivative = derivative
         self.name = name
         self.fixed_points = tuple(complex(z) for z in fixed_points)
         self.ode_rtol = ode_rtol
@@ -150,9 +154,9 @@ class Semiflow:
         else:
             order = np.argsort(ts, kind="stable")
             stops = ts[order]
-            res = _integrate_to_stops(self.generator, zs, np.maximum(stops, 0.0),
+            res = _integrate_to_stops(self.generator, zs[None, :], np.maximum(stops, 0.0),
                                       self.ode_rtol, self.ode_atol, self.max_steps,
-                                      self.escape_tol)
+                                      self.escape_tol)[:, 0]
             out = np.empty_like(res)
             out[order] = res
         if check:
@@ -161,6 +165,26 @@ class Semiflow:
                 raise InvalidSemiflowError(
                     f"{self.name}: |phi_t(z)| = {top:.12g} leaves the closed disk")
         return out
+
+    def z_derivative(self, t: float, zs) -> np.ndarray:
+        """d/dz phi_t(z) for every z in ``zs``, from the derivative the flow carries.
+
+        A generator-driven flow integrates the variational equation
+        v' = G'(w) v, v(0) = 1, with w' = G(w) in one batch; the escape
+        check reads w only.
+        """
+        zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+        if self.derivative is None:
+            raise PreconditionError(f"{self.name} carries no derivative")
+        if t < -1e-15:
+            raise PreconditionError("semiflow times must be nonnegative")
+        if self._closed is not None:
+            return np.asarray(self.derivative(float(t), zs), dtype=complex)
+        g, dg = self.generator, self.derivative
+        return _integrate_to_stops(lambda y: np.stack([g(y[0]), dg(y[0]) * y[1]]),
+                                   np.stack([zs, np.ones_like(zs)]), [max(float(t), 0.0)],
+                                   self.ode_rtol, self.ode_atol, self.max_steps,
+                                   self.escape_tol)[0, 1]
 
     def __call__(self, t, z):
         """phi_t(z) for scalar t; vectorized over z."""
@@ -265,48 +289,55 @@ def fixed_points_check(s: Semiflow, candidates, t_grid=None, tol: float = 1e-9):
 def dilation() -> Semiflow:
     """phi_t(z) = e^{-t} z; interior fixed point at the origin."""
     return Semiflow.closed_form(lambda t, z: np.exp(-t) * z, name="dilation",
+                                derivative=lambda t, z: np.full_like(z, np.exp(-t)),
                                 fixed_points=(0.0,))
 
 
 def rotation(speed: float = 1.0) -> Semiflow:
     """phi_t(z) = e^{i a t} z; a group of rotations."""
-    return Semiflow.closed_form(lambda t, z, a=float(speed): np.exp(1j * a * t) * z,
+    a = float(speed)
+    return Semiflow.closed_form(lambda t, z: np.exp(1j * a * t) * z,
+                                derivative=lambda t, z: np.full_like(z, np.exp(1j * a * t)),
                                 name=f"rotation({speed:g})", fixed_points=(0.0,))
 
 
 def attraction() -> Semiflow:
     """phi_t(z) = e^{-t} z + 1 - e^{-t}; attracted to the boundary point 1."""
     return Semiflow.closed_form(lambda t, z: np.exp(-t) * z + (1.0 - np.exp(-t)),
+                                derivative=lambda t, z: np.full_like(z, np.exp(-t)),
                                 name="attraction")
 
 
 def identity_flow() -> Semiflow:
     """The trivial semiflow phi_t = id."""
-    return Semiflow.closed_form(lambda t, z: z + 0j, name="identity")
+    return Semiflow.closed_form(lambda t, z: z + 0j, derivative=lambda t, z: np.ones_like(z),
+                                name="identity")
 
 
 def broken_escape() -> Semiflow:
     """Deliberately invalid family phi_t(z) = z + t (escapes the disk)."""
-    return Semiflow.closed_form(lambda t, z: z + t, name="broken-escape")
+    return Semiflow.closed_form(lambda t, z: z + t, derivative=lambda t, z: np.ones_like(z),
+                                name="broken-escape")
 
 
-_GENERATORS = {
-    "dilation": lambda: AnalyticFn(lambda z: -z, label="-z"),
-    "attraction": lambda: AnalyticFn(lambda z: 1.0 - z, label="1-z"),
-    "identity": lambda: AnalyticFn(lambda z: np.zeros_like(z), label="0"),
+_GENERATORS = {  # name -> (G, G')
+    "dilation": lambda: (AnalyticFn(lambda z: -z, label="-z"), AnalyticFn.constant(-1.0)),
+    "attraction": lambda: (AnalyticFn(lambda z: 1.0 - z, label="1-z"), AnalyticFn.constant(-1.0)),
+    "identity": lambda: (AnalyticFn(lambda z: np.zeros_like(z), label="0"), AnalyticFn.constant(0)),
 }
 
 
 def generator_twin(name: str, *params) -> Semiflow:
-    """Generator-driven rebuild of a closed-form gallery flow."""
+    """Generator-driven rebuild of a closed-form gallery flow, carrying G'."""
     if name == "rotation":
         a = float(params[0]) if params else 1.0
         g = AnalyticFn(lambda z, _a=a: 1j * _a * z, label=f"i*{a:g}*z")
+        dg = AnalyticFn.constant(1j * a)
     elif name in _GENERATORS:
-        g = _GENERATORS[name]()
+        g, dg = _GENERATORS[name]()
     else:
         raise PreconditionError(f"no generator twin for flow {name!r}")
-    return Semiflow.from_generator(g, name=f"generator-{name}",
+    return Semiflow.from_generator(g, name=f"generator-{name}", derivative=dg,
                                    fixed_points=(0.0,) if name != "attraction" else ())
 
 

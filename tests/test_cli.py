@@ -11,10 +11,10 @@ from semiflow_lab.spaces import RadialWeight, SpaceSpec
 
 
 def write_scenario(path, name, flow="dilation", cocycle="coboundary:z",
-                   space="hardy:2", extra=""):
+                   space="hardy:2", extra="", scenario_keys="seed = 7"):
     path.write_text(f"""[scenario]
 name = {name}
-seed = 7
+{scenario_keys}
 
 [flow]
 gallery = {flow}
@@ -181,3 +181,23 @@ def test_malformed_scan_float_names_the_key(tmp_path, capsys):
                           extra="\n[scan]\nstability_rel = one percent\n")
     assert main(["verdict", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
     assert "stability_rel must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,keys,extra,message", [
+    ("flow-verify", "seed = seven", "", "[scenario] seed must be an integer"),
+    ("verdict", "seed = seven", "", "[scenario] seed must be an integer"),
+    ("decay", "seed = seven", "", "[scenario] seed must be an integer"),
+    ("flow-verify", "seed = 7\ntol = tight", "", "[scenario] tol must be a number"),
+    ("decay", "seed = 7\ndecay_tol = loose", "", "[scenario] decay_tol must be a number"),
+    ("flow-verify", "seed = 7", "\n[grid]\nt_values = 0 0.1 abc\n",
+     "[grid] t_values must be a list of numbers"),
+    ("verdict", "seed = 7", "\n[grid]\nt_values = 0 0.1 abc\n",
+     "[grid] t_values must be a list of numbers"),
+], ids=["flow-verify-seed", "verdict-seed", "decay-seed", "flow-verify-tol", "decay-decay_tol",
+        "flow-verify-t_values", "verdict-t_values"])
+def test_malformed_scenario_value_is_config_error(tmp_path, capsys, command, keys, extra,
+                                                  message):
+    scen = write_scenario(tmp_path / "bad.ini", "bad-value", extra=extra, scenario_keys=keys)
+    assert main([command, "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

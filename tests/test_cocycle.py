@@ -8,7 +8,8 @@ from semiflow_lab.cocycle import (Cocycle, exp_growth_cocycle, limsup_probe,
                                   resolve_cocycle, sup_norm, unit_cocycle,
                                   verify_cocycle)
 from semiflow_lab.errors import AdmissibilityError, CocycleZeroError, PreconditionError
-from semiflow_lab.flow import attraction, dilation, identity_flow, rotation
+from semiflow_lab.flow import (GALLERY, Semiflow, attraction, dilation, identity_flow,
+                               rotation)
 
 
 @pytest.fixture
@@ -88,6 +89,39 @@ def test_verify_derivative_cocycle_over_dilation():
     report = verify_cocycle(m, dilation())
     assert report.passed
     assert report.max_law_residual < 1e-8
+
+
+# d/dz phi_t of each gallery flow (and of its generator twin), as a function of t
+GALLERY_DERIVATIVES = {"dilation": lambda t: np.exp(-t), "rotation": lambda t: np.exp(1j * t),
+                       "attraction": lambda t: np.exp(-t), "identity": lambda t: 1.0,
+                       "broken-escape": lambda t: 1.0}
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_derivative_matches_closed_form_over_gallery(name, grid):
+    flow = GALLERY[name]()
+    exact = GALLERY_DERIVATIVES[name.removeprefix("generator-")]
+    tol = 1e-9 if flow.is_generator_driven else 1e-14
+    m = Cocycle.derivative(flow)
+    for t in (0.0, 0.1, 0.5, 1.0):
+        assert np.max(np.abs(flow.z_derivative(t, grid) - exact(t))) < tol, t
+        assert np.max(np.abs(m.eval(t, grid) - exact(t))) < tol, t
+
+
+@pytest.mark.parametrize("flow", [dilation(), attraction(), rotation(1.0)],
+                         ids=lambda f: f.name)
+def test_gallery_derivative_cocycle_law_is_exact(flow):
+    report = verify_cocycle(Cocycle.derivative(flow), flow)
+    assert report.passed
+    assert report.max_law_residual < 1e-12
+
+
+def test_derivative_cocycle_needs_a_flow_carrying_its_derivative():
+    plain = Semiflow.closed_form(lambda t, z: np.exp(-t) * z, name="plain-dilation")
+    with pytest.raises(PreconditionError):
+        Cocycle.derivative(plain)
+    with pytest.raises(PreconditionError):
+        resolve_cocycle("derivative", plain)
 
 
 def test_verify_flags_broken_family():

@@ -7,11 +7,11 @@ from semiflow_lab.analytic import AnalyticFn
 from semiflow_lab.cocycle import Cocycle, exp_growth_cocycle, make_coboundary, \
     poisson_blowup_cocycle, unit_cocycle
 from semiflow_lab.criteria import (DEFAULT_T_GRID, SupScanConfig, bergman_criterion,
-                                   direct_decay_probe, default_decay_family,
-                                   hardy_criterion, sufficiency_probe,
+                                   criterion_sample, direct_decay_probe,
+                                   default_decay_family, hardy_criterion, sufficiency_probe,
                                    uniform_bound_verdict)
 from semiflow_lab.errors import PreconditionError, RegularityError
-from semiflow_lab.flow import attraction, dilation, identity_flow, rotation
+from semiflow_lab.flow import Semiflow, attraction, dilation, identity_flow, rotation
 from semiflow_lab.operators import gallery_semigroups
 from semiflow_lab.spaces import DiskRule, RadialWeight, SpaceSpec, carleson_measure
 
@@ -110,7 +110,7 @@ def test_bergman_criterion_custom_weight_matches_tensor_grid():
     weight = RadialWeight.custom(lambda r: 2.0 * (1.0 - r ** 2), label="2(1-r^2)")
     a = 1.0 - 2.0 ** -9
     flow = attraction()
-    m = Cocycle.derivative(flow, nodes=16)      # the Cauchy ring the scans use
+    m = Cocycle.derivative(flow)
     value = bergman_criterion(flow, m, 2, weight, 0.5, scan=deep_scan(a)).value
     reference = tensor_criterion(flow, m, weight, 0.5, a, 7.0, 135, 2 * 16 * 512)
     assert value == pytest.approx(reference, rel=1e-8)
@@ -127,6 +127,26 @@ def test_threads_give_the_same_bergman_sample():
     pooled = bergman_criterion(flow, m, 2, W0, 0.5, scan=replace(FAST_SCAN, threads=2))
     assert (pooled.value, pooled.witness, pooled.rung_profile) == \
         (serial.value, serial.witness, serial.rung_profile)
+
+
+@pytest.mark.parametrize("space", [H2, A0], ids=["hardy", "bergman"])
+def test_threads_build_each_criterion_level_once(space, monkeypatch):
+    flow = dilation()
+    m = cob_z(flow)
+    points = []
+    at_times = Semiflow.at_times
+
+    def counted(self, ts, zs, check=True):
+        points.append(np.size(zs))
+        return at_times(self, ts, zs, check)
+
+    monkeypatch.setattr(Semiflow, "at_times", counted)
+    counts = []
+    for threads in (1, 2):
+        points.clear()
+        criterion_sample(flow, m, space, 0.5, replace(FAST_SCAN, threads=threads))
+        counts.append((len(points), sum(points)))
+    assert counts[1] == counts[0]
 
 
 @pytest.mark.parametrize("field,value", [("ladder_depth", -3), ("refine_rounds", -1),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semiflow_lab.analytic import AnalyticFn, disk_samples
 from semiflow_lab.errors import (IntegrationError, InvalidSemiflowError,
@@ -149,3 +150,31 @@ def test_map_fn_is_analytic_fn():
     fn = attraction().map_fn(0.5)
     zs = disk_samples(9)
     assert np.allclose(fn(zs), attraction()(0.5, zs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(b_abs=st.floats(0.0, 0.9), b_arg=st.floats(0.0, 2.0 * np.pi),
+       p_abs=st.floats(0.0, 2.0), p_arg=st.floats(-np.pi / 2.0, np.pi / 2.0),
+       t=st.floats(0.05, 1.0))
+def test_z_derivative_matches_berkson_porta_identity(b_abs, b_arg, p_abs, p_arg, t):
+    # G(z) = (conj(b) z - 1)(z - b) p with Re p >= 0 generates a semiflow
+    # (Berkson-Porta); differentiating phi_{t+s} = phi_s o phi_t in s gives
+    # d/dz phi_t = G(phi_t) / G away from the zeros of G
+    b = b_abs * np.exp(1j * b_arg)
+    p = p_abs * np.exp(1j * p_arg)
+    g = AnalyticFn(lambda z: (np.conj(b) * z - 1.0) * (z - b) * p, label="G")
+    dg = AnalyticFn(lambda z: p * (2.0 * np.conj(b) * z - abs(b) ** 2 - 1.0), label="G'")
+    flow = Semiflow.from_generator(g, derivative=dg)
+    zs = disk_samples(40)
+    keep = np.abs(g(zs)) >= 1e-2
+    expected = g(flow.at_times([t], zs)[0][keep]) / g(zs[keep])
+    got = flow.z_derivative(t, zs)[keep]
+    assert np.all(np.abs(got - expected) <= 1e-6 * np.abs(expected))
+
+
+def test_z_derivative_needs_a_carried_derivative():
+    plain = Semiflow.closed_form(lambda t, z: 0.5 * z, name="half")
+    with pytest.raises(PreconditionError):
+        plain.z_derivative(0.5, 0.1)
+    with pytest.raises(PreconditionError):
+        dilation().z_derivative(-0.5, 0.1)
