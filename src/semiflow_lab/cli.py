@@ -108,6 +108,17 @@ _SCAN_KINDS = {"ladder_depth": int, "n_angles": int, "refine_rounds": int, "angu
                "refine_contraction": float, "bound_threshold": float, "stability_rel": float}
 
 
+def _threads_of(args) -> int:
+    if args.threads is not None:
+        return args.threads
+    text = os.environ.get("SEMIFLOW_LAB_THREADS", "")
+    try:
+        return int(text or 0)
+    except ValueError:
+        raise ConfigError(f"environment variable SEMIFLOW_LAB_THREADS must be an integer, "
+                          f"got {text!r}") from None
+
+
 def _scan_from(cfg, args) -> criteria.SupScanConfig:
     scan = criteria.DEFAULT_SCAN
     overrides = {key: _read(cfg, "scan", key, kind) for key, kind in _SCAN_KINDS.items()
@@ -226,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_scenario:
             p.add_argument("--scenario", required=True, help="scenario INI file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("SEMIFLOW_LAB_THREADS", "0") or 0))
+        p.add_argument("--threads", type=int, default=None,
+                       help="scan threads (default: $SEMIFLOW_LAB_THREADS, else 0)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--format", choices=("json", "csv", "both"), default="both")
@@ -256,6 +267,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        args.threads = _threads_of(args)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .analytic import AnalyticFn, disk_samples, unit_circle
-from .errors import (AdmissibilityError, CocycleZeroError, PreconditionError)
+from .errors import AdmissibilityError, CocycleZeroError, PreconditionError, spec_number
 from .flow import Semiflow, fixed_points_check
 
 _DEFAULT_RADII = (0.9, 0.99, 0.999)
@@ -50,7 +50,7 @@ class Cocycle:
 
     @classmethod
     def derivative(cls, flow: Semiflow) -> "Cocycle":
-        """m_t = phi_t', evaluated by ``flow.z_derivative``.
+        """m_t = phi_t', taken with phi_t from ``flow.jet`` in one evaluation.
 
         The flow must carry its derivative (see :class:`Semiflow`); the
         cocycle is evaluated at interior points only.
@@ -67,35 +67,46 @@ class Cocycle:
         flat = np.atleast_1d(z_arr).ravel()
         if self.kind == "closed":
             vals = np.asarray(self._closed(float(t), flat), dtype=complex)
-        elif self.kind == "coboundary":
-            vals = self._eval_coboundary(float(t), flat)
         else:
-            vals = self._eval_derivative(float(t), flat)
+            vals = self.sample(self.flow, t, flat)[1]
         return complex(vals[0]) if scalar else vals.reshape(z_arr.shape)
 
     def __call__(self, t, z):
         return self.eval(t, z)
 
-    def _eval_coboundary(self, t, flat):
-        wz = self.weight(flat)
-        scale = 1.0 + float(np.max(np.abs(wz))) if flat.size else 1.0
-        tiny = np.abs(wz) < 1e-13 * scale
-        if np.any(tiny):
-            bad = flat[tiny][0]
-            for z0 in self.zeros:
-                if abs(bad - z0) < 1e-9:
-                    raise CocycleZeroError(
-                        f"evaluation at declared zero z = {z0} of the coboundary weight "
-                        "is rejected (removable singularity, no limiting procedure)")
-            raise CocycleZeroError(
-                f"coboundary weight vanishes at z = {bad} which is not a declared zero")
-        w_phi = self.weight(self.flow.at_times([t], flat)[0])
-        return w_phi / wz
+    def sample(self, flow: Semiflow, t: float, z):
+        """(phi_t(z), m_t(z)) in the shape of z; the one place a cocycle evaluates a flow.
 
-    def _eval_derivative(self, t, flat):
-        if flat.size and float(np.max(np.abs(flat))) >= 1.0:
-            raise PreconditionError("derivative cocycle needs interior points")
-        return self.flow.z_derivative(t, flat)
+        Bound to this very ``flow`` object, a coboundary reads phi_t from one
+        checked ``at_times`` call after its zero checks, and a derivative
+        cocycle takes both from ``flow.jet``; any other cocycle pairs
+        ``flow.at_times(..., check=False)`` with :meth:`eval`.
+        """
+        t = float(t)
+        z_arr = np.asarray(z, dtype=complex)
+        flat = z_arr.ravel()
+        if self.flow is not flow:
+            phi, vals = flow.at_times([t], flat, check=False)[0], self.eval(t, flat)
+        elif self.kind == "coboundary":
+            wz = self.weight(flat)
+            scale = 1.0 + float(np.max(np.abs(wz))) if flat.size else 1.0
+            tiny = np.abs(wz) < 1e-13 * scale
+            if np.any(tiny):
+                bad = flat[tiny][0]
+                for z0 in self.zeros:
+                    if abs(bad - z0) < 1e-9:
+                        raise CocycleZeroError(
+                            f"evaluation at declared zero z = {z0} of the coboundary weight "
+                            "is rejected (removable singularity, no limiting procedure)")
+                raise CocycleZeroError(
+                    f"coboundary weight vanishes at z = {bad} which is not a declared zero")
+            phi = flow.at_times([t], flat)[0]
+            vals = self.weight(phi) / wz
+        else:
+            if flat.size and float(np.max(np.abs(flat))) >= 1.0:
+                raise PreconditionError("derivative cocycle needs interior points")
+            phi, vals = flow.jet(t, flat)
+        return phi.reshape(z_arr.shape), vals.reshape(z_arr.shape)
 
     def fn(self, t: float) -> AnalyticFn:
         """m_t as an AnalyticFn."""
@@ -294,11 +305,11 @@ def resolve_cocycle(text: str, flow: Semiflow) -> Cocycle:
         if wname == "z":
             return make_coboundary(AnalyticFn.identity(), flow, zero_candidates=(0.0,))
         if wname.startswith("z^"):
-            k = int(wname[2:])
+            k = spec_number(int, wname[2:], text)
             return make_coboundary(AnalyticFn.monomial(k), flow,
                                    zero_candidates=(0.0,) if k else ())
         if wname == "affine-power":
-            gamma = float(parts[2]) if len(parts) > 2 else 1.0
+            gamma = spec_number(float, parts[2], text) if len(parts) > 2 else 1.0
             base = AnalyticFn(lambda z: 1.0 - z, label="1-z")
             return make_coboundary(principal_power(base, gamma), flow)
         raise PreconditionError(f"unknown coboundary weight {wname!r}")

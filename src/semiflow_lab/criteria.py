@@ -24,7 +24,7 @@ import numpy as np
 
 from .analytic import AnalyticFn, neville_extrapolate  # noqa: F401 (perfbench patches it here)
 from .cocycle import Cocycle, limsup_probe
-from .errors import PreconditionError, QuadratureError, RegularityError
+from .errors import PreconditionError, RegularityError
 from .flow import Semiflow
 from .spaces import (DEFAULT_QUAD, BoundaryLadder, DiskRule, GradedDiskRule, QuadConfig,
                      RadialWeight, SpaceSpec, carleson_measure, default_gamma, is_regular)
@@ -98,14 +98,27 @@ class CriterionSample:
     rung_profile: list = field(default_factory=list)
 
 
-def _sup_scan(integral, scan: SupScanConfig) -> CriterionSample:
-    """Maximize ``integral(a)`` over the anchor grid with local refinement.
+def _sup_scan(scan: SupScanConfig, level_of, build, integrand) -> CriterionSample:
+    """Maximize ``integrand(a, build(level_of(|a|)))`` over the anchor grid with local refinement.
 
-    ``integral`` may raise QuadratureError to signal a blowup at its anchor,
-    which short-circuits the scan with an infinite sample.  With
+    Each level's data is built once per scan, under a lock so that scan
+    threads never build a level twice.  A non-finite integral counts as
+    +inf, which ends the scan with an infinite sample.  With
     ``scan.threads > 1`` each rung's fan of angles runs on one thread pool
     that lives for the whole scan.
     """
+    cache: dict = {}
+    lock = threading.Lock()
+
+    def integral(a):
+        level = level_of(abs(a))
+        with lock:
+            if level not in cache:
+                cache[level] = build(level)
+            data = cache[level]
+        value = integrand(a, data)
+        return value if np.isfinite(value) else np.inf
+
     if scan.threads and scan.threads > 1:
         with ThreadPoolExecutor(max_workers=scan.threads) as pool:
             return _scan_anchors(integral, scan, pool.map)
@@ -115,17 +128,10 @@ def _sup_scan(integral, scan: SupScanConfig) -> CriterionSample:
 def _scan_anchors(integral, scan: SupScanConfig, pmap) -> CriterionSample:
     radii = scan.anchor_radii()
     angles = 2.0 * np.pi * np.arange(scan.n_angles) / scan.n_angles
-
-    def safe(a):
-        try:
-            return integral(a)
-        except QuadratureError:
-            return np.inf
-
     best_val, best_a = -np.inf, complex(radii[0])
     rung_profile = []
     for r in radii:
-        vals = list(pmap(lambda ang: safe(r * np.exp(1j * ang)), angles))
+        vals = list(pmap(lambda ang: integral(r * np.exp(1j * ang)), angles))
         top = int(np.argmax(vals))
         rung_profile.append(float(vals[top]))
         if vals[top] > best_val:
@@ -145,7 +151,7 @@ def _scan_anchors(integral, scan: SupScanConfig, pmap) -> CriterionSample:
         for rr in cand_r:
             for aa in cand_ang:
                 a = rr * np.exp(1j * aa)
-                v = safe(a)
+                v = integral(a)
                 if v > best_val:
                     best_val, best_a = float(v), a
         if not np.isfinite(best_val):
@@ -166,37 +172,24 @@ def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
         raise PreconditionError("the Hardy criterion requires p > 1")
     scan = scan or DEFAULT_SCAN
     quad = quad or DEFAULT_QUAD
-    cache: dict = {}
-    lock = threading.Lock()     # scan threads must not build the same level twice
 
     def circle_data(n_theta):
-        with lock:
-            if n_theta not in cache:
-                ladder = BoundaryLadder(quad, n_theta)
-                phi = np.empty((ladder.eps.size, n_theta), dtype=complex)
-                wmp = np.empty((ladder.eps.size, n_theta))
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for i, (_, z) in enumerate(ladder):
-                        phi[i] = flow.at_times([t], z, check=False)[0]
-                        wmp[i] = np.abs(cocycle.eval(t, z)) ** p
-                cache[n_theta] = (ladder, phi, wmp)
-            return cache[n_theta]
+        ladder = BoundaryLadder(quad, n_theta)
+        phi = np.empty((ladder.eps.size, n_theta), dtype=complex)
+        wmp = np.empty((ladder.eps.size, n_theta))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (_, z) in enumerate(ladder):
+                phi[i], m = cocycle.sample(flow, t, z)
+                wmp[i] = np.abs(m) ** p
+        return ladder, phi, wmp
 
-    def integral(a):
-        ladder, phi, wmp = circle_data(scan.n_theta(abs(a)))
-        abar = np.conj(a)
+    def integrand(a, data):
+        ladder, phi, wmp = data
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rows = (1.0 - abs(a) ** 2) * wmp / np.abs(1.0 - abar * phi) ** 2
-            means = rows.mean(axis=1)
-        if not np.all(np.isfinite(means)):
-            level, node = np.argwhere(~np.isfinite(rows))[0]
-            z_bad = (1.0 - ladder.eps[level]) * ladder.circle[node]
-            raise QuadratureError(
-                f"criterion integrand blows up near z = {z_bad:.6g} "
-                f"(anchor a = {a:.6g})", witness=z_bad)
-        return float(ladder.limit(means)[0].real)
+            rows = (1.0 - abs(a) ** 2) * wmp / np.abs(1.0 - np.conj(a) * phi) ** 2
+            return float(ladder.limit(rows.mean(axis=1))[0].real)
 
-    return _sup_scan(integral, scan)
+    return _sup_scan(scan, scan.n_theta, circle_data, integrand)
 
 
 def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: RadialWeight,
@@ -217,32 +210,28 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
     if gamma < gamma_floor:
         raise PreconditionError(f"gamma = {gamma} below the convergent floor {gamma_floor}")
     scan = scan or DEFAULT_SCAN
-    cache: dict = {}
     carleson_cache: dict = {}
-    lock = threading.Lock()     # scan threads must not build the same level twice
+    lock = threading.Lock()     # scan threads must not measure the same |a| twice
 
-    def disk_data(a_abs):
+    def level_of(a_abs):
         # Dyadic level k = ceil(-log2(1 - |a|)) (frexp writes 1 - |a| as
         # m 2^e with m in [0.5, 1), so k = 1 - e), and d = 2^-k <= 1 - |a|:
         # the grid of a level resolves every anchor on it, refinement anchors
-        # included.  By Schwarz-Pick the kernel's angular width on ring r is
-        # about max(1 - r, 1 - |a|), hence the per-ring counts floored at d.
-        # |r e^{i theta}| can round a few ulps above a rung radius
+        # included.  |r e^{i theta}| can round a few ulps above a rung radius
         # r = 1 - 2^-k; the 1e-9 slack keeps such anchors on level k.
-        level = 1 - math.frexp((1.0 - a_abs) * (1.0 + 1e-9))[1]
-        with lock:
-            if level not in cache:
-                d = 2.0 ** -level
-                n_rad = min(scan.disk_radial_cap,
-                            max(scan.disk_radial_base, int(scan.disk_radial_scale / math.sqrt(d))))
-                rule = GradedDiskRule(weight, n_rad, d, scan.disk_angular_scale,
-                                      scan.disk_angular_base, scan.disk_angular_cap)
-                z = rule.nodes()
-                with np.errstate(over="ignore", invalid="ignore"):
-                    phi = flow.at_times([t], z, check=False)[0]
-                    wmp = rule.weights * np.abs(cocycle.eval(t, z)) ** p
-                cache[level] = (rule, phi, wmp)
-            return cache[level]
+        return 1 - math.frexp((1.0 - a_abs) * (1.0 + 1e-9))[1]
+
+    def disk_data(level):
+        # By Schwarz-Pick the kernel's angular width on ring r is about
+        # max(1 - r, 1 - |a|), hence the per-ring counts floored at d.
+        d = 2.0 ** -level
+        n_rad = min(scan.disk_radial_cap,
+                    max(scan.disk_radial_base, int(scan.disk_radial_scale / math.sqrt(d))))
+        rule = GradedDiskRule(weight, n_rad, d, scan.disk_angular_scale,
+                              scan.disk_angular_base, scan.disk_angular_cap)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi, m = cocycle.sample(flow, t, rule.nodes())
+            return phi, rule.weights * np.abs(m) ** p
 
     def omega_s(a_abs):
         # keyed by the exact |a|: a rounded key would keep the value of
@@ -252,8 +241,8 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
                 carleson_cache[a_abs] = carleson_measure(weight, a_abs)
             return carleson_cache[a_abs]
 
-    def integral(a):
-        rule, phi, wmp = disk_data(abs(a))
+    def integrand(a, data):
+        phi, wmp = data
         head = (1.0 - abs(a)) ** (gamma + 1.0) / omega_s(abs(a))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             kernel = np.conj(a) * phi
@@ -263,16 +252,9 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
             kernel *= wmp
             # numpy's sum, whose order, unlike a BLAS dot's, does not
             # depend on the BLAS thread count
-            value = float(head * kernel.sum())
-        if not np.isfinite(value):
-            bad = np.flatnonzero(~np.isfinite(kernel))
-            z_bad = rule.nodes()[bad[0]] if bad.size else a
-            raise QuadratureError(
-                f"criterion integrand blows up near z = {z_bad:.6g} "
-                f"(anchor a = {a:.6g})", witness=z_bad)
-        return value
+            return float(head * kernel.sum())
 
-    return _sup_scan(integral, scan)
+    return _sup_scan(scan, level_of, disk_data, integrand)
 
 
 def criterion_sample(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec, t: float,
@@ -459,8 +441,7 @@ def direct_decay_probe(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
             if space.is_hardy:
                 means = np.empty((len(family), ladder.eps.size))
                 for i, (_, z) in enumerate(ladder):
-                    phi = flow.at_times([t], z, check=False)[0]
-                    mul = cocycle.eval(t, z)
+                    phi, mul = cocycle.sample(flow, t, z)
                     for k, f in enumerate(family):
                         means[k, i] = np.mean(np.abs(mul * f(phi) - f(z)) ** p)
                 for k in range(len(family)):
@@ -468,8 +449,7 @@ def direct_decay_probe(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
                     v = float(ladder.limit(means[k])[0].real) if finite else np.inf
                     entries[k, j] = abs(v) ** (1.0 / p) if v > 0 else 0.0
             else:
-                phi = flow.at_times([t], z.ravel(), check=False)[0].reshape(z.shape)
-                mul = cocycle.eval(t, z.ravel()).reshape(z.shape)
+                phi, mul = cocycle.sample(flow, t, z)
                 for k, f in enumerate(family):
                     total = float(rule.integrate(np.abs(mul * f(phi) - f(z)) ** p))
                     entries[k, j] = total ** (1.0 / p) if np.isfinite(total) else np.inf

@@ -13,6 +13,15 @@ class PreconditionError(SemiflowLabError, ValueError):
     """An operation was called with arguments violating its contract."""
 
 
+def spec_number(kind, value: str, spec: str):
+    """``kind(value)`` for a parameter of a spec string; a malformed one is a
+    PreconditionError that names the spec."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise PreconditionError(f"bad parameter {value!r} in spec {spec!r}") from None
+
+
 class QuadratureError(SemiflowLabError, ArithmeticError):
     """A quadrature produced non-finite samples.
 

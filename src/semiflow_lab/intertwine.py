@@ -452,7 +452,7 @@ def load_bundle(manifest_path):
             entries = load_matrix_csv(root / fname)
             ops[round(t, 12)] = AbstractOperator.from_matrix(
                 entries, space, label=f"bundle@{t:g}")
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         raise PreconditionError(f"malformed operator bundle {manifest_path}: {exc}")
 
     def t_family(t):

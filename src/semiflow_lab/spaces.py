@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from .analytic import AnalyticFn, disk_samples, eps_ladder, neville_extrapolate, unit_circle
-from .errors import PreconditionError, QuadratureError, RegularityError
+from .errors import PreconditionError, QuadratureError, RegularityError, spec_number
 
 
 class RadialWeight:
@@ -124,14 +124,14 @@ class SpaceSpec:
         """Parse ``hardy:p``, ``bergman:p:alpha`` or ``bergman:p:custom:<csv>``."""
         parts = [p.strip() for p in str(text).split(":")]
         if parts[0] == "hardy" and len(parts) == 2:
-            return cls.hardy(float(parts[1]))
+            return cls.hardy(spec_number(float, parts[1], text))
         if parts[0] == "bergman" and len(parts) >= 3:
-            p = float(parts[1])
+            p = spec_number(float, parts[1], text)
             if parts[2] == "custom":
                 if len(parts) < 4:
                     raise PreconditionError("custom weight spec needs a table path")
                 return cls.bergman(p, RadialWeight.from_table(":".join(parts[3:])))
-            return cls.bergman(p, RadialWeight.standard(float(parts[2])))
+            return cls.bergman(p, RadialWeight.standard(spec_number(float, parts[2], text)))
         raise PreconditionError(f"cannot parse space spec {text!r}")
 
     @property

@@ -201,3 +201,33 @@ def test_malformed_scenario_value_is_config_error(tmp_path, capsys, command, key
     assert main([command, "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,spec", [("flow", "dilation:2"), ("flow", "rotation:abc"),
+                                          ("cocycle", "coboundary:z^x"),
+                                          ("cocycle", "coboundary:affine-power:x"),
+                                          ("space", "hardy:abc"), ("space", "bergman:2:x")])
+def test_malformed_spec_is_config_error(tmp_path, capsys, section, spec):
+    scen = write_scenario(tmp_path / "bad.ini", "bad-spec", **{section: spec})
+    assert main(["decay", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert spec in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("manifest", ['["hardy:2"]', '{"space": "hardy:2", "t_values": 5}'],
+                         ids=["list", "scalar-t_values"])
+def test_malformed_manifest_is_config_error(tmp_path, capsys, manifest):
+    bad = tmp_path / "manifest.json"
+    bad.write_text(manifest)
+    assert main(["intertwine", "--bundle", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_threads_env_is_config_error(scenario, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SEMIFLOW_LAB_THREADS", "abc")
+    assert main(["verdict", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert "SEMIFLOW_LAB_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -104,7 +104,9 @@ def test_derivative_matches_closed_form_over_gallery(name, grid):
     tol = 1e-9 if flow.is_generator_driven else 1e-14
     m = Cocycle.derivative(flow)
     for t in (0.0, 0.1, 0.5, 1.0):
-        assert np.max(np.abs(flow.z_derivative(t, grid) - exact(t))) < tol, t
+        phi, dphi = flow.jet(t, grid)
+        assert np.max(np.abs(phi - flow.at_times([t], grid, check=False)[0])) < tol, t
+        assert np.max(np.abs(dphi - exact(t))) < tol, t
         assert np.max(np.abs(m.eval(t, grid) - exact(t))) < tol, t
 
 
@@ -200,3 +202,34 @@ def test_resolve_cocycle_gallery():
     assert m.eval(0.2, 0.3) == pytest.approx(np.exp(-0.3), abs=1e-10)
     with pytest.raises(PreconditionError):
         resolve_cocycle("mystery", flow)
+
+
+def _bound(flow, spec):
+    return flow, resolve_cocycle(spec, flow)
+
+
+SAMPLE_CASES = {
+    "closed-unit": lambda: (attraction(), unit_cocycle()),
+    "closed-exp-growth": lambda: (dilation(), exp_growth_cocycle()),
+    "closed-poisson-blowup": lambda: (identity_flow(), poisson_blowup_cocycle()),
+    "coboundary-z-rotation": lambda: _bound(rotation(1.0), "coboundary:z"),
+    "coboundary-affine-power-attraction": lambda: _bound(attraction(),
+                                                         "coboundary:affine-power:1.5"),
+    "coboundary-z-generator-dilation": lambda: _bound(GALLERY["generator-dilation"](),
+                                                      "coboundary:z"),
+    "derivative-attraction": lambda: _bound(attraction(), "derivative"),
+    "derivative-second-attraction": lambda: (attraction(), Cocycle.derivative(attraction())),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
+def test_sample_matches_at_times_and_eval_bitwise(case, grid):
+    flow, m = SAMPLE_CASES[case]()
+    for t in (0.0, 0.5):
+        phi, vals = m.sample(flow, t, grid)
+        assert np.array_equal(phi, flow.at_times([t], grid, check=False)[0])
+        assert np.array_equal(vals, m.eval(t, grid))
+        square = grid[:16].reshape(4, 4)
+        flat = m.sample(flow, t, square.ravel())
+        for got, want in zip(m.sample(flow, t, square), flat):
+            assert np.array_equal(got, want.reshape(4, 4))

@@ -1,19 +1,22 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from semiflow_lab.analytic import AnalyticFn
+from semiflow_lab import flow as flow_module
 from semiflow_lab.cocycle import Cocycle, exp_growth_cocycle, make_coboundary, \
-    poisson_blowup_cocycle, unit_cocycle
+    poisson_blowup_cocycle, resolve_cocycle, unit_cocycle
 from semiflow_lab.criteria import (DEFAULT_T_GRID, SupScanConfig, bergman_criterion,
                                    criterion_sample, direct_decay_probe,
                                    default_decay_family, hardy_criterion, sufficiency_probe,
                                    uniform_bound_verdict)
 from semiflow_lab.errors import PreconditionError, RegularityError
-from semiflow_lab.flow import Semiflow, attraction, dilation, identity_flow, rotation
+from semiflow_lab.flow import Semiflow, attraction, dilation, identity_flow, resolve_flow, rotation
 from semiflow_lab.operators import gallery_semigroups
-from semiflow_lab.spaces import DiskRule, RadialWeight, SpaceSpec, carleson_measure
+from semiflow_lab.spaces import (DiskRule, GradedDiskRule, RadialWeight, SpaceSpec,
+                                 carleson_measure)
 
 import oracles
 
@@ -147,6 +150,35 @@ def test_threads_build_each_criterion_level_once(space, monkeypatch):
         criterion_sample(flow, m, space, 0.5, replace(FAST_SCAN, threads=threads))
         counts.append((len(points), sum(points)))
     assert counts[1] == counts[0]
+
+
+@pytest.mark.parametrize("flow_spec,cocycle_spec", [("generator-dilation", "coboundary:z"),
+                                                    ("generator-attraction", "derivative")])
+def test_each_grid_integrates_the_flow_once(flow_spec, cocycle_spec, monkeypatch):
+    flow = resolve_flow(flow_spec)
+    m = resolve_cocycle(cocycle_spec, flow)
+    integrations = Counter()
+    integrate = flow_module._integrate_to_stops
+
+    def counted(g, z0, stops, *rest):
+        integrations[tuple(stops), z0[0].tobytes()] += 1
+        return integrate(g, z0, stops, *rest)
+
+    monkeypatch.setattr(flow_module, "_integrate_to_stops", counted)
+    levels = []
+    nodes = GradedDiskRule.nodes
+    monkeypatch.setattr(GradedDiskRule, "nodes", lambda rule: levels.append(rule) or nodes(rule))
+    scan = SupScanConfig(ladder_depth=3, n_angles=4, refine_rounds=1)
+    hardy_criterion(flow, m, 2, 0.5, scan)
+    assert set(integrations.values()) == {1}                # once per Hardy rung
+    integrations.clear()
+    bergman_criterion(flow, m, 2, W0, 0.5, scan=scan)
+    # levels 1-3 of this scan build the same all-base grid, so count per level
+    assert sum(integrations.values()) == len(levels) > 0    # once per Bergman level
+    for space in (H2, A0):
+        integrations.clear()
+        direct_decay_probe(flow, m, space, t_seq=[0.5, 0.25])
+        assert set(integrations.values()) == {1}            # once per decay grid
 
 
 @pytest.mark.parametrize("field,value", [("ladder_depth", -3), ("refine_rounds", -1),

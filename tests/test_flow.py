@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semiflow_lab.analytic import AnalyticFn, disk_samples
+from semiflow_lab.cocycle import Cocycle, verify_cocycle
 from semiflow_lab.errors import (IntegrationError, InvalidSemiflowError,
                                  PreconditionError)
 from semiflow_lab.flow import (Semiflow, attraction, broken_escape, dilation,
@@ -168,13 +169,53 @@ def test_z_derivative_matches_berkson_porta_identity(b_abs, b_arg, p_abs, p_arg,
     zs = disk_samples(40)
     keep = np.abs(g(zs)) >= 1e-2
     expected = g(flow.at_times([t], zs)[0][keep]) / g(zs[keep])
-    got = flow.z_derivative(t, zs)[keep]
+    phi, dphi = flow.jet(t, zs)
+    assert np.all(np.abs(phi - flow.at_times([t], zs)[0]) <= 1e-9)
+    got = dphi[keep]
     assert np.all(np.abs(got - expected) <= 1e-6 * np.abs(expected))
 
 
 def test_z_derivative_needs_a_carried_derivative():
     plain = Semiflow.closed_form(lambda t, z: 0.5 * z, name="half")
     with pytest.raises(PreconditionError):
-        plain.z_derivative(0.5, 0.1)
+        plain.jet(0.5, 0.1)
     with pytest.raises(PreconditionError):
-        dilation().z_derivative(-0.5, 0.1)
+        dilation().jet(-0.5, 0.1)
+
+
+@settings(max_examples=9, deadline=None)
+@given(b_abs=st.floats(0.0, 0.9), b_arg=st.floats(0.0, 2.0 * np.pi),
+       c1_abs=st.floats(0.0, 1.0), c1_arg=st.floats(0.0, 2.0 * np.pi),
+       c0_excess=st.floats(0.0, 1.0), c0_im=st.floats(-1.0, 1.0), t=st.floats(0.05, 1.0))
+# here the argmax of max_z |phi_t(z) - z| switches inside the continuity
+# probe's last six times: extrapolating that max would read 1.2e-8
+@example(b_abs=0.2237127958880846, b_arg=1.178083449758538, c1_abs=0.5670558183853956,
+         c1_arg=0.24494803921062405, c0_excess=0.5903878678348518, c0_im=-0.6679776939055659,
+         t=0.693980023138944)
+def test_berkson_porta_flows_with_nonconstant_p(b_abs, b_arg, c1_abs, c1_arg, c0_excess,
+                                                 c0_im, t):
+    # G(z) = (conj(b) z - 1)(z - b)(c0 + c1 z) with Re c0 >= |c1|, so
+    # Re(c0 + c1 z) >= 0 on the disk and G is a Berkson-Porta generator
+    b = b_abs * np.exp(1j * b_arg)
+    c1 = c1_abs * np.exp(1j * c1_arg)
+    c0 = c1_abs + c0_excess + 1j * c0_im
+    g = AnalyticFn(lambda z: (np.conj(b) * z - 1.0) * (z - b) * (c0 + c1 * z), label="G")
+    dg = AnalyticFn(lambda z: (2.0 * np.conj(b) * z - abs(b) ** 2 - 1.0) * (c0 + c1 * z)
+                    + (np.conj(b) * z - 1.0) * (z - b) * c1, label="G'")
+    flow = Semiflow.from_generator(g, derivative=dg)
+    assert verify_semiflow(flow, tol=1e-8).passed
+    assert verify_cocycle(Cocycle.derivative(flow), flow, t_grid=np.linspace(0.0, 1.0, 5),
+                          tol=1e-8).passed
+    zs = disk_samples(40)
+    keep = np.abs(g(zs)) >= 1e-2
+    expected = g(flow.at_times([t], zs)[0][keep]) / g(zs[keep])
+    got = flow.jet(t, zs)[1][keep]
+    assert np.all(np.abs(got - expected) <= 1e-6 * np.abs(expected))
+
+
+@pytest.mark.parametrize("g", [AnalyticFn.constant(1.0), AnalyticFn.identity()],
+                         ids=["G=1", "G=z"])
+def test_non_berkson_porta_fields_fail_verification(g):
+    report = verify_semiflow(Semiflow.from_generator(g, name="not-a-semiflow"))
+    assert not report.passed
+    assert report.note.startswith("evaluation failed")
