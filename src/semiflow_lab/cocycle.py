@@ -159,16 +159,24 @@ def verify_cocycle(m: Cocycle, flow: Semiflow, t_grid=None, z_grid=None,
     note = ""
     if m.kind == "coboundary" and m.zeros:
         admissible = all(fixed_points_check(flow, m.zeros))
+    evaluated: dict = {}
+
+    def m_on_grid(t):
+        # the sums t + s repeat across the (t, s) pairs: evaluate each once
+        if t not in evaluated:
+            evaluated[t] = m.eval(t, z_grid)
+        return evaluated[t]
+
     try:
-        unit = float(np.max(np.abs(m.eval(0.0, z_grid) - 1.0)))
+        unit = float(np.max(np.abs(m_on_grid(0.0) - 1.0)))
         law = 0.0
-        m_at = {float(t): m.eval(float(t), z_grid) for t in t_grid}
+        m_at = {float(t): m_on_grid(float(t)) for t in t_grid}
         phi_at = {float(t): flow.at_times([float(t)], z_grid)[0] for t in t_grid}
         for t in t_grid:
             m_t = m_at[float(t)]
             phi_t = phi_at[float(t)]
             for s in t_grid:
-                lhs = m.eval(float(t + s), z_grid)
+                lhs = m_on_grid(float(t + s))
                 rhs = m_t * m.eval(float(s), phi_t)
                 law = max(law, float(np.max(np.abs(lhs - rhs))))
     except (CocycleZeroError, PreconditionError) as exc:

@@ -1,13 +1,15 @@
 """Strong-continuity criteria for weighted composition semigroups.
 
-The Hardy-side criterion integrates a Poisson-type kernel against |m_t|^p
-over boundary-approaching circles and takes the sup over anchor points a in
-the disk; the Bergman-side criterion integrates the boundary test functions
-composed with the flow over the weighted disk.  Uniform boundedness of the
-criterion over t in [0, 1) is the numerical surrogate for strong
-continuity, reported as a three-valued verdict with trend diagnostics,
-because a "< infinity" statement is not decidable from finitely many
-samples.
+Both criteria test one pullback measure per t: the push-forward under
+phi_t of |m_t|^p on boundary-approaching circles (Hardy) or of |m_t|^p
+omega dA (Bergman).  A quadrature level of the measure is a set of points
+w_j = phi_t(z_j) with real masses W_j, and the criterion is the sup over
+anchors a in the disk of one kernel sum against it (Poisson-type for
+Hardy, the boundary test functions for Bergman; see
+:func:`spaces.kernel_sums`).  Uniform boundedness of the criterion over t
+in [0, 1) is the numerical surrogate for strong continuity, reported as a
+three-valued verdict with trend diagnostics, because a "< infinity"
+statement is not decidable from finitely many samples.
 
 For p = 1 only the sufficiency probe (small-time multiplier bounds) and the
 direct decay probe are offered.
@@ -16,7 +18,6 @@ direct decay probe are offered.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 
@@ -27,7 +28,8 @@ from .cocycle import Cocycle, limsup_probe
 from .errors import PreconditionError, RegularityError
 from .flow import Semiflow
 from .spaces import (DEFAULT_QUAD, BoundaryLadder, DiskRule, GradedDiskRule, QuadConfig,
-                     RadialWeight, SpaceSpec, carleson_measure, default_gamma, is_regular)
+                     RadialWeight, SpaceSpec, carleson_measure, default_gamma, is_regular,
+                     kernel_sums)
 
 
 @dataclass(frozen=True)
@@ -36,9 +38,12 @@ class SupScanConfig:
 
     The anchor grid is a geometric radius ladder toward the boundary times
     a uniform fan of angles, followed by local refinement around the
-    running argmax.  Angular quadrature resolution grows like 1/(1-|a|) so
-    the Poisson spike stays resolved; on the disk it is graded per ring
-    (see :func:`bergman_criterion`).
+    running argmax.  Anchors are grouped by dyadic level k = ceil(-log2(1 -
+    |a|)), and quadrature resolution grows like 2^k so the kernel's spike
+    stays resolved: a Hardy level takes clip(angular_scale 2^k,
+    angular_base, angular_cap) points per circle, a Bergman level a disk
+    grid graded per ring (see :func:`bergman_criterion`).  ``threads``
+    splits each kernel sum's node blocks over a thread pool.
     """
 
     small_radii: tuple = (0.05, 0.1, 0.25)
@@ -73,10 +78,6 @@ class SupScanConfig:
         ladder = 1.0 - 2.0 ** -np.arange(1, self.ladder_depth + 1)
         return np.concatenate([np.asarray(self.small_radii, dtype=float), ladder])
 
-    def n_theta(self, a_abs: float) -> int:
-        return int(min(self.angular_cap,
-                       max(self.angular_base, self.angular_scale / (1.0 - a_abs))))
-
     def to_dict(self) -> dict:
         d = asdict(self)
         d["small_radii"] = list(self.small_radii)
@@ -98,40 +99,54 @@ class CriterionSample:
     rung_profile: list = field(default_factory=list)
 
 
-def _sup_scan(scan: SupScanConfig, level_of, build, integrand) -> CriterionSample:
-    """Maximize ``integrand(a, build(level_of(|a|)))`` over the anchor grid with local refinement.
+def _dyadic_level(a_abs: float) -> int:
+    # k = ceil(-log2(1 - |a|)) (frexp writes 1 - |a| as m 2^e with m in
+    # [0.5, 1), so k = 1 - e), and d = 2^-k <= 1 - |a|: the grid of a level
+    # resolves every anchor on it, refinement anchors included.  Refinement
+    # starts from |r e^{i theta}|, which can round a few ulps above a rung
+    # radius r = 1 - 2^-k; the 1e-9 slack keeps it on level k.
+    return 1 - math.frexp((1.0 - a_abs) * (1.0 + 1e-9))[1]
 
-    Each level's data is built once per scan, under a lock so that scan
-    threads never build a level twice.  A non-finite integral counts as
-    +inf, which ends the scan with an infinite sample.  With
-    ``scan.threads > 1`` each rung's fan of angles runs on one thread pool
-    that lives for the whole scan.
+
+def _sup_scan(scan: SupScanConfig, grid_of, build, q: float, head) -> CriterionSample:
+    """Maximize ``head(|a|)`` times the kernel sum at a over the anchor grid.
+
+    ``grid_of(|a|)`` names the quadrature grid an anchor modulus needs, and
+    ``build(grid)`` returns that grid's measure ``(w, masses)``, built once
+    per scan.  Anchors go to :func:`spaces.kernel_sums` (exponent ``q``) in
+    batches of one modulus: a rung's fan of angles, and the candidates of
+    one refinement radius.  A non-finite integral counts as +inf, which
+    ends the scan with an infinite sample.  With ``scan.threads > 1`` a
+    thread pool that lives for the whole scan maps each kernel sum over its
+    node blocks; samples are bitwise equal to the serial ones.
     """
     cache: dict = {}
-    lock = threading.Lock()
 
-    def integral(a):
-        level = level_of(abs(a))
-        with lock:
-            if level not in cache:
-                cache[level] = build(level)
-            data = cache[level]
-        value = integrand(a, data)
-        return value if np.isfinite(value) else np.inf
+    def run(pmap):
+        def integrals(r, angles):
+            grid = grid_of(r)
+            if grid not in cache:
+                cache[grid] = build(grid)
+            w, masses = cache[grid]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                values = head(r) * kernel_sums(r, angles, w, masses, q, pmap)
+            return np.where(np.isfinite(values), values, np.inf)
+
+        return _scan_anchors(integrals, scan)
 
     if scan.threads and scan.threads > 1:
         with ThreadPoolExecutor(max_workers=scan.threads) as pool:
-            return _scan_anchors(integral, scan, pool.map)
-    return _scan_anchors(integral, scan, map)
+            return run(pool.map)
+    return run(map)
 
 
-def _scan_anchors(integral, scan: SupScanConfig, pmap) -> CriterionSample:
+def _scan_anchors(integrals, scan: SupScanConfig) -> CriterionSample:
     radii = scan.anchor_radii()
     angles = 2.0 * np.pi * np.arange(scan.n_angles) / scan.n_angles
     best_val, best_a = -np.inf, complex(radii[0])
     rung_profile = []
     for r in radii:
-        vals = list(pmap(lambda ang: integral(r * np.exp(1j * ang)), angles))
+        vals = integrals(r, angles)
         top = int(np.argmax(vals))
         rung_profile.append(float(vals[top]))
         if vals[top] > best_val:
@@ -146,14 +161,14 @@ def _scan_anchors(integral, scan: SupScanConfig, pmap) -> CriterionSample:
         r0, ang0 = abs(best_a), np.angle(best_a)
         cand_r = np.clip([r0 - dr, r0, r0 + dr], r_floor,
                          1.0 - 2.0 ** -(scan.ladder_depth + 1))
-        cand_ang = [ang0 - dang, ang0, ang0 + dang]
+        cand_ang = np.array([ang0 - dang, ang0, ang0 + dang])
         prev = best_val
-        for rr in cand_r:
-            for aa in cand_ang:
-                a = rr * np.exp(1j * aa)
-                v = integral(a)
+        for i, rr in enumerate(cand_r):
+            # the center r0 e^{i ang0} is the running best anchor, already known
+            angs = cand_ang[[0, 2]] if i == 1 else cand_ang
+            for aa, v in zip(angs, integrals(rr, angs)):
                 if v > best_val:
-                    best_val, best_a = float(v), a
+                    best_val, best_a = float(v), rr * np.exp(1j * aa)
         if not np.isfinite(best_val):
             return CriterionSample(np.inf, best_a, corrections, rung_profile)
         corrections.append(abs(best_val - prev))
@@ -167,29 +182,33 @@ def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
                     quad: QuadConfig | None = None) -> CriterionSample:
     """sup over anchors a of the boundary integral
     (1-|a|^2) |m_t|^p / |1 - conj(a) phi_t|^2 on circles extrapolated to
-    the boundary.  At t = 0 this is the Poisson mean, identically one."""
+    the boundary.  At t = 0 this is the Poisson mean, identically one.
+
+    A level is the quadrature ladder's circles, n_theta points each, mapped
+    by phi_t; the extrapolation to the boundary is folded into the masses
+    c_i |m_t|^p / n_theta through the ladder's Lagrange weights c.
+    """
     if p <= 1:
         raise PreconditionError("the Hardy criterion requires p > 1")
     scan = scan or DEFAULT_SCAN
     quad = quad or DEFAULT_QUAD
 
-    def circle_data(n_theta):
+    def circle_count(a_abs):
+        return int(min(scan.angular_cap, max(scan.angular_base, math.ceil(
+            scan.angular_scale * 2.0 ** _dyadic_level(a_abs)))))
+
+    def circle_measure(n_theta):
         ladder = BoundaryLadder(quad, n_theta)
-        phi = np.empty((ladder.eps.size, n_theta), dtype=complex)
-        wmp = np.empty((ladder.eps.size, n_theta))
+        w = np.empty((ladder.eps.size, n_theta), dtype=complex)
+        masses = np.empty((ladder.eps.size, n_theta))
         with np.errstate(over="ignore", invalid="ignore"):
             for i, (_, z) in enumerate(ladder):
-                phi[i], m = cocycle.sample(flow, t, z)
-                wmp[i] = np.abs(m) ** p
-        return ladder, phi, wmp
+                w[i], m = cocycle.sample(flow, t, z)
+                masses[i] = np.abs(m) ** p
+            masses *= ladder.weights[:, None] / n_theta
+        return w.ravel(), masses.ravel()
 
-    def integrand(a, data):
-        ladder, phi, wmp = data
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rows = (1.0 - abs(a) ** 2) * wmp / np.abs(1.0 - np.conj(a) * phi) ** 2
-            return float(ladder.limit(rows.mean(axis=1))[0].real)
-
-    return _sup_scan(scan, scan.n_theta, circle_data, integrand)
+    return _sup_scan(scan, circle_count, circle_measure, 1.0, lambda r: (1.0 - r) * (1.0 + r))
 
 
 def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: RadialWeight,
@@ -210,51 +229,29 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
     if gamma < gamma_floor:
         raise PreconditionError(f"gamma = {gamma} below the convergent floor {gamma_floor}")
     scan = scan or DEFAULT_SCAN
-    carleson_cache: dict = {}
-    lock = threading.Lock()     # scan threads must not measure the same |a| twice
 
-    def level_of(a_abs):
-        # Dyadic level k = ceil(-log2(1 - |a|)) (frexp writes 1 - |a| as
-        # m 2^e with m in [0.5, 1), so k = 1 - e), and d = 2^-k <= 1 - |a|:
-        # the grid of a level resolves every anchor on it, refinement anchors
-        # included.  |r e^{i theta}| can round a few ulps above a rung radius
-        # r = 1 - 2^-k; the 1e-9 slack keeps such anchors on level k.
-        return 1 - math.frexp((1.0 - a_abs) * (1.0 + 1e-9))[1]
-
-    def disk_data(level):
+    def disk_grid(a_abs):
         # By Schwarz-Pick the kernel's angular width on ring r is about
-        # max(1 - r, 1 - |a|), hence the per-ring counts floored at d.
-        d = 2.0 ** -level
+        # max(1 - r, 1 - |a|), hence per-ring counts floored at d = 2^-k.
+        # Every floor above disk_angular_scale / disk_angular_base gives
+        # each ring the base count, so the shallow levels share one grid.
+        d = 2.0 ** -_dyadic_level(a_abs)
         n_rad = min(scan.disk_radial_cap,
                     max(scan.disk_radial_base, int(scan.disk_radial_scale / math.sqrt(d))))
-        rule = GradedDiskRule(weight, n_rad, d, scan.disk_angular_scale,
+        return n_rad, min(d, scan.disk_angular_scale / scan.disk_angular_base)
+
+    def disk_measure(grid):
+        n_rad, floor = grid
+        rule = GradedDiskRule(weight, n_rad, floor, scan.disk_angular_scale,
                               scan.disk_angular_base, scan.disk_angular_cap)
         with np.errstate(over="ignore", invalid="ignore"):
-            phi, m = cocycle.sample(flow, t, rule.nodes())
-            return phi, rule.weights * np.abs(m) ** p
+            w, m = cocycle.sample(flow, t, rule.nodes())
+            return w, rule.weights * np.abs(m) ** p
 
-    def omega_s(a_abs):
-        # keyed by the exact |a|: a rounded key would keep the value of
-        # whichever anchor reached it first, which with threads is timing
-        with lock:
-            if a_abs not in carleson_cache:
-                carleson_cache[a_abs] = carleson_measure(weight, a_abs)
-            return carleson_cache[a_abs]
+    def head(r):
+        return (1.0 - r) ** (gamma + 1.0) / carleson_measure(weight, r)
 
-    def integrand(a, data):
-        phi, wmp = data
-        head = (1.0 - abs(a)) ** (gamma + 1.0) / omega_s(abs(a))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            kernel = np.conj(a) * phi
-            kernel -= 1.0
-            kernel = np.abs(kernel)
-            kernel **= -(gamma + 1.0)
-            kernel *= wmp
-            # numpy's sum, whose order, unlike a BLAS dot's, does not
-            # depend on the BLAS thread count
-            return float(head * kernel.sum())
-
-    return _sup_scan(scan, level_of, disk_data, integrand)
+    return _sup_scan(scan, disk_grid, disk_measure, (gamma + 1.0) / 2.0, head)
 
 
 def criterion_sample(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec, t: float,

@@ -172,6 +172,9 @@ class BoundaryLadder:
 
     Iterating yields ``(eps, nodes)`` one rung at a time; :meth:`limit`
     extrapolates per-rung values to the boundary with a Neville tableau.
+    The extrapolation is linear in the rung values, so ``weights @ values``
+    gives the same limit as one sum, which lets a criterion fold it into
+    its quadrature masses.
     """
 
     def __init__(self, quad: QuadConfig, n_theta: int | None = None):
@@ -185,6 +188,19 @@ class BoundaryLadder:
     def limit(self, rung_values):
         """``(value, correction)`` at eps = 0; see :func:`neville_extrapolate`."""
         return neville_extrapolate(self.eps, rung_values)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Lagrange weights at eps = 0, c_i = prod_{k != i} eps_k / (eps_k - eps_i).
+
+        ``weights @ rung_values`` is the value :meth:`limit` returns, up to
+        rounding; the weights sum to one.
+        """
+        gaps = self.eps[None, :] - self.eps[:, None]
+        np.fill_diagonal(gaps, 1.0)
+        ratios = self.eps[None, :] / gaps
+        np.fill_diagonal(ratios, 1.0)
+        return np.prod(ratios, axis=1)
 
 
 def _radial_rule(weight: RadialWeight, n_rad: int):
@@ -244,6 +260,54 @@ class GradedDiskRule:
     def nodes(self) -> np.ndarray:
         """The flat nodes, built on each call so no cache holds them."""
         return np.concatenate([r * unit_circle(n) for r, n in zip(self.radii, self.counts)])
+
+
+# Anchors x nodes per block of a kernel sum: each float temporary of a
+# block then takes 512 KiB and stays in L2 cache.
+_KERNEL_BLOCK = 65536
+
+
+def kernel_sums(r: float, angles, w, masses, q: float, pmap=map) -> np.ndarray:
+    """sum_j masses_j ((1 - r^2)(1 - |w_j|^2) + |a - w_j|^2)^-q per anchor a = r e^{i angle}.
+
+    The bracket is |1 - conj(a) w_j|^2 written as a sum of nonnegative
+    terms, so it does not cancel at the kernel's spike.  ``w`` (complex)
+    and ``masses`` (real) are one discrete measure; the nodes run in blocks
+    of about ``_KERNEL_BLOCK / len(angles)``, with contiguous copies of
+    Re w and Im w.  ``pmap`` maps a function over the blocks (the builtin
+    ``map`` or a thread pool's), and the partial sums are added in block
+    order, so every ``pmap`` gives the same bits.
+    """
+    a = r * np.exp(1j * np.asarray(angles, dtype=float)).reshape(-1, 1)
+    head = (1.0 - r) * (1.0 + r)
+    step = max(1, _KERNEL_BLOCK // a.shape[0])
+    whole = q >= 1 and q == int(q)
+
+    def block(start):
+        x = np.ascontiguousarray(w[start:start + step].real)
+        y = np.ascontiguousarray(w[start:start + step].imag)
+        d = x - a.real
+        d *= d
+        e = y - a.imag
+        e *= e
+        d += e
+        d += head * (1.0 - (x * x + y * y))
+        if whole:
+            # an integer power by products takes half the time of pow
+            if q > 1:
+                np.copyto(e, d)
+                for _ in range(int(q) - 1):
+                    d *= e
+            np.divide(masses[start:start + step], d, out=d)
+        else:
+            d **= -q
+            d *= masses[start:start + step]
+        return d.sum(axis=1)
+
+    total = np.zeros(a.shape[0])
+    for part in pmap(block, range(0, w.size, step)):
+        total += part
+    return total
 
 
 def _require_finite(value, samples, nodes, message: str) -> None:

@@ -84,6 +84,17 @@ def test_verify_coboundary_law_tight():
     assert report.max_law_residual < 1e-10
 
 
+def test_verify_cocycle_evaluates_each_time_sum_once(monkeypatch):
+    # the default grid's 64 sums t + s take 19 distinct floats; with the
+    # 64 evaluations m_s(phi_t(z)) that makes 83 evaluations
+    m = make_coboundary(AnalyticFn.identity(), dilation(), zero_candidates=(0.0,))
+    calls = []
+    evaluate = Cocycle.eval
+    monkeypatch.setattr(Cocycle, "eval", lambda self, t, z: calls.append(t) or evaluate(self, t, z))
+    assert verify_cocycle(m, dilation()).passed
+    assert len(calls) == 83
+
+
 def test_verify_derivative_cocycle_over_dilation():
     m = Cocycle.derivative(dilation())
     report = verify_cocycle(m, dilation())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semiflow_lab.analytic import AnalyticFn
-from semiflow_lab import flow as flow_module
+from semiflow_lab import criteria, flow as flow_module
 from semiflow_lab.cocycle import Cocycle, exp_growth_cocycle, make_coboundary, \
     poisson_blowup_cocycle, resolve_cocycle, unit_cocycle
 from semiflow_lab.criteria import (DEFAULT_T_GRID, SupScanConfig, bergman_criterion,
@@ -15,8 +15,8 @@ from semiflow_lab.criteria import (DEFAULT_T_GRID, SupScanConfig, bergman_criter
 from semiflow_lab.errors import PreconditionError, RegularityError
 from semiflow_lab.flow import Semiflow, attraction, dilation, identity_flow, resolve_flow, rotation
 from semiflow_lab.operators import gallery_semigroups
-from semiflow_lab.spaces import (DiskRule, GradedDiskRule, RadialWeight, SpaceSpec,
-                                 carleson_measure)
+from semiflow_lab.spaces import (BoundaryLadder, DiskRule, GradedDiskRule, RadialWeight,
+                                 SpaceSpec, carleson_measure)
 
 import oracles
 
@@ -90,6 +90,92 @@ def test_bergman_criterion_zero_time_matches_normalization_sweep():
     assert sample.value == pytest.approx(max(norms), rel=0.05)
 
 
+@pytest.mark.parametrize("t", [0.0, 0.01, 0.1, 0.5, 0.99])
+def test_hardy_criterion_deep_anchors_match_closed_form(t):
+    # m_t = e^-t and phi_t = e^-t z: the integral is
+    # q (1 - |a|^2) / (1 - q |a|^2) with q = e^-2t
+    flow = dilation()
+    m = cob_z(flow)
+    q = np.exp(-2.0 * t)
+    for k in range(1, 11):
+        a = 1.0 - 2.0 ** -k
+        value = hardy_criterion(flow, m, 2, t, deep_scan(a)).value
+        assert value == pytest.approx(q * (1.0 - a * a) / (1.0 - q * a * a), rel=1e-10), k
+
+
+def test_hardy_criterion_at_the_refinement_clip():
+    # at |a| = 1 - 2^-11 the 32,768-point angular cap binds (about 2e-7 off)
+    a = 1.0 - 2.0 ** -11
+    value = hardy_criterion(dilation(), cob_z(dilation()), 2, 0.0, deep_scan(a)).value
+    assert abs(value - 1.0) <= 1e-6
+
+
+def record_kernel_batches(monkeypatch):
+    """Patch the criteria's kernel sum to record (anchors, node count) per batch."""
+    batches = []
+    kernel_sums = criteria.kernel_sums
+
+    def recorded(r, angles, w, masses, q, pmap=map):
+        batches.append((r * np.exp(1j * np.asarray(angles)), w.size))
+        return kernel_sums(r, angles, w, masses, q, pmap)
+
+    monkeypatch.setattr(criteria, "kernel_sums", recorded)
+    return batches
+
+
+def test_every_anchor_of_a_rung_gets_the_rung_circle_count(monkeypatch):
+    batches = record_kernel_batches(monkeypatch)
+    scan = SupScanConfig(refine_rounds=0)
+    hardy_criterion(rotation(1.0), cob_z(rotation(1.0)), 2, 0.5, scan)
+    seen = 0
+    for k in range(1, scan.ladder_depth + 1):
+        r = 1.0 - 2.0 ** -k
+        n_theta = min(scan.angular_cap, max(scan.angular_base, int(scan.angular_scale) << k))
+        for anchors, nodes in batches:
+            on_rung = np.abs(np.abs(anchors) - r) < 1e-12
+            if np.any(on_rung):
+                assert np.all(on_rung) and nodes == 12 * n_theta, (k, nodes)
+                seen += anchors.size
+    assert seen == scan.ladder_depth * scan.n_angles
+
+
+def test_default_hardy_scan_builds_seven_circle_levels(monkeypatch):
+    counts = []
+
+    class Recorded(BoundaryLadder):
+        def __init__(self, quad, n_theta=None):
+            counts.append(n_theta)
+            super().__init__(quad, n_theta)
+
+    monkeypatch.setattr(criteria, "BoundaryLadder", Recorded)
+    hardy_criterion(dilation(), cob_z(dilation()), 2, 0.5)
+    assert sorted(counts) == [512 << i for i in range(7)]
+
+
+def test_default_bergman_scan_samples_each_grid_once(monkeypatch):
+    # dyadic levels 1-3 all ask for the 64 x 256 base grid
+    grids = Counter()
+    sample = Cocycle.sample
+
+    def recorded(self, flow, t, z):
+        grids[np.asarray(z).tobytes()] += 1
+        return sample(self, flow, t, z)
+
+    monkeypatch.setattr(Cocycle, "sample", recorded)
+    flow = dilation()
+    bergman_criterion(flow, cob_z(flow), 2, W0, 0.5)
+    assert len(grids) > 0 and set(grids.values()) == {1}
+
+
+@pytest.mark.parametrize("space", [H2, A0], ids=["hardy", "bergman"])
+def test_default_scan_integral_count(space, monkeypatch):
+    # 13 rungs x 16 angles, then 3 refinement rounds of 8 anchors around the
+    # running best one, which is not evaluated again
+    batches = record_kernel_batches(monkeypatch)
+    criterion_sample(dilation(), cob_z(dilation()), space, 0.5)
+    assert sum(anchors.size for anchors, _ in batches) == 13 * 16 + 3 * 8
+
+
 def test_bergman_criterion_deep_anchor_matches_doubled_uncapped_tensor_grid():
     # |a| = 1 - 2^-11 is where refinement stops; twice the counts the old
     # tensor grid asked for there, with no cap, is 542 x 65536 nodes
@@ -130,6 +216,15 @@ def test_threads_give_the_same_bergman_sample():
     pooled = bergman_criterion(flow, m, 2, W0, 0.5, scan=replace(FAST_SCAN, threads=2))
     assert (pooled.value, pooled.witness, pooled.rung_profile) == \
         (serial.value, serial.witness, serial.rung_profile)
+
+
+def test_threads_give_the_same_hardy_sample():
+    flow = attraction()
+    m = Cocycle.derivative(flow)
+    serial = hardy_criterion(flow, m, 2, 0.5, FAST_SCAN)
+    pooled = hardy_criterion(flow, m, 2, 0.5, replace(FAST_SCAN, threads=2))
+    assert (pooled.value, pooled.witness, pooled.rung_profile, pooled.corrections) == \
+        (serial.value, serial.witness, serial.rung_profile, serial.corrections)
 
 
 @pytest.mark.parametrize("space", [H2, A0], ids=["hardy", "bergman"])

@@ -332,3 +332,16 @@ def test_boundary_ladder_extrapolates_circle_means(n):
     value, correction = ladder.limit(means)
     assert abs(value - 1.0) < 1e-12
     assert correction < 1e-10
+
+
+def test_boundary_ladder_weights_are_the_extrapolation_at_zero():
+    ladder = BoundaryLadder(QuadConfig(), 64)
+    c = ladder.weights
+    assert c.shape == ladder.eps.shape
+    assert abs(np.sum(c) - 1.0) < 1e-14
+    # a degree-11 polynomial in eps through the 12 rungs is recovered at 0
+    coeffs = np.random.default_rng(3).normal(size=12)
+    assert abs(c @ np.polyval(coeffs, ladder.eps) - coeffs[-1]) < 1e-13
+    for rung_values in np.random.default_rng(4).uniform(0.5, 2.0, size=(20, 12)):
+        value = ladder.limit(rung_values)[0].real
+        assert abs(c @ rung_values - value) < 1e-14
