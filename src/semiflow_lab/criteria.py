@@ -108,26 +108,49 @@ def _dyadic_level(a_abs: float) -> int:
     return 1 - math.frexp((1.0 - a_abs) * (1.0 + 1e-9))[1]
 
 
-def _sup_scan(scan: SupScanConfig, grid_of, build, q: float, head) -> CriterionSample:
+def _sup_scan(scan: SupScanConfig, t: float, grid_of, nodes_of, advance, q: float, head,
+              levels: dict | None = None) -> CriterionSample:
     """Maximize ``head(|a|)`` times the kernel sum at a over the anchor grid.
 
-    ``grid_of(|a|)`` names the quadrature grid an anchor modulus needs, and
-    ``build(grid)`` returns that grid's measure ``(w, masses)``, built once
-    per scan.  Anchors go to :func:`spaces.kernel_sums` (exponent ``q``) in
-    batches of one modulus: a rung's fan of angles, and the candidates of
-    one refinement radius.  A non-finite integral counts as +inf, which
-    ends the scan with an infinite sample.  With ``scan.threads > 1`` a
-    thread pool that lives for the whole scan maps each kernel sum over its
-    node blocks; samples are bitwise equal to the serial ones.
+    ``grid_of(|a|)`` names the quadrature grid an anchor modulus needs.  A
+    level of the measure is ``[s, w, masses]``: ``nodes_of(grid)`` gives
+    the grid's nodes and weights, the level at s = 0, and ``advance(w,
+    masses, dt)`` moves a level from s to s + dt in place by the flow and
+    cocycle laws, w <- phi_dt(w) and masses <- masses |m_dt(w)|^p.  A
+    level is built from its nodes (advanced by t in one go) the first time
+    a grid is needed, or when the cached one is already past t; a cached
+    level at s < t is advanced by t - s.  ``levels`` is that cache; pass
+    one dict to the scans of one flow, cocycle and space in ascending t
+    and every level integrates [0, max t] once.  Without it a scan builds
+    its own levels, each once.
+
+    Anchors go to :func:`spaces.kernel_sums` (exponent ``q``) in batches
+    of one modulus: a rung's fan of angles, and the candidates of one
+    refinement radius.  A non-finite integral counts as +inf, which ends
+    the scan with an infinite sample.  With ``scan.threads > 1`` a thread
+    pool that lives for the whole scan maps each kernel sum over its node
+    blocks; samples are bitwise equal to the serial ones.
     """
-    cache: dict = {}
+    levels = {} if levels is None else levels
+
+    def level(grid):
+        # out of the cache while it moves, so a failed advance leaves no
+        # half-moved level behind
+        entry = levels.pop(grid, None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if entry is None or entry[0] > t:
+                w, masses = nodes_of(grid)
+                advance(w, masses, t)
+                entry = [t, w, masses]
+            elif entry[0] < t:
+                advance(entry[1], entry[2], t - entry[0])
+                entry[0] = t
+        levels[grid] = entry
+        return entry[1].ravel(), entry[2].ravel()
 
     def run(pmap):
         def integrals(r, angles):
-            grid = grid_of(r)
-            if grid not in cache:
-                cache[grid] = build(grid)
-            w, masses = cache[grid]
+            w, masses = level(grid_of(r))
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 values = head(r) * kernel_sums(r, angles, w, masses, q, pmap)
             return np.where(np.isfinite(values), values, np.inf)
@@ -164,7 +187,10 @@ def _scan_anchors(integrals, scan: SupScanConfig) -> CriterionSample:
         cand_ang = np.array([ang0 - dang, ang0, ang0 + dang])
         prev = best_val
         for i, rr in enumerate(cand_r):
-            # the center r0 e^{i ang0} is the running best anchor, already known
+            # the center r0 e^{i ang0} is the running best anchor, already
+            # known, and a radius clipped onto r0 would repeat the center row
+            if i != 1 and abs(rr - cand_r[1]) <= 1e-12:
+                continue
             angs = cand_ang[[0, 2]] if i == 1 else cand_ang
             for aa, v in zip(angs, integrals(rr, angs)):
                 if v > best_val:
@@ -179,14 +205,17 @@ def _scan_anchors(integrals, scan: SupScanConfig) -> CriterionSample:
 
 def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
                     scan: SupScanConfig | None = None,
-                    quad: QuadConfig | None = None) -> CriterionSample:
+                    quad: QuadConfig | None = None,
+                    levels: dict | None = None) -> CriterionSample:
     """sup over anchors a of the boundary integral
     (1-|a|^2) |m_t|^p / |1 - conj(a) phi_t|^2 on circles extrapolated to
     the boundary.  At t = 0 this is the Poisson mean, identically one.
 
     A level is the quadrature ladder's circles, n_theta points each, mapped
     by phi_t; the extrapolation to the boundary is folded into the masses
-    c_i |m_t|^p / n_theta through the ladder's Lagrange weights c.
+    c_i |m_t|^p / n_theta through the ladder's Lagrange weights c.  Levels
+    advance one circle at a time; ``levels`` is the level cache of
+    :func:`_sup_scan`.
     """
     if p <= 1:
         raise PreconditionError("the Hardy criterion requires p > 1")
@@ -197,26 +226,28 @@ def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
         return int(min(scan.angular_cap, max(scan.angular_base, math.ceil(
             scan.angular_scale * 2.0 ** _dyadic_level(a_abs)))))
 
-    def circle_measure(n_theta):
+    def circles(n_theta):
         ladder = BoundaryLadder(quad, n_theta)
-        w = np.empty((ladder.eps.size, n_theta), dtype=complex)
-        masses = np.empty((ladder.eps.size, n_theta))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, (_, z) in enumerate(ladder):
-                w[i], m = cocycle.sample(flow, t, z)
-                masses[i] = np.abs(m) ** p
-            masses *= ladder.weights[:, None] / n_theta
-        return w.ravel(), masses.ravel()
+        w = np.stack([z for _, z in ladder])
+        return w, np.repeat(ladder.weights[:, None] / n_theta, n_theta, axis=1)
 
-    return _sup_scan(scan, circle_count, circle_measure, 1.0, lambda r: (1.0 - r) * (1.0 + r))
+    def advance(w, masses, dt):
+        for i in range(len(w)):
+            w[i], m = cocycle.sample(flow, dt, w[i])
+            masses[i] *= np.abs(m) ** p
+
+    return _sup_scan(scan, t, circle_count, circles, advance, 1.0,
+                     lambda r: (1.0 - r) * (1.0 + r), levels)
 
 
 def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: RadialWeight,
                       t: float, gamma: float | None = None,
-                      scan: SupScanConfig | None = None) -> CriterionSample:
+                      scan: SupScanConfig | None = None,
+                      levels: dict | None = None) -> CriterionSample:
     """sup over anchors a of the weighted disk integral of
     |f_{a,p}(phi_t)|^p |m_t|^p against the weight.  Requires a regular
-    weight and p > 1."""
+    weight and p > 1.  Levels advance in one batch; ``levels`` is the
+    level cache of :func:`_sup_scan`."""
     if p <= 1:
         raise PreconditionError("the Bergman criterion requires p > 1")
     report = is_regular(weight)
@@ -240,26 +271,31 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
                     max(scan.disk_radial_base, int(scan.disk_radial_scale / math.sqrt(d))))
         return n_rad, min(d, scan.disk_angular_scale / scan.disk_angular_base)
 
-    def disk_measure(grid):
+    def disk_nodes(grid):
         n_rad, floor = grid
         rule = GradedDiskRule(weight, n_rad, floor, scan.disk_angular_scale,
                               scan.disk_angular_base, scan.disk_angular_cap)
-        with np.errstate(over="ignore", invalid="ignore"):
-            w, m = cocycle.sample(flow, t, rule.nodes())
-            return w, rule.weights * np.abs(m) ** p
+        return rule.nodes(), rule.weights
+
+    def advance(w, masses, dt):
+        w[:], m = cocycle.sample(flow, dt, w)
+        masses *= np.abs(m) ** p
 
     def head(r):
         return (1.0 - r) ** (gamma + 1.0) / carleson_measure(weight, r)
 
-    return _sup_scan(scan, disk_grid, disk_measure, (gamma + 1.0) / 2.0, head)
+    return _sup_scan(scan, t, disk_grid, disk_nodes, advance, (gamma + 1.0) / 2.0, head,
+                     levels)
 
 
 def criterion_sample(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec, t: float,
-                     scan: SupScanConfig | None = None) -> CriterionSample:
+                     scan: SupScanConfig | None = None,
+                     levels: dict | None = None) -> CriterionSample:
     """Dispatch to the Hardy or Bergman criterion for the given space."""
     if space.is_hardy:
-        return hardy_criterion(flow, cocycle, space.p, t, scan, space.quad)
-    return bergman_criterion(flow, cocycle, space.p, space.weight, t, scan=scan)
+        return hardy_criterion(flow, cocycle, space.p, t, scan, space.quad, levels)
+    return bergman_criterion(flow, cocycle, space.p, space.weight, t, scan=scan,
+                             levels=levels)
 
 
 @dataclass
@@ -308,6 +344,13 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     finite, below the configured threshold, with stable refinements.
     Blowups or over-threshold values give UNBOUNDED-TREND; unstable but
     finite scans stay INCONCLUSIVE.
+
+    The scans run in ascending t; the report keeps the order of
+    ``t_grid``.  For a generator-driven flow every scan shares one level
+    cache, so each level is carried from one t to the next by the laws
+    phi_t = phi_{t-s} o phi_s and m_t = m_s (m_{t-s} o phi_s) and
+    integrates [0, max t] once, not [0, t] for every t.  A closed-form flow
+    builds each scan's levels at its own t.
     """
     scan = scan or DEFAULT_SCAN
     t_grid = np.asarray(DEFAULT_T_GRID if t_grid is None else t_grid, dtype=float)
@@ -317,7 +360,10 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
         raise PreconditionError("verdict time grid must lie inside [0, 1)")
     if float(np.max(t_grid)) < 0.9:
         raise PreconditionError("the verdict needs samples near t = 1")
-    samples = [criterion_sample(flow, cocycle, space, float(t), scan) for t in t_grid]
+    levels = {} if flow.is_generator_driven else None
+    samples = [None] * t_grid.size
+    for i in np.argsort(t_grid, kind="stable"):
+        samples[i] = criterion_sample(flow, cocycle, space, float(t_grid[i]), scan, levels)
     values = np.array([s.value for s in samples])
     finite = np.isfinite(values)
     unstable = [s for s, v in zip(samples, values)

@@ -169,11 +169,13 @@ def test_default_bergman_scan_samples_each_grid_once(monkeypatch):
 
 @pytest.mark.parametrize("space", [H2, A0], ids=["hardy", "bergman"])
 def test_default_scan_integral_count(space, monkeypatch):
-    # 13 rungs x 16 angles, then 3 refinement rounds of 8 anchors around the
-    # running best one, which is not evaluated again
+    # 13 rungs x 16 angles, then 3 refinement rounds around the running best
+    # anchor, which is not evaluated again; the sup sits on the 0.05 floor,
+    # so the inner radius clips onto the center row and is skipped: 2 + 3
+    # anchors per round
     batches = record_kernel_batches(monkeypatch)
     criterion_sample(dilation(), cob_z(dilation()), space, 0.5)
-    assert sum(anchors.size for anchors, _ in batches) == 13 * 16 + 3 * 8
+    assert sum(anchors.size for anchors, _ in batches) == 13 * 16 + 3 * 5
 
 
 def test_bergman_criterion_deep_anchor_matches_doubled_uncapped_tensor_grid():
@@ -274,6 +276,67 @@ def test_each_grid_integrates_the_flow_once(flow_spec, cocycle_spec, monkeypatch
         integrations.clear()
         direct_decay_probe(flow, m, space, t_seq=[0.5, 0.25])
         assert set(integrations.values()) == {1}            # once per decay grid
+
+
+# unsorted, with a duplicate; the report keeps this order
+MARCH_T_GRID = (0.6, 0.0, 0.95, 0.3, 0.99, 0.3, 0.1, 0.9)
+MARCH_SCAN = SupScanConfig(ladder_depth=4, n_angles=4, refine_rounds=1)
+
+
+@pytest.mark.parametrize("space", [H2, A0], ids=["hardy", "bergman"])
+@pytest.mark.parametrize("flow_spec,cocycle_spec", [("generator-dilation", "coboundary:z"),
+                                                    ("generator-attraction", "derivative")])
+def test_marched_verdict_matches_per_t_samples(flow_spec, cocycle_spec, space):
+    flow = resolve_flow(flow_spec)
+    m = resolve_cocycle(cocycle_spec, flow)
+    report = uniform_bound_verdict(flow, m, space, t_grid=MARCH_T_GRID, scan=MARCH_SCAN)
+    assert report.t_values == list(MARCH_T_GRID)
+    for t, value in zip(MARCH_T_GRID, report.criterion):
+        fresh = criterion_sample(flow, m, space, t, MARCH_SCAN).value
+        assert value == pytest.approx(fresh, rel=1e-9, abs=0.0), t
+    assert report.criterion[3] == report.criterion[5]
+
+
+def test_closed_form_verdict_is_bitwise_per_t():
+    flow = attraction()
+    m = Cocycle.derivative(flow)
+    report = uniform_bound_verdict(flow, m, H2, t_grid=MARCH_T_GRID, scan=MARCH_SCAN)
+    for t, value, witness in zip(MARCH_T_GRID, report.criterion, report.witness_a):
+        fresh = criterion_sample(flow, m, H2, t, MARCH_SCAN)
+        assert (value, witness) == (fresh.value, [fresh.witness.real, fresh.witness.imag])
+
+
+def test_hardy_verdict_integrates_each_rung_to_max_t_once(monkeypatch):
+    # every call integrates one circle of a level over [0, stops[-1]]; a
+    # level is keyed by its circle count, so per level the spans add up to
+    # rows x (the last t that needs it), max t for the rung levels, where
+    # per-t builds would add up to rows x sum(t) = rows x 4.2 max t
+    flow = resolve_flow("generator-dilation")
+    m = cob_z(flow)
+    spans = Counter()
+    integrate = flow_module._integrate_to_stops
+
+    def counted(g, z0, stops, *rest):
+        spans[z0.shape[-1]] += stops[-1]
+        return integrate(g, z0, stops, *rest)
+
+    monkeypatch.setattr(flow_module, "_integrate_to_stops", counted)
+    uniform_bound_verdict(flow, m, H2, t_grid=MARCH_T_GRID, scan=MARCH_SCAN)
+    rows = BoundaryLadder(H2.quad).eps.size
+    t_max = max(MARCH_T_GRID)
+    assert max(spans.values()) == pytest.approx(rows * t_max, rel=1e-12)
+    assert all(span <= rows * t_max * (1.0 + 1e-12) for span in spans.values())
+
+
+def test_generator_rotation_probe_is_bounded():
+    # explicit stage points of the deepest ladder circle overshoot the disk;
+    # they are rejected steps, and the exact criterion is identically one
+    flow = resolve_flow("generator-rotation:1")
+    scan = SupScanConfig(ladder_depth=2, n_angles=4, refine_rounds=0)
+    report = uniform_bound_verdict(flow, unit_cocycle(), H2,
+                                   t_grid=(0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99), scan=scan)
+    assert report.verdict == "BOUNDED"
+    assert max(abs(v - 1.0) for v in report.criterion) <= 1e-8
 
 
 @pytest.mark.parametrize("field,value", [("ladder_depth", -3), ("refine_rounds", -1),

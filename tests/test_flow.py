@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from semiflow_lab.analytic import AnalyticFn, disk_samples
+from semiflow_lab.analytic import AnalyticFn, disk_samples, unit_circle
 from semiflow_lab.cocycle import Cocycle, verify_cocycle
 from semiflow_lab.errors import (IntegrationError, InvalidSemiflowError,
                                  PreconditionError)
@@ -10,6 +10,7 @@ from semiflow_lab.flow import (Semiflow, attraction, broken_escape, dilation,
                                estimate_generator, fixed_points_check,
                                generator_twin, resolve_flow, rotation,
                                verify_semiflow)
+from semiflow_lab.spaces import BoundaryLadder, QuadConfig
 
 
 def test_flow_point_dilation():
@@ -211,6 +212,34 @@ def test_berkson_porta_flows_with_nonconstant_p(b_abs, b_arg, c1_abs, c1_arg, c0
     expected = g(flow.at_times([t], zs)[0][keep]) / g(zs[keep])
     got = flow.jet(t, zs)[1][keep]
     assert np.all(np.abs(got - expected) <= 1e-6 * np.abs(expected))
+
+
+# the deepest circle of the Hardy quadrature ladder, |z| = 1 - 4.9e-6
+DEEPEST_CIRCLE = (1.0 - BoundaryLadder(QuadConfig()).eps.min()) * unit_circle(64)
+
+
+@pytest.mark.parametrize("name", ["dilation", "attraction", "rotation", "identity"])
+def test_gallery_generators_from_the_deepest_rung_circle(name):
+    # explicit DP45 stages from there can land outside the disk; those steps
+    # are rejected and retried, and the generator stays valid
+    report = verify_semiflow(generator_twin(name), z_grid=DEEPEST_CIRCLE, tol=1e-8)
+    assert report.passed, report
+
+
+@settings(max_examples=10, deadline=None)
+@given(b_abs=st.floats(0.0, 0.9), b_arg=st.floats(0.0, 2.0 * np.pi),
+       c1_abs=st.floats(0.0, 1.0), c1_arg=st.floats(0.0, 2.0 * np.pi),
+       c0_excess=st.floats(0.0, 1.0), c0_im=st.floats(-1.0, 1.0))
+@example(b_abs=0.0, b_arg=0.0, c1_abs=0.0, c1_arg=0.0, c0_excess=0.0, c0_im=-1.0)  # G = iz
+def test_berkson_porta_flows_from_the_deepest_rung_circle(b_abs, b_arg, c1_abs, c1_arg,
+                                                          c0_excess, c0_im):
+    # G(z) = (conj(b) z - 1)(z - b)(c0 + c1 z) with Re c0 >= |c1|
+    b = b_abs * np.exp(1j * b_arg)
+    c1 = c1_abs * np.exp(1j * c1_arg)
+    c0 = c1_abs + c0_excess + 1j * c0_im
+    g = AnalyticFn(lambda z: (np.conj(b) * z - 1.0) * (z - b) * (c0 + c1 * z), label="G")
+    report = verify_semiflow(Semiflow.from_generator(g), z_grid=DEEPEST_CIRCLE, tol=1e-8)
+    assert report.passed, report
 
 
 @pytest.mark.parametrize("g", [AnalyticFn.constant(1.0), AnalyticFn.identity()],
