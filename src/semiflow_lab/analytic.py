@@ -6,9 +6,12 @@ Derivatives and Taylor coefficients come from circle quadrature, which is
 spectrally accurate for analytic integrands, so there is no step-size
 dilemma anywhere in the package.
 
-Boundary values are never touched directly: every boundary quantity is
-obtained on circles of radius 1 - eps and extrapolated to eps = 0 with a
-Neville tableau over a geometric eps ladder.
+Boundary values are never touched directly: a boundary quantity is
+obtained on circles of radius 1 - eps of a geometric eps ladder and
+extrapolated to eps = 0, by the Lagrange weights of the Hardy quadrature
+rule (``spaces.DiskRule.boundary``) for norms, pairings, sections and the
+criteria, or by a Neville tableau (:func:`neville_extrapolate`), which also
+reports an error indicator.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from .analytic import AnalyticFn, neville_extrapolate  # noqa: F401 (perfbench p
 from .cocycle import Cocycle, limsup_probe
 from .errors import PreconditionError, RegularityError
 from .flow import Semiflow
-from .spaces import (DEFAULT_QUAD, BoundaryLadder, DiskRule, GradedDiskRule, QuadConfig,
+from .spaces import (DEFAULT_QUAD, DiskRule, GradedDiskRule, QuadConfig,
                      RadialWeight, SpaceSpec, carleson_measure, default_gamma, is_regular,
                      kernel_sums)
 
@@ -70,9 +70,14 @@ class SupScanConfig:
                 raise PreconditionError(f"scan {name} must be >= 0, got {getattr(self, name)}")
         if self.n_angles < 1:
             raise PreconditionError(f"scan n_angles must be >= 1, got {self.n_angles}")
-        for f in fields(self):
-            if f.name.endswith(("_base", "_scale", "_cap")) and not getattr(self, f.name) > 0:
-                raise PreconditionError(f"scan {f.name} must be > 0, got {getattr(self, f.name)}")
+        # written as "not > 0" so that NaN fails too
+        positive = [f.name for f in fields(self) if f.name.endswith(("_base", "_scale", "_cap"))]
+        for name in positive + ["bound_threshold", "stability_rel"]:
+            if not getattr(self, name) > 0:
+                raise PreconditionError(f"scan {name} must be > 0, got {getattr(self, name)}")
+        if not 0 < self.refine_contraction <= 1:
+            raise PreconditionError(
+                f"scan refine_contraction must be in (0, 1], got {self.refine_contraction}")
 
     def anchor_radii(self) -> np.ndarray:
         ladder = 1.0 - 2.0 ** -np.arange(1, self.ladder_depth + 1)
@@ -211,11 +216,11 @@ def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
     (1-|a|^2) |m_t|^p / |1 - conj(a) phi_t|^2 on circles extrapolated to
     the boundary.  At t = 0 this is the Poisson mean, identically one.
 
-    A level is the quadrature ladder's circles, n_theta points each, mapped
-    by phi_t; the extrapolation to the boundary is folded into the masses
-    c_i |m_t|^p / n_theta through the ladder's Lagrange weights c.  Levels
-    advance one circle at a time; ``levels`` is the level cache of
-    :func:`_sup_scan`.
+    A level is the circles of the boundary rule (:meth:`DiskRule.boundary`),
+    n_theta points each, mapped by phi_t; the extrapolation to the boundary
+    is folded into the masses c_i |m_t|^p / n_theta through the rule's
+    radial weights c.  Levels advance one circle at a time; ``levels`` is
+    the level cache of :func:`_sup_scan`.
     """
     if p <= 1:
         raise PreconditionError("the Hardy criterion requires p > 1")
@@ -227,9 +232,8 @@ def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
             scan.angular_scale * 2.0 ** _dyadic_level(a_abs)))))
 
     def circles(n_theta):
-        ladder = BoundaryLadder(quad, n_theta)
-        w = np.stack([z for _, z in ladder])
-        return w, np.repeat(ladder.weights[:, None] / n_theta, n_theta, axis=1)
+        rule = DiskRule.boundary(quad, n_theta)
+        return rule.nodes(), np.repeat(rule.radial_w[:, None] / n_theta, n_theta, axis=1)
 
     def advance(w, masses, dt):
         for i in range(len(w)):
@@ -473,29 +477,15 @@ def direct_decay_probe(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     if np.any(np.diff(t_seq) >= 0):
         raise PreconditionError("decay probe times must decrease")
     p = space.p
-    if space.is_hardy:
-        ladder = BoundaryLadder(space.quad)
-    else:
-        rule = DiskRule.for_quad(space.weight, space.quad)
-        z = rule.nodes()
+    rule = space.rule()
+    z = rule.nodes()
     entries = np.empty((len(family), t_seq.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for j, t in enumerate(t_seq):
-            if space.is_hardy:
-                means = np.empty((len(family), ladder.eps.size))
-                for i, (_, z) in enumerate(ladder):
-                    phi, mul = cocycle.sample(flow, t, z)
-                    for k, f in enumerate(family):
-                        means[k, i] = np.mean(np.abs(mul * f(phi) - f(z)) ** p)
-                for k in range(len(family)):
-                    finite = np.all(np.isfinite(means[k]))
-                    v = float(ladder.limit(means[k])[0].real) if finite else np.inf
-                    entries[k, j] = abs(v) ** (1.0 / p) if v > 0 else 0.0
-            else:
-                phi, mul = cocycle.sample(flow, t, z)
-                for k, f in enumerate(family):
-                    total = float(rule.integrate(np.abs(mul * f(phi) - f(z)) ** p))
-                    entries[k, j] = total ** (1.0 / p) if np.isfinite(total) else np.inf
+            phi, mul = cocycle.sample(flow, t, z)
+            for k, f in enumerate(family):
+                total = float(rule.integrate(np.abs(mul * f(phi) - f(z)) ** p))
+                entries[k, j] = max(total, 0.0) ** (1.0 / p) if np.isfinite(total) else np.inf
     decayed = bool(np.all(np.isfinite(entries[:, -1])) and np.all(entries[:, -1] < tol))
     return DecayTable([f.label for f in family], [float(t) for t in t_seq],
                       entries, tol, decayed)

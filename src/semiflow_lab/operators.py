@@ -9,7 +9,7 @@ The two surrogates cross-validate each other; neither is an exact norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .analytic import AnalyticFn, disk_samples, neville_extrapolate  # noqa: F40
 from .cocycle import Cocycle
 from .errors import DomainError, PreconditionError
 from .flow import Semiflow
-from .spaces import BoundaryLadder, DiskRule, SpaceSpec, monomial_bergman_norm, test_function
+from .spaces import SpaceSpec, monomial_bergman_norm, test_function
 
 _SELFMAP_TOL = 1e-9
 
@@ -88,8 +88,10 @@ def basis_scales(space: SpaceSpec, count: int) -> np.ndarray:
 def matrix(op: WeightedCompOp, space: SpaceSpec, dim: int = 64) -> OperatorMatrix:
     """Entries <T e_j, e_i> computed column by column through quadrature.
 
-    Per column the operator image is sampled once per circle; all the row
-    pairings then come out of one FFT, so assembly is linear in the grid.
+    Per column the operator image is sampled once on the space's rule, at
+    least 4 dim angles and dim rings; all the row pairings then come out of
+    one FFT per ring, so assembly is linear in the grid.  ``tail_bound`` is
+    the largest norm of a column's image outside the section.
     """
     if dim < 2:
         raise PreconditionError("matrix dimension must be at least 2")
@@ -97,31 +99,13 @@ def matrix(op: WeightedCompOp, space: SpaceSpec, dim: int = 64) -> OperatorMatri
         raise PreconditionError("matrix sections are defined on p = 2 spaces")
     n_theta = max(space.quad.n_theta, 4 * dim)
     scales = basis_scales(space, dim)
-    rows = np.arange(dim)
-    if space.is_hardy:
-        ladder = BoundaryLadder(space.quad, n_theta)
-        pairs = np.empty((ladder.eps.size, dim, dim), dtype=complex)
-        tail = 0.0
-        for k, (eps, z) in enumerate(ladder):
-            mv = op.m(z)
-            pv = op.phi(z)
-            col = np.ones_like(z)
-            for j in range(dim):
-                vals = mv * col  # m(z) * phi(z)^j
-                spec = np.fft.fft(vals) / n_theta
-                # <g, e_i> on the circle of radius 1-eps equals hat{g}_i (1-eps)^{2i}
-                pairs[k, :, j] = spec[:dim] * (1.0 - eps) ** rows
-                if k == ladder.eps.size - 1:
-                    energy = float(np.mean(np.abs(vals) ** 2))
-                    captured = float(np.sum(np.abs(spec[:dim]) ** 2))
-                    tail = max(tail, np.sqrt(max(energy - captured, 0.0)))
-                col = col * pv
-        return OperatorMatrix(ladder.limit(pairs)[0], space.label(), dim, tail)
-    rule = DiskRule(space.weight, max(space.quad.n_radial, dim), n_theta)
+    rule = space.rule(replace(space.quad, n_theta=n_theta,
+                              n_radial=max(space.quad.n_radial, dim)))
     z = rule.nodes()
     mv = op.m(z)
     pv = op.phi(z)
-    radial_pow = rule.radii[:, None] ** rows[None, :]     # [R, dim]
+    # the mean of g conj(z^i) on the ring of radius r is r^i times the ring's i-th FFT mode
+    radial_pow = rule.radii[:, None] ** np.arange(dim)[None, :]     # [R, dim]
     entries = np.empty((dim, dim), dtype=complex)
     tail = 0.0
     col = np.ones_like(z)

@@ -1,11 +1,15 @@
 """Hardy and weighted Bergman space machinery.
 
-Norms are computed by quadrature only: Hardy p-means on a geometric ladder
-of circles extrapolated to the boundary, Bergman integrals by a radial rule
-with the weight folded in (Gauss-Jacobi in s = r^2 for standard weights, so
-the algebraic endpoint singularity of (1-s)^alpha is handled exactly) times
-a uniform angular grid, or, for kernels that concentrate at the boundary,
-a per-ring angular grid graded toward it.
+Both spaces are L^p(mu), mu the boundary measure for H^p and omega dA for
+A^p_omega, and every norm, pairing and finite section is one integral
+against mu by a :class:`DiskRule`, which :meth:`SpaceSpec.rule` picks:
+rings times a uniform angular grid.  For Hardy the rings are a geometric
+ladder of circles whose radial weights extrapolate the circle means to the
+boundary; for Bergman they are a radial rule with the weight folded in
+(Gauss-Jacobi in s = r^2 for standard weights, so the algebraic endpoint
+singularity of (1-s)^alpha is handled exactly).  For kernels that
+concentrate at the boundary, :class:`GradedDiskRule` grades the angular
+grid per ring toward it.
 
 Also here: weight regularity probes, Carleson squares and their measures,
 the boundary-concentrated test functions, duality pairings for p > 1, and
@@ -20,7 +24,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .analytic import AnalyticFn, disk_samples, eps_ladder, neville_extrapolate, unit_circle
+from .analytic import AnalyticFn, disk_samples, eps_ladder, unit_circle
+from .analytic import neville_extrapolate  # noqa: F401 (perfbench patches it here)
 from .errors import PreconditionError, QuadratureError, RegularityError, spec_number
 
 
@@ -47,7 +52,10 @@ class RadialWeight:
     @classmethod
     def from_table(cls, path) -> "RadialWeight":
         """Two-column CSV (r, omega(r)); linear interpolation, clamped ends."""
-        table = np.loadtxt(path, delimiter=",", dtype=float)
+        try:
+            table = np.loadtxt(path, delimiter=",", dtype=float)
+        except (OSError, ValueError) as exc:
+            raise PreconditionError(f"cannot read weight table {path}: {exc}") from None
         if table.ndim != 2 or table.shape[1] != 2:
             raise PreconditionError(f"weight table {path} must have two columns")
         r, w = table[:, 0], table[:, 1]
@@ -151,6 +159,15 @@ class SpaceSpec:
             return f"bergman:{self.p:g}:{self.weight.alpha:g}"
         return f"bergman:{self.p:g}:custom:{self.weight.label}"
 
+    def rule(self, quad: QuadConfig | None = None) -> "DiskRule":
+        """The space's measure under ``quad`` (default: its own): the boundary
+        circles for Hardy, the radial count for the kind of weight for Bergman."""
+        quad = quad or self.quad
+        if self.is_hardy:
+            return DiskRule.boundary(quad)
+        n_rad = quad.n_radial if self.weight.is_standard else quad.n_radial_custom
+        return DiskRule.weighted(self.weight, n_rad, quad.n_theta)
+
     def norm(self, f: AnalyticFn) -> float:
         if self.is_hardy:
             return hardy_norm(f, self.p, self.quad)
@@ -165,42 +182,6 @@ def _jacobi_unit_rule(n: int, alpha: float):
         return 0.5 * (x + 1.0), 0.5 * w
     x, w = roots_jacobi(n, alpha, 0.0)
     return 0.5 * (x + 1.0), w * 2.0 ** (-alpha - 1.0)
-
-
-class BoundaryLadder:
-    """Circles of radius 1 - eps on the eps ladder of a quadrature config.
-
-    Iterating yields ``(eps, nodes)`` one rung at a time; :meth:`limit`
-    extrapolates per-rung values to the boundary with a Neville tableau.
-    The extrapolation is linear in the rung values, so ``weights @ values``
-    gives the same limit as one sum, which lets a criterion fold it into
-    its quadrature masses.
-    """
-
-    def __init__(self, quad: QuadConfig, n_theta: int | None = None):
-        self.eps = eps_ladder(quad.eps_start, quad.eps_factor, quad.eps_count)
-        self.circle = unit_circle(n_theta or quad.n_theta)
-
-    def __iter__(self):
-        for eps in self.eps:
-            yield eps, (1.0 - eps) * self.circle
-
-    def limit(self, rung_values):
-        """``(value, correction)`` at eps = 0; see :func:`neville_extrapolate`."""
-        return neville_extrapolate(self.eps, rung_values)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Lagrange weights at eps = 0, c_i = prod_{k != i} eps_k / (eps_k - eps_i).
-
-        ``weights @ rung_values`` is the value :meth:`limit` returns, up to
-        rounding; the weights sum to one.
-        """
-        gaps = self.eps[None, :] - self.eps[:, None]
-        np.fill_diagonal(gaps, 1.0)
-        ratios = self.eps[None, :] / gaps
-        np.fill_diagonal(ratios, 1.0)
-        return np.prod(ratios, axis=1)
 
 
 def _radial_rule(weight: RadialWeight, n_rad: int):
@@ -219,17 +200,37 @@ def _radial_rule(weight: RadialWeight, n_rad: int):
 
 
 class DiskRule:
-    """Radial rule times a uniform angular grid for integrals against omega dA."""
+    """Rings of radius r_k times a uniform angular grid: one measure of L^p(mu).
 
-    def __init__(self, weight: RadialWeight, n_rad: int, n_ang: int):
-        self.radii, self.radial_w, self.scale = _radial_rule(weight, n_rad)
+    ``integrate(values)`` is ``scale * sum_k radial_w_k * mean_k(values)``.
+    For omega dA (:meth:`weighted`) the rings are a radial Gauss rule; for
+    the boundary measure of H^p (:meth:`boundary`) they are circles of
+    radius 1 - eps on the eps ladder and radial_w are the Lagrange weights
+    at eps = 0, so the sum is the circle means extrapolated to the boundary.
+    """
+
+    def __init__(self, radii, radial_w, scale: float, n_ang: int):
+        self.radii, self.radial_w, self.scale = radii, radial_w, scale
         self.circle = unit_circle(n_ang)
 
     @classmethod
-    def for_quad(cls, weight: RadialWeight, quad: QuadConfig) -> "DiskRule":
-        """The rule ``quad`` prescribes, with its radial count for this kind of weight."""
-        n_rad = quad.n_radial if weight.is_standard else quad.n_radial_custom
-        return cls(weight, n_rad, quad.n_theta)
+    def weighted(cls, weight: RadialWeight, n_rad: int, n_ang: int) -> "DiskRule":
+        """Integrals against omega dA; see :func:`_radial_rule`."""
+        return cls(*_radial_rule(weight, n_rad), n_ang)
+
+    @classmethod
+    def boundary(cls, quad: QuadConfig, n_ang: int | None = None) -> "DiskRule":
+        """Boundary means: weights c_i = prod_{k != i} eps_k / (eps_k - eps_i).
+
+        The weights sum to one and reproduce at eps = 0 every polynomial in
+        eps of degree below the ladder's length.
+        """
+        eps = eps_ladder(quad.eps_start, quad.eps_factor, quad.eps_count)
+        gaps = eps[None, :] - eps[:, None]
+        np.fill_diagonal(gaps, 1.0)
+        ratios = eps[None, :] / gaps
+        np.fill_diagonal(ratios, 1.0)
+        return cls(1.0 - eps, np.prod(ratios, axis=1), 1.0, n_ang or quad.n_theta)
 
     def nodes(self) -> np.ndarray:
         """The (n_rad, n_ang) tensor nodes, built on each call so no cache holds them."""
@@ -241,7 +242,7 @@ class DiskRule:
 
 
 class GradedDiskRule:
-    """The radial rule of :class:`DiskRule` with an angular count per ring.
+    """The radial rule of :meth:`DiskRule.weighted` with an angular count per ring.
 
     Ring i gets n_i = clip(ceil(ang_scale / max(1 - r_i, floor)), ang_base,
     ang_cap) uniform angles, so an integrand whose angular width on ring r
@@ -317,36 +318,25 @@ def _require_finite(value, samples, nodes, message: str) -> None:
         raise QuadratureError(message, witness=complex(nodes.flat[bad[0]]) if bad.size else None)
 
 
-def hardy_norm(f: AnalyticFn, p: float, quad: QuadConfig | None = None) -> float:
-    """Hardy-space norm: circle p-means extrapolated to the boundary.
-
-    The means increase with the radius (subharmonicity), so the ladder
-    values form a monotone profile whose extrapolant is the norm.
-    """
-    if p < 1:
-        raise PreconditionError("hardy_norm needs p >= 1")
-    ladder = BoundaryLadder(quad or DEFAULT_QUAD)
-    vals = np.empty(ladder.eps.size)
+def _lp_norm(f: AnalyticFn, p: float, rule: DiskRule) -> float:
+    """(integral of |f|^p against the rule's measure)^(1/p)."""
+    z = rule.nodes()
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (_, z) in enumerate(ladder):
-            samples = np.abs(f(z)) ** p
-            vals[i] = float(np.mean(samples) ** (1.0 / p))
-            _require_finite(vals[i], samples, z, f"non-finite circle means for {f.label}")
-    return float(ladder.limit(vals)[0].real)
+        samples = np.abs(f(z)) ** p
+        total = float(rule.integrate(samples))
+    _require_finite(total, samples, z, f"non-finite |f|^p samples for {f.label}")
+    return max(total, 0.0) ** (1.0 / p)
+
+
+def hardy_norm(f: AnalyticFn, p: float, quad: QuadConfig | None = None) -> float:
+    """Hardy-space norm: circle p-means extrapolated to the boundary, then the root."""
+    return _lp_norm(f, p, SpaceSpec.hardy(p).rule(quad))
 
 
 def bergman_norm(f: AnalyticFn, p: float, weight: RadialWeight,
                  quad: QuadConfig | None = None) -> float:
     """Weighted Bergman norm by disk quadrature with the weight folded in."""
-    if p < 1:
-        raise PreconditionError("bergman_norm needs p >= 1")
-    rule = DiskRule.for_quad(weight, quad or DEFAULT_QUAD)
-    z = rule.nodes()
-    with np.errstate(over="ignore", invalid="ignore"):
-        samples = np.abs(f(z)) ** p
-        total = float(rule.integrate(samples))
-    _require_finite(total, samples, z, f"non-finite Bergman integrand for {f.label}")
-    return total ** (1.0 / p)
+    return _lp_norm(f, p, SpaceSpec.bergman(p, weight).rule(quad))
 
 
 def monomial_bergman_norm(n: int, p: float, alpha: float) -> float:
@@ -510,21 +500,12 @@ def pairing(f: AnalyticFn, g: AnalyticFn, space: SpaceSpec) -> complex:
     """Duality pairing <f, g>; requires p > 1 (the p = 1 duals are out of scope)."""
     if space.p <= 1:
         raise PreconditionError("pairing is supported for p > 1 only")
-    message = f"non-finite pairing samples for {f.label} and {g.label}"
+    rule = space.rule()
+    z = rule.nodes()
     with np.errstate(over="ignore", invalid="ignore"):
-        if space.is_hardy:
-            ladder = BoundaryLadder(space.quad)
-            vals = np.empty(ladder.eps.size, dtype=complex)
-            for i, (_, z) in enumerate(ladder):
-                samples = f(z) * np.conj(g(z))
-                vals[i] = np.mean(samples)
-                _require_finite(vals[i], samples, z, message)
-            return complex(ladder.limit(vals)[0])
-        rule = DiskRule.for_quad(space.weight, space.quad)
-        z = rule.nodes()
         samples = f(z) * np.conj(g(z))
         total = complex(rule.integrate(samples))
-    _require_finite(total, samples, z, message)
+    _require_finite(total, samples, z, f"non-finite pairing samples for {f.label} and {g.label}")
     return total
 
 

@@ -63,3 +63,31 @@ def hardy_p_mean_at(fn, radius: float, p: float, nodes: int = 8192) -> float:
     """Plain single-circle p-mean (no extrapolation), for decay oracles."""
     z = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
     return float(np.mean(np.abs(fn(z)) ** p) ** (1.0 / p))
+
+
+def circle_ladder_limit(circle_stat, quad, n_theta=None):
+    """The boundary limit circle by circle: ``circle_stat`` on each circle
+    of radius 1 - eps of ``quad``'s eps ladder, then a Neville tableau to
+    eps = 0.  Returns ``(value, correction)``; ``circle_stat`` maps one
+    circle's nodes to a scalar or an array."""
+    from semiflow_lab.analytic import eps_ladder, neville_extrapolate
+
+    eps = eps_ladder(quad.eps_start, quad.eps_factor, quad.eps_count)
+    n = n_theta or quad.n_theta
+    circle = np.exp(2j * np.pi * np.arange(n) / n)
+    return neville_extrapolate(eps, [circle_stat((1.0 - e) * circle) for e in eps])
+
+
+def hardy_norm_by_circles(fn, p: float, quad) -> float:
+    """Circle p-norms extrapolated to the boundary."""
+    value, _ = circle_ladder_limit(lambda z: np.mean(np.abs(fn(z)) ** p) ** (1.0 / p), quad)
+    return float(value.real)
+
+
+def hardy_section_by_circles(m, phi, dim: int, quad) -> np.ndarray:
+    """<m phi^j, z^i> on H^2 from direct circle means, no FFT."""
+    def pairs(z):
+        images = m(z) * phi(z) ** np.arange(dim)[:, None]           # [j, node]
+        return np.conj(z ** np.arange(dim)[:, None]) @ images.T / z.size
+    n_theta = max(quad.n_theta, 4 * dim)
+    return circle_ladder_limit(pairs, quad, n_theta)[0]

@@ -156,6 +156,19 @@ def test_decay_with_custom_weight_table(tmp_path):
     assert main(["decay", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("content", [None, "r,w\n0,1\n1,1\n"], ids=["missing", "header-row"])
+def test_unreadable_weight_table_is_config_error(tmp_path, capsys, content):
+    table = tmp_path / "weight.csv"
+    if content is not None:
+        table.write_text(content)
+    scen = write_scenario(tmp_path / "custom.ini", "custom-weight",
+                          space=f"bergman:2:custom:{table}")
+    assert main(["decay", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad space spec" in err and str(table) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_format_selection(scenario, tmp_path):
     out = tmp_path / "json-only"
     assert main(["decay", "--scenario", str(scenario), "--out", str(out),
@@ -181,6 +194,19 @@ def test_malformed_scan_float_names_the_key(tmp_path, capsys):
                           extra="\n[scan]\nstability_rel = one percent\n")
     assert main(["verdict", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
     assert "stability_rel must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("refine_contraction", "nan"),
+                                       ("refine_contraction", "-2"),
+                                       ("refine_contraction", "1.5"),
+                                       ("bound_threshold", "nan"), ("bound_threshold", "0"),
+                                       ("stability_rel", "nan"), ("stability_rel", "-0.01")])
+def test_out_of_range_scan_float_is_usage_error(tmp_path, capsys, key, value):
+    scen = write_scenario(tmp_path / "scan.ini", "bad-scan",
+                          extra=f"\n[scan]\n{key} = {value}\n")
+    assert main(["verdict", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert f"scan {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,keys,extra,message", [

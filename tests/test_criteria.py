@@ -15,7 +15,7 @@ from semiflow_lab.criteria import (DEFAULT_T_GRID, SupScanConfig, bergman_criter
 from semiflow_lab.errors import PreconditionError, RegularityError
 from semiflow_lab.flow import Semiflow, attraction, dilation, identity_flow, resolve_flow, rotation
 from semiflow_lab.operators import gallery_semigroups
-from semiflow_lab.spaces import (BoundaryLadder, DiskRule, GradedDiskRule, RadialWeight,
+from semiflow_lab.spaces import (DiskRule, GradedDiskRule, RadialWeight,
                                  SpaceSpec, carleson_measure)
 
 import oracles
@@ -38,7 +38,7 @@ def deep_scan(a_abs):
 
 def tensor_criterion(flow, cocycle, weight, t, a, gamma, n_rad, n_ang, p=2):
     """The Bergman criterion integral at ``a`` on a tensor DiskRule, a block of rings at a time."""
-    rule = DiskRule(weight, n_rad, n_ang)
+    rule = DiskRule.weighted(weight, n_rad, n_ang)
     total = 0.0
     for rows in np.array_split(np.arange(n_rad), max(1, n_rad * n_ang // 2_000_000)):
         z = (rule.radii[rows, None] * rule.circle[None, :]).ravel()
@@ -141,13 +141,13 @@ def test_every_anchor_of_a_rung_gets_the_rung_circle_count(monkeypatch):
 
 def test_default_hardy_scan_builds_seven_circle_levels(monkeypatch):
     counts = []
+    boundary = DiskRule.boundary
 
-    class Recorded(BoundaryLadder):
-        def __init__(self, quad, n_theta=None):
-            counts.append(n_theta)
-            super().__init__(quad, n_theta)
+    def recorded(quad, n_ang=None):
+        counts.append(n_ang)
+        return boundary(quad, n_ang)
 
-    monkeypatch.setattr(criteria, "BoundaryLadder", Recorded)
+    monkeypatch.setattr(DiskRule, "boundary", staticmethod(recorded))
     hardy_criterion(dilation(), cob_z(dilation()), 2, 0.5)
     assert sorted(counts) == [512 << i for i in range(7)]
 
@@ -322,7 +322,7 @@ def test_hardy_verdict_integrates_each_rung_to_max_t_once(monkeypatch):
 
     monkeypatch.setattr(flow_module, "_integrate_to_stops", counted)
     uniform_bound_verdict(flow, m, H2, t_grid=MARCH_T_GRID, scan=MARCH_SCAN)
-    rows = BoundaryLadder(H2.quad).eps.size
+    rows = H2.rule().radii.size
     t_max = max(MARCH_T_GRID)
     assert max(spans.values()) == pytest.approx(rows * t_max, rel=1e-12)
     assert all(span <= rows * t_max * (1.0 + 1e-12) for span in spans.values())
@@ -430,6 +430,20 @@ def test_decay_dilation_hardy1_matches_explicit_oracle():
         expected = oracles.hardy_p_mean_at(explicit, 1.0 - 1e-9, 1.0)
         assert table.entries[0, j] == pytest.approx(expected, rel=1e-5)
     assert np.all(np.diff(table.entries[0]) < 0)
+
+
+@pytest.mark.parametrize("name", ["dilation", "rotation:1"])
+def test_hardy_decay_table_matches_the_circle_by_circle_oracle(name):
+    flow = resolve_flow(name)
+    m = cob_z(flow)
+    table = direct_decay_probe(flow, m, H2)
+    for j, t in enumerate(table.t_values):
+        for k, f in enumerate(default_decay_family()):
+            def circle_mean(z, _t=t, _f=f):
+                phi, mul = m.sample(flow, _t, z)
+                return np.mean(np.abs(mul * _f(phi) - _f(z)) ** 2)
+            expected = np.sqrt(oracles.circle_ladder_limit(circle_mean, H2.quad)[0].real)
+            assert abs(table.entries[k, j] - expected) <= 1e-12 * expected, (t, f.label)
 
 
 def test_decay_attraction_derivative_bergman():

@@ -10,7 +10,7 @@ from semiflow_lab.flow import (Semiflow, attraction, broken_escape, dilation,
                                estimate_generator, fixed_points_check,
                                generator_twin, resolve_flow, rotation,
                                verify_semiflow)
-from semiflow_lab.spaces import BoundaryLadder, QuadConfig
+from semiflow_lab.spaces import SpaceSpec
 
 
 def test_flow_point_dilation():
@@ -215,7 +215,7 @@ def test_berkson_porta_flows_with_nonconstant_p(b_abs, b_arg, c1_abs, c1_arg, c0
 
 
 # the deepest circle of the Hardy quadrature ladder, |z| = 1 - 4.9e-6
-DEEPEST_CIRCLE = (1.0 - BoundaryLadder(QuadConfig()).eps.min()) * unit_circle(64)
+DEEPEST_CIRCLE = SpaceSpec.hardy(2).rule().radii.max() * unit_circle(64)
 
 
 @pytest.mark.parametrize("name", ["dilation", "attraction", "rotation", "identity"])

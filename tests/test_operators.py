@@ -43,6 +43,22 @@ def test_apply_substitution_formula():
     assert op.apply(f)(z) == pytest.approx(np.exp(-t) / (1.0 - np.exp(-t) * z))
 
 
+@pytest.mark.parametrize("space,expected", [(H2, 1.0), (A0, np.sqrt(5.0 / 9.0))],
+                         ids=["hardy", "bergman"])
+def test_tail_bound_is_the_largest_norm_outside_the_section(space, expected):
+    # C_{z^2} e_j is a multiple of z^{2j}, outside the dim-8 section for j >= 4,
+    # of norm 1 on H^2 and sqrt((j + 1) / (2j + 1)) on A^2_0
+    a = matrix(composition_op(AnalyticFn(lambda z: z ** 2, label="z^2")), space, 8)
+    assert abs(a.tail_bound - expected) < 1e-12
+
+
+def test_hardy_section_matches_the_circle_by_circle_oracle():
+    op = gallery_semigroups()[1].at(0.5)
+    got = matrix(op, H2, 16).entries
+    expected = oracles.hardy_section_by_circles(op.m, op.phi, 16, H2.quad)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_operator_rejects_non_self_map():
     with pytest.raises(DomainError):
         WeightedCompOp(AnalyticFn.constant(1.0),

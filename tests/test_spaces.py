@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from scipy.special import beta
 
-from semiflow_lab.analytic import AnalyticFn
+from semiflow_lab.analytic import AnalyticFn, eps_ladder, neville_extrapolate
 from semiflow_lab.errors import PreconditionError, QuadratureError, RegularityError
-from semiflow_lab.spaces import (BoundaryLadder, DiskRule, GradedDiskRule, QuadConfig,
+from semiflow_lab.spaces import (DiskRule, GradedDiskRule, QuadConfig,
                                  RadialWeight, SpaceSpec, bergman_norm, carleson_measure,
                                  default_gamma, growth_bound_check, hardy_norm, is_regular,
                                  monomial_bergman_norm, pairing)
@@ -286,7 +286,7 @@ def test_parseval_property(re_coeffs):
 @pytest.mark.parametrize("n,m", [(0, 0), (1, 1), (20, 20), (3, 5), (20, 19), (7, 0)])
 def test_disk_rule_monomial_moments(n, m, weight, alpha):
     # int z^n conj(z)^m omega dA = (alpha+1) B(n+1, alpha+1) delta_nm; omega = 1 is alpha = 0
-    rule = DiskRule(weight, 64, 256)
+    rule = DiskRule.weighted(weight, 64, 256)
     z = rule.nodes()
     expected = (alpha + 1.0) * beta(n + 1, alpha + 1.0) if n == m else 0.0
     assert abs(rule.integrate(z ** n * np.conj(z) ** m) - expected) < 1e-10
@@ -316,32 +316,60 @@ def test_graded_disk_rule_counts_follow_the_floor():
                                rtol=0, atol=1e-15)
 
 
-def test_disk_rule_for_quad_picks_radial_count():
-    quad = QuadConfig(n_theta=64, n_radial=16, n_radial_custom=40)
-    assert DiskRule.for_quad(W0, quad).nodes().shape == (16, 64)
-    assert DiskRule.for_quad(ONE, quad).nodes().shape == (40, 64)
+def test_space_rule_picks_radial_count():
+    quad = QuadConfig(n_theta=64, n_radial=16, n_radial_custom=40, eps_count=9)
+    assert SpaceSpec.bergman(2, W0, quad).rule().nodes().shape == (16, 64)
+    assert SpaceSpec.bergman(2, ONE, quad).rule().nodes().shape == (40, 64)
+    assert SpaceSpec.hardy(2, quad).rule().nodes().shape == (9, 64)
+    assert SpaceSpec.hardy(2).rule(quad).nodes().shape == (9, 64)
+
+
+def ladder_eps(quad):
+    return eps_ladder(quad.eps_start, quad.eps_factor, quad.eps_count)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 5])
 def test_boundary_ladder_extrapolates_circle_means(n):
-    ladder = BoundaryLadder(QuadConfig(), 64)
-    means = []
-    for eps, z in ladder:
-        assert np.allclose(np.abs(z), 1.0 - eps, rtol=0, atol=1e-15)
-        means.append(np.mean(np.abs(z ** n) ** 2))     # (1 - eps)^(2n)
-    value, correction = ladder.limit(means)
-    assert abs(value - 1.0) < 1e-12
+    quad = QuadConfig()
+    rule = DiskRule.boundary(quad, 64)
+    z = rule.nodes()
+    assert np.allclose(np.abs(z), 1.0 - ladder_eps(quad)[:, None], rtol=0, atol=1e-15)
+    values = np.abs(z ** n) ** 2                        # (1 - eps)^(2n) on each circle
+    assert abs(rule.integrate(values) - 1.0) < 1e-12
+    _, correction = neville_extrapolate(ladder_eps(quad), np.mean(values, axis=1))
     assert correction < 1e-10
 
 
 def test_boundary_ladder_weights_are_the_extrapolation_at_zero():
-    ladder = BoundaryLadder(QuadConfig(), 64)
-    c = ladder.weights
-    assert c.shape == ladder.eps.shape
+    quad = QuadConfig()
+    rule = DiskRule.boundary(quad, 64)
+    eps = ladder_eps(quad)
+    c = rule.radial_w
+    assert c.shape == eps.shape and rule.scale == 1.0
     assert abs(np.sum(c) - 1.0) < 1e-14
     # a degree-11 polynomial in eps through the 12 rungs is recovered at 0
     coeffs = np.random.default_rng(3).normal(size=12)
-    assert abs(c @ np.polyval(coeffs, ladder.eps) - coeffs[-1]) < 1e-13
+    assert abs(c @ np.polyval(coeffs, eps) - coeffs[-1]) < 1e-13
     for rung_values in np.random.default_rng(4).uniform(0.5, 2.0, size=(20, 12)):
-        value = ladder.limit(rung_values)[0].real
+        value = neville_extrapolate(eps, rung_values)[0].real
         assert abs(c @ rung_values - value) < 1e-14
+
+
+ORACLE_FNS = [AnalyticFn(lambda z: 1.0 / (1.0 - 0.7 * z), label="geom"),
+              AnalyticFn(lambda z: np.exp(z) * (1.0 + 0.3j * z ** 3), label="exp-cubic"),
+              AnalyticFn(lambda z: (1.0 - 0.9 * z) ** -0.4, label="power")]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("f", ORACLE_FNS, ids=lambda f: f.label)
+def test_hardy_norm_matches_the_circle_by_circle_oracle(f, p):
+    expected = oracles.hardy_norm_by_circles(f, p, QuadConfig())
+    assert abs(hardy_norm(f, p) - expected) <= 1e-12 * expected
+
+
+def test_hardy_pairing_matches_the_circle_by_circle_oracle():
+    for f in ORACLE_FNS:
+        for g in ORACLE_FNS:
+            expected, _ = oracles.circle_ladder_limit(
+                lambda z: np.mean(f(z) * np.conj(g(z))), QuadConfig())
+            assert abs(pairing(f, g, SpaceSpec.hardy(2)) - expected) <= 1e-12 * abs(expected)
