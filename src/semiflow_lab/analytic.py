@@ -1,7 +1,7 @@
 """Numerical calculus of analytic functions on the unit disk.
 
-Functions are represented by evaluation callbacks (vectorized over numpy
-arrays of complex points) together with an optional coefficient provider.
+Functions are represented by evaluation callbacks, vectorized over numpy
+arrays of complex points.
 Derivatives and Taylor coefficients come from circle quadrature, which is
 spectrally accurate for analytic integrands, so there is no step-size
 dilemma anywhere in the package.
@@ -74,24 +74,17 @@ class AnalyticFn:
     Parameters
     ----------
     evaluator : callable
-        Maps a complex ndarray to the function values.  Use
-        ``vectorized=False`` for scalar-only callables.
-    coefficient : callable, optional
-        Index n -> Taylor coefficient a_n at the origin, when known.
+        Maps a complex ndarray to the function values.
     r_max : float
         Radius of guaranteed accuracy; evaluation outside is rejected.
     """
 
-    __slots__ = ("_evaluator", "coefficient", "r_max", "label")
+    __slots__ = ("_evaluator", "r_max", "label")
 
-    def __init__(self, evaluator, coefficient=None, r_max: float = 1.0,
-                 label: str = "f", vectorized: bool = True):
+    def __init__(self, evaluator, r_max: float = 1.0, label: str = "f"):
         if not 0.0 < r_max <= 1.0:
             raise PreconditionError(f"r_max must lie in (0, 1], got {r_max}")
-        if not vectorized:
-            evaluator = np.vectorize(evaluator, otypes=[complex])
         self._evaluator = evaluator
-        self.coefficient = coefficient
         self.r_max = r_max
         self.label = label
 
@@ -116,19 +109,17 @@ class AnalyticFn:
     @classmethod
     def constant(cls, c) -> "AnalyticFn":
         c = complex(c)
-        return cls(lambda z: np.full_like(z, c), coefficient=lambda n: c if n == 0 else 0.0,
-                   label=f"const({c})")
+        return cls(lambda z: np.full_like(z, c), label=f"const({c})")
 
     @classmethod
     def identity(cls) -> "AnalyticFn":
-        return cls(lambda z: z, coefficient=lambda n: 1.0 if n == 1 else 0.0, label="z")
+        return cls(lambda z: z, label="z")
 
     @classmethod
     def monomial(cls, n: int) -> "AnalyticFn":
         if n < 0:
             raise PreconditionError("monomial degree must be nonnegative")
-        return cls(lambda z, _n=n: z ** _n,
-                   coefficient=lambda k, _n=n: 1.0 if k == _n else 0.0, label=f"z^{n}")
+        return cls(lambda z, _n=n: z ** _n, label=f"z^{n}")
 
     @classmethod
     def from_coefficients(cls, coeffs, r_max: float = 1.0, label: str = "poly") -> "AnalyticFn":
@@ -141,10 +132,7 @@ class AnalyticFn:
                 out = out * z + a
             return out
 
-        def coefficient(n, _c=c):
-            return complex(_c[n]) if 0 <= n < _c.size else 0.0
-
-        return cls(evaluator, coefficient=coefficient, r_max=r_max, label=label)
+        return cls(evaluator, r_max=r_max, label=label)
 
     # -- algebra ------------------------------------------------------
 

@@ -14,6 +14,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -33,8 +34,24 @@ def _utc_stamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, in any nesting of dicts,
+    lists, tuples and numpy arrays or scalars, replaced by None."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a non-finite number is written as null."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -103,8 +120,7 @@ def _seed_of(cfg, args):
     return args.seed if args.seed is not None else _read(cfg, "scenario", "seed", int, 0)
 
 
-_SCAN_KINDS = {"ladder_depth": int, "n_angles": int, "refine_rounds": int, "angular_base": int,
-               "angular_cap": int, "disk_angular_cap": int, "disk_radial_base": int,
+_SCAN_KINDS = {"ladder_depth": int, "n_angles": int, "refine_rounds": int,
                "refine_contraction": float, "bound_threshold": float, "stability_rel": float}
 
 
@@ -121,12 +137,25 @@ def _threads_of(args) -> int:
 
 def _scan_from(cfg, args) -> criteria.SupScanConfig:
     scan = criteria.DEFAULT_SCAN
+    for key in cfg.options("scan") if cfg.has_section("scan") else ():
+        if key not in _SCAN_KINDS:
+            raise ConfigError(f"[scan] {key} is not a scan key; "
+                              f"accepted keys: {', '.join(_SCAN_KINDS)}")
     overrides = {key: _read(cfg, "scan", key, kind) for key, kind in _SCAN_KINDS.items()
                  if cfg.has_option("scan", key)}
     if args.threads:
         overrides["threads"] = args.threads
     # SupScanConfig rejects out-of-range values with PreconditionError (exit 2)
     return replace(scan, **overrides) if overrides else scan
+
+
+def _tol_of(cfg, args, key, default) -> float:
+    """``--tol``, else ``[scenario] key``, else ``default``; finite and > 0."""
+    tol = args.tol if args.tol is not None else _read(cfg, "scenario", key, float, default)
+    if not 0 < tol < math.inf:  # written so that NaN fails too
+        name = "--tol" if args.tol is not None else f"[scenario] {key}"
+        raise ConfigError(f"{name} must be a finite number > 0, got {tol}")
+    return tol
 
 
 def _write_reports(cfg, args, seed, kind, body: dict, rows) -> None:
@@ -146,12 +175,10 @@ def cmd_flow_verify(args) -> int:
     cfg = load_scenario(args.scenario)
     flow = _build_flow(cfg)
     seed = _seed_of(cfg, args)
-    tol = args.tol if args.tol is not None else _read(cfg, "scenario", "tol", float, 1e-8)
+    tol = _tol_of(cfg, args, "tol", 1e-8)
     t_grid = _read(cfg, "grid", "t_values", _floats) or None
     report = verify_semiflow(flow, t_grid=t_grid, tol=tol)
-    body = {"flow": flow.name,
-            "report": {k: (v if not isinstance(v, float) or np.isfinite(v) else None)
-                       for k, v in report.to_dict().items()}}
+    body = {"flow": flow.name, "report": report.to_dict()}
     _write_reports(cfg, args, seed, "flow", body,
                    [("field", "value")] + sorted(report.to_dict().items()))
     print(f"flow-verify {flow.name}: {'pass' if report.passed else 'FAIL'} "
@@ -186,7 +213,7 @@ def cmd_decay(args) -> int:
     seed = _seed_of(cfg, args)
     if space is None:
         raise ConfigError("decay needs a [space] section")
-    tol = args.tol if args.tol is not None else _read(cfg, "scenario", "decay_tol", float, 1e-3)
+    tol = _tol_of(cfg, args, "decay_tol", 1e-3)
     table = criteria.direct_decay_probe(flow, cocycle, space, tol=tol)
     _write_reports(cfg, args, seed, "decay", table.to_json_dict(), table.csv_rows())
     print(f"decay {flow.name}/{cocycle.name} on {space.label()}: "

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -32,18 +32,26 @@ from .spaces import (DEFAULT_QUAD, DiskRule, GradedDiskRule, QuadConfig,
                      kernel_sums)
 
 
+# Quadrature resolution per dyadic level k = ceil(-log2(1 - |a|)), with
+# d = 2^-k, as (scale, base, cap): a Hardy level takes clip(32 2^k, 512,
+# 32768) points per circle; a Bergman level clip(int(6 / sqrt(d)), 64, 272)
+# rings and clip(ceil(32 / max(1 - r, d)), 256, 65536) angles on ring r.
+# Resolution grows like 2^k so the kernel's spike stays resolved.
+_HARDY_ANGLES = (32.0, 512, 32768)
+_DISK_ANGLES = (32.0, 256, 65536)
+_DISK_RINGS = (6.0, 64, 272)
+
+
 @dataclass(frozen=True)
 class SupScanConfig:
     """Discretization of sup over a in the disk, plus verdict thresholds.
 
     The anchor grid is a geometric radius ladder toward the boundary times
     a uniform fan of angles, followed by local refinement around the
-    running argmax.  Anchors are grouped by dyadic level k = ceil(-log2(1 -
-    |a|)), and quadrature resolution grows like 2^k so the kernel's spike
-    stays resolved: a Hardy level takes clip(angular_scale 2^k,
-    angular_base, angular_cap) points per circle, a Bergman level a disk
-    grid graded per ring (see :func:`bergman_criterion`).  ``threads``
-    splits each kernel sum's node blocks over a thread pool.
+    running argmax.  Anchors are grouped by dyadic level, and each level's
+    quadrature grid follows from the level alone (``_HARDY_ANGLES``,
+    ``_DISK_ANGLES``, ``_DISK_RINGS``).  ``threads`` splits each kernel
+    sum's node blocks over a thread pool.
     """
 
     small_radii: tuple = (0.05, 0.1, 0.25)
@@ -51,15 +59,6 @@ class SupScanConfig:
     n_angles: int = 16
     refine_rounds: int = 3
     refine_contraction: float = 0.5
-    angular_base: int = 512
-    angular_scale: float = 32.0
-    angular_cap: int = 32768
-    disk_angular_base: int = 256
-    disk_angular_scale: float = 32.0
-    disk_angular_cap: int = 65536
-    disk_radial_base: int = 64
-    disk_radial_scale: float = 6.0
-    disk_radial_cap: int = 272
     bound_threshold: float = 1e8
     stability_rel: float = 0.01
     threads: int = 1
@@ -71,8 +70,7 @@ class SupScanConfig:
         if self.n_angles < 1:
             raise PreconditionError(f"scan n_angles must be >= 1, got {self.n_angles}")
         # written as "not > 0" so that NaN fails too
-        positive = [f.name for f in fields(self) if f.name.endswith(("_base", "_scale", "_cap"))]
-        for name in positive + ["bound_threshold", "stability_rel"]:
+        for name in ("bound_threshold", "stability_rel"):
             if not getattr(self, name) > 0:
                 raise PreconditionError(f"scan {name} must be > 0, got {getattr(self, name)}")
         if not 0 < self.refine_contraction <= 1:
@@ -226,10 +224,10 @@ def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
         raise PreconditionError("the Hardy criterion requires p > 1")
     scan = scan or DEFAULT_SCAN
     quad = quad or DEFAULT_QUAD
+    scale, base, cap = _HARDY_ANGLES
 
     def circle_count(a_abs):
-        return int(min(scan.angular_cap, max(scan.angular_base, math.ceil(
-            scan.angular_scale * 2.0 ** _dyadic_level(a_abs)))))
+        return int(min(cap, max(base, math.ceil(scale * 2.0 ** _dyadic_level(a_abs)))))
 
     def circles(n_theta):
         rule = DiskRule.boundary(quad, n_theta)
@@ -264,21 +262,21 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
     if gamma < gamma_floor:
         raise PreconditionError(f"gamma = {gamma} below the convergent floor {gamma_floor}")
     scan = scan or DEFAULT_SCAN
+    ang_scale, ang_base, ang_cap = _DISK_ANGLES
+    rad_scale, rad_base, rad_cap = _DISK_RINGS
 
     def disk_grid(a_abs):
         # By Schwarz-Pick the kernel's angular width on ring r is about
         # max(1 - r, 1 - |a|), hence per-ring counts floored at d = 2^-k.
-        # Every floor above disk_angular_scale / disk_angular_base gives
-        # each ring the base count, so the shallow levels share one grid.
+        # Every floor above ang_scale / ang_base gives each ring the base
+        # count, so the shallow levels share one grid.
         d = 2.0 ** -_dyadic_level(a_abs)
-        n_rad = min(scan.disk_radial_cap,
-                    max(scan.disk_radial_base, int(scan.disk_radial_scale / math.sqrt(d))))
-        return n_rad, min(d, scan.disk_angular_scale / scan.disk_angular_base)
+        n_rad = min(rad_cap, max(rad_base, int(rad_scale / math.sqrt(d))))
+        return n_rad, min(d, ang_scale / ang_base)
 
     def disk_nodes(grid):
         n_rad, floor = grid
-        rule = GradedDiskRule(weight, n_rad, floor, scan.disk_angular_scale,
-                              scan.disk_angular_base, scan.disk_angular_cap)
+        rule = GradedDiskRule(weight, n_rad, floor, ang_scale, ang_base, ang_cap)
         return rule.nodes(), rule.weights
 
     def advance(w, masses, dt):
@@ -319,19 +317,7 @@ class CriterionReport:
     config: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "flow": self.flow,
-            "cocycle": self.cocycle,
-            "p": self.p,
-            "t_values": self.t_values,
-            "criterion": [v if np.isfinite(v) else None for v in self.criterion],
-            "witness_a": self.witness_a,
-            "sup": self.sup if np.isfinite(self.sup) else None,
-            "trend": self.trend,
-            "verdict": self.verdict,
-            "config": self.config,
-        }
+        return asdict(self)
 
     def csv_rows(self) -> list:
         rows = [("t", "criterion", "witness_re", "witness_im")]
@@ -360,8 +346,9 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     t_grid = np.asarray(DEFAULT_T_GRID if t_grid is None else t_grid, dtype=float)
     if t_grid.size < 8:
         raise PreconditionError("the verdict needs at least 8 time samples in [0, 1)")
-    if np.any(t_grid < 0) or np.any(t_grid >= 1):
-        raise PreconditionError("verdict time grid must lie inside [0, 1)")
+    # written so that NaN fails too
+    if not np.all((t_grid >= 0) & (t_grid < 1)):
+        raise PreconditionError("verdict time grid must be finite and lie inside [0, 1)")
     if float(np.max(t_grid)) < 0.9:
         raise PreconditionError("the verdict needs samples near t = 1")
     levels = {} if flow.is_generator_driven else None
@@ -446,13 +433,7 @@ class DecayTable:
     decayed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "labels": self.labels,
-            "t_values": self.t_values,
-            "entries": [[v if np.isfinite(v) else None for v in row] for row in self.entries],
-            "tolerance": self.tolerance,
-            "decayed": self.decayed,
-        }
+        return asdict(self)
 
     def csv_rows(self) -> list:
         rows = [tuple(["function"] + [f"t={t:g}" for t in self.t_values])]

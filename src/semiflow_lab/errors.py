@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class SemiflowLabError(Exception):
     """Base class for all library errors."""
@@ -14,12 +16,15 @@ class PreconditionError(SemiflowLabError, ValueError):
 
 
 def spec_number(kind, value: str, spec: str):
-    """``kind(value)`` for a parameter of a spec string; a malformed one is a
-    PreconditionError that names the spec."""
+    """``kind(value)`` for a parameter of a spec string; a malformed or
+    non-finite one is a PreconditionError that names the spec."""
     try:
-        return kind(value)
+        number = kind(value)
+        if math.isfinite(number):
+            return number
     except ValueError:
-        raise PreconditionError(f"bad parameter {value!r} in spec {spec!r}") from None
+        pass
+    raise PreconditionError(f"bad parameter {value!r} in spec {spec!r}")
 
 
 class QuadratureError(SemiflowLabError, ArithmeticError):

@@ -39,6 +39,13 @@ _DP = np.array([
 # retried shorter; below this step size the generator is declared invalid.
 _H_FLOOR = 1e-12
 
+# DP45 error tolerances, the step budget of one integration, and how far
+# beyond the closed disk a state may lie before the flow is declared invalid.
+_ODE_RTOL = 1e-10
+_ODE_ATOL = 1e-12
+_MAX_STEPS = 200_000
+_ESCAPE_TOL = 1e-9
+
 
 def _stage_point(w, h, row, stack):
     """w + h sum_j row_j k_j, one contraction over the real view of the stage stack.
@@ -49,7 +56,7 @@ def _stage_point(w, h, row, stack):
     return w + np.einsum("i,ij->j", h * row, stack[:row.size]).view(complex).reshape(w.shape)
 
 
-def _integrate_to_stops(g, z0, stops, rtol, atol, max_steps, escape_tol):
+def _integrate_to_stops(g, z0, stops):
     """Solve w' = g(w) for a batch of starts, recording the state at each stop.
 
     ``z0`` has shape (k, n): row 0 holds the positions, the only row the
@@ -64,12 +71,12 @@ def _integrate_to_stops(g, z0, stops, rtol, atol, max_steps, escape_tol):
     so h shrinks and the step is retried: explicit stages may overshoot the
     disk where the exact flow does not.  The generator is declared invalid
     (``InvalidSemiflowError``) only when it fails at the start, when an
-    accepted state lies beyond ``escape_tol`` outside the disk, or when
+    accepted state lies beyond ``_ESCAPE_TOL`` outside the disk, or when
     such rejections push the step below ``_H_FLOOR``.
     """
     w = np.array(z0, dtype=complex)
     out = np.empty((len(stops),) + w.shape, dtype=complex)
-    limit = 1.0 - 1e-12 + escape_tol
+    limit = 1.0 - 1e-12 + _ESCAPE_TOL
     t = 0.0
     idx = 0
     while idx < len(stops) and stops[idx] <= t + 1e-15:
@@ -96,7 +103,7 @@ def _integrate_to_stops(g, z0, stops, rtol, atol, max_steps, escape_tol):
             err = np.inf
         else:
             w5, w4 = y, _stage_point(w, h_try, _DP[7], stack)
-            scale = atol + rtol * np.maximum(np.abs(w), np.abs(w5))
+            scale = _ODE_ATOL + _ODE_RTOL * np.maximum(np.abs(w), np.abs(w5))
             err = float(np.max(np.abs(w5 - w4) / scale)) if w.size else 0.0
         if err <= 1.0:
             t += h_try
@@ -122,9 +129,9 @@ def _integrate_to_stops(g, z0, stops, rtol, atol, max_steps, escape_tol):
         h = h_try * min(5.0, max(0.2, factor))
         h = max(h, 1e-14)
         steps += 1
-        if steps > max_steps:
+        if steps > _MAX_STEPS:
             raise IntegrationError(
-                f"step budget {max_steps} exhausted at t = {t:.6g} (target {target:.6g})")
+                f"step budget {_MAX_STEPS} exhausted at t = {t:.6g} (target {target:.6g})")
     return out
 
 
@@ -136,19 +143,13 @@ class Semiflow:
     """
 
     def __init__(self, *, closed_map=None, generator=None, derivative=None,
-                 name: str = "semiflow", fixed_points=(), ode_rtol: float = 1e-10,
-                 ode_atol: float = 1e-12, max_steps: int = 200_000, escape_tol: float = 1e-9):
+                 name: str = "semiflow"):
         if (closed_map is None) == (generator is None):
             raise PreconditionError("provide exactly one of closed_map or generator")
         self._closed = closed_map
         self.generator = generator
         self.derivative = derivative
         self.name = name
-        self.fixed_points = tuple(complex(z) for z in fixed_points)
-        self.ode_rtol = ode_rtol
-        self.ode_atol = ode_atol
-        self.max_steps = max_steps
-        self.escape_tol = escape_tol
 
     @classmethod
     def closed_form(cls, fn, name: str = "closed", **kw) -> "Semiflow":
@@ -185,14 +186,12 @@ class Semiflow:
         else:
             order = np.argsort(ts, kind="stable")
             stops = ts[order]
-            res = _integrate_to_stops(self.generator, zs[None, :], np.maximum(stops, 0.0),
-                                      self.ode_rtol, self.ode_atol, self.max_steps,
-                                      self.escape_tol)[:, 0]
+            res = _integrate_to_stops(self.generator, zs[None, :], np.maximum(stops, 0.0))[:, 0]
             out = np.empty_like(res)
             out[order] = res
         if check:
             top = float(np.max(np.abs(out))) if out.size else 0.0
-            if top > 1.0 + self.escape_tol:
+            if top > 1.0 + _ESCAPE_TOL:
                 raise InvalidSemiflowError(
                     f"{self.name}: |phi_t(z)| = {top:.12g} leaves the closed disk")
         return out
@@ -214,9 +213,8 @@ class Semiflow:
                     np.asarray(self.derivative(float(t), zs), dtype=complex))
         g, dg = self.generator, self.derivative
         return tuple(_integrate_to_stops(lambda y: np.stack([g(y[0]), dg(y[0]) * y[1]]),
-                                         np.stack([zs, np.ones_like(zs)]), [max(float(t), 0.0)],
-                                         self.ode_rtol, self.ode_atol, self.max_steps,
-                                         self.escape_tol)[0])
+                                         np.stack([zs, np.ones_like(zs)]),
+                                         [max(float(t), 0.0)])[0])
 
     def __call__(self, t, z):
         """phi_t(z) for scalar t; vectorized over z."""
@@ -276,6 +274,8 @@ def verify_semiflow(s: Semiflow, t_grid=None, z_grid=None, tol: float = 1e-8) ->
     z_grid = np.asarray(z_grid if z_grid is not None else disk_samples(50), dtype=complex)
     if t_grid.size == 0 or z_grid.size == 0:
         raise PreconditionError("verification grids must be nonempty")
+    if not np.all(np.isfinite(t_grid)):
+        raise PreconditionError("verification times must be finite")
     note = ""
     try:
         base = s.at_times(t_grid, z_grid, check=False)           # [T, Z]
@@ -322,8 +322,7 @@ def fixed_points_check(s: Semiflow, candidates, t_grid=None, tol: float = 1e-9):
 def dilation() -> Semiflow:
     """phi_t(z) = e^{-t} z; interior fixed point at the origin."""
     return Semiflow.closed_form(lambda t, z: np.exp(-t) * z, name="dilation",
-                                derivative=lambda t, z: np.full_like(z, np.exp(-t)),
-                                fixed_points=(0.0,))
+                                derivative=lambda t, z: np.full_like(z, np.exp(-t)))
 
 
 def rotation(speed: float = 1.0) -> Semiflow:
@@ -331,7 +330,7 @@ def rotation(speed: float = 1.0) -> Semiflow:
     a = float(speed)
     return Semiflow.closed_form(lambda t, z: np.exp(1j * a * t) * z,
                                 derivative=lambda t, z: np.full_like(z, np.exp(1j * a * t)),
-                                name=f"rotation({speed:g})", fixed_points=(0.0,))
+                                name=f"rotation({speed:g})")
 
 
 def attraction() -> Semiflow:
@@ -370,8 +369,7 @@ def generator_twin(name: str, *params) -> Semiflow:
         g, dg = _GENERATORS[name]()
     else:
         raise PreconditionError(f"no generator twin for flow {name!r}")
-    return Semiflow.from_generator(g, name=f"generator-{name}", derivative=dg,
-                                   fixed_points=(0.0,) if name != "attraction" else ())
+    return Semiflow.from_generator(g, name=f"generator-{name}", derivative=dg)
 
 
 GALLERY = {

@@ -14,7 +14,7 @@ backs the p = 2 norm surrogate when available.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -172,20 +172,9 @@ class IntertwinerReport:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        def clean(v):
-            return v if np.isfinite(v) else None
-        return {
-            "multiplier_consistency_residual": clean(self.multiplier_consistency_residual),
-            "intertwining_residual": clean(self.intertwining_residual),
-            "self_map_max": clean(self.self_map_max),
-            "form_residual": clean(self.form_residual),
-            "multiplier_bound_estimate": clean(self.multiplier_bound_estimate),
-            "multiplier_bound_growing": self.multiplier_bound_growing,
-            "power_residuals": {k: clean(v) for k, v in self.power_residuals.items()},
-            "degenerate": self.degenerate,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        """Every field but the recovered symbols."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("multiplier", "self_map")}
 
 
 def _fallback_self_map(t_op, family, grid, zero_tol=1e-9):
@@ -284,23 +273,7 @@ class ExtractionReport:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, float) and not np.isfinite(v):
-                return None
-            return v
-        return {
-            "t_values": self.t_values,
-            "flow_law_residual": clean(self.flow_law_residual),
-            "cocycle_law_residual": clean(self.cocycle_law_residual),
-            "identity_residual": clean(self.identity_residual),
-            "unit_residual": clean(self.unit_residual),
-            "min_multiplier_modulus": clean(self.min_multiplier_modulus),
-            "continuity_residuals": self.continuity_residuals,
-            "norm_surrogate": clean(self.norm_surrogate),
-            "per_t_passed": self.per_t_passed,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def extract_semigroup(t_family, t_grid, tol: float = 1e-7, grid=None,
@@ -322,18 +295,10 @@ def extract_semigroup(t_family, t_grid, tol: float = 1e-7, grid=None,
     grid = np.asarray(grid if grid is not None else disk_samples(60, max_radius=0.9),
                       dtype=complex)
     family = family or default_test_family()
-    symbols: dict = {}
+    symbols: dict = {}  # round(t, 12) -> (m_t, phi_t), from the intertwiner checks
 
     def recover_at(t):
-        key = round(float(t), 12)
-        if key not in symbols:
-            op = t_family(float(t))
-            try:
-                m, phi, _ = recover_symbols(op, grid)
-            except DegenerateOperatorError as exc:
-                raise ExtractionError(f"extraction failed at t = {t:g}: {exc}", t=float(t))
-            symbols[key] = (m, phi)
-        return symbols[key]
+        return symbols[round(float(t), 12)]
 
     per_t = {}
     space = None
@@ -351,7 +316,7 @@ def extract_semigroup(t_family, t_grid, tol: float = 1e-7, grid=None,
                 f"extraction failed at t = {t:g}: intertwiner check failed "
                 f"(intertwining residual {report.intertwining_residual:.3g}, "
                 f"self-map max {report.self_map_max:.9g})", t=float(t))
-        recover_at(t)
+        symbols[round(t, 12)] = (report.multiplier, report.self_map)
 
     def flow_map(t, z):
         _, phi = recover_at(t)

@@ -35,8 +35,9 @@ class RadialWeight:
     def __init__(self, fn=None, *, alpha: float | None = None, label: str = "weight"):
         if (fn is None) == (alpha is None):
             raise PreconditionError("provide exactly one of fn or alpha")
-        if alpha is not None and alpha <= -1:
-            raise PreconditionError("standard weight needs alpha > -1")
+        # written so that NaN fails too
+        if alpha is not None and not -1 < alpha < np.inf:
+            raise PreconditionError(f"standard weight needs a finite alpha > -1, got {alpha}")
         self.alpha = None if alpha is None else float(alpha)
         self._fn = fn
         self.label = label if alpha is None else f"standard({alpha:g})"
@@ -114,8 +115,8 @@ class SpaceSpec:
     def __post_init__(self):
         if self.kind not in ("hardy", "bergman"):
             raise PreconditionError(f"unknown space kind {self.kind!r}")
-        if self.p < 1:
-            raise PreconditionError("exponent p must be at least 1")
+        if not 1 <= self.p < np.inf:
+            raise PreconditionError(f"exponent p must be finite and at least 1, got {self.p}")
         if self.kind == "bergman" and self.weight is None:
             raise PreconditionError("a Bergman space needs a radial weight")
 

@@ -123,9 +123,3 @@ def test_neville_extrapolation_recovers_polynomial_limit():
 def test_neville_needs_samples():
     with pytest.raises(PreconditionError):
         neville_extrapolate([], [])
-
-
-def test_from_coefficients_provider():
-    f = AnalyticFn.from_coefficients([1.0, 0.0, 2.0])
-    assert f.coefficient(2) == pytest.approx(2.0)
-    assert f.coefficient(7) == 0.0

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from semiflow_lab.cli import main
+from semiflow_lab.cli import _SCAN_KINDS, _write_json, main
+from semiflow_lab.criteria import SupScanConfig
 from semiflow_lab.intertwine import save_bundle
 from semiflow_lab.operators import gallery_semigroups, matrix
 from semiflow_lab.spaces import RadialWeight, SpaceSpec
@@ -32,6 +34,18 @@ spec = {space}
 @pytest.fixture
 def scenario(tmp_path):
     return write_scenario(tmp_path / "ok.ini", "ok-case")
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.fixture(autouse=True)
+def strict_json_files(tmp_path):
+    """Every JSON file a test writes parses without NaN or Infinity."""
+    yield
+    for path in tmp_path.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=reject_constant)
 
 
 def read_without_timestamp(path):
@@ -189,6 +203,29 @@ def test_malformed_scan_value_is_config_error(tmp_path, capsys, value, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["ladder_dept", "angular_cap"], ids=["typo", "removed"])
+def test_unknown_scan_key_is_config_error(tmp_path, capsys, key):
+    scen = write_scenario(tmp_path / "scan.ini", "bad-scan", extra=f"\n[scan]\n{key} = 2\n")
+    assert main(["verdict", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"[scan] {key} is not a scan key" in err and "ladder_depth" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scan_keys_cover_the_scan_config():
+    names = {f.name for f in dataclasses.fields(SupScanConfig)}
+    assert set(_SCAN_KINDS) | {"small_radii", "threads"} == names
+
+
+def test_json_writer_maps_non_finite_numbers_to_null(tmp_path):
+    path = tmp_path / "strict.json"
+    _write_json(path, {"a": [1.0, np.nan, (np.inf, -np.inf)], "b": {"c": np.float64(np.nan)},
+                       "d": np.array([[0.5, np.inf]]), "e": np.int64(3), "f": "nan"})
+    assert json.loads(path.read_text(), parse_constant=reject_constant) == {
+        "a": [1.0, None, [None, None]], "b": {"c": None}, "d": [[0.5, None]], "e": 3, "f": "nan"}
+
+
 def test_malformed_scan_float_names_the_key(tmp_path, capsys):
     scen = write_scenario(tmp_path / "scan.ini", "bad-scan",
                           extra="\n[scan]\nstability_rel = one percent\n")
@@ -219,20 +256,36 @@ def test_out_of_range_scan_float_is_usage_error(tmp_path, capsys, key, value):
      "[grid] t_values must be a list of numbers"),
     ("verdict", "seed = 7", "\n[grid]\nt_values = 0 0.1 abc\n",
      "[grid] t_values must be a list of numbers"),
+    ("flow-verify", "seed = 7\ntol = nan", "", "[scenario] tol must be a finite number > 0"),
+    ("flow-verify", "seed = 7\ntol = inf", "", "[scenario] tol must be a finite number > 0"),
+    ("decay", "seed = 7\ndecay_tol = nan", "", "[scenario] decay_tol must be a finite number"),
+    ("decay", "seed = 7\ndecay_tol = 0", "", "[scenario] decay_tol must be a finite number"),
+    ("flow-verify --tol nan", "seed = 7", "", "--tol must be a finite number > 0"),
+    ("decay --tol nan", "seed = 7", "", "--tol must be a finite number > 0"),
+    ("verdict", "seed = 7", "\n[grid]\nt_values = 0 0.1 0.2 0.3 0.4 0.5 0.6 nan 0.99\n",
+     "time grid must be finite"),
+    ("flow-verify", "seed = 7", "\n[grid]\nt_values = 0 0.5 nan 1\n",
+     "verification times must be finite"),
 ], ids=["flow-verify-seed", "verdict-seed", "decay-seed", "flow-verify-tol", "decay-decay_tol",
-        "flow-verify-t_values", "verdict-t_values"])
+        "flow-verify-t_values", "verdict-t_values", "flow-verify-tol-nan", "flow-verify-tol-inf",
+        "decay-decay_tol-nan", "decay-decay_tol-zero", "flow-verify-flag-nan", "decay-flag-nan",
+        "verdict-t_values-nan", "flow-verify-t_values-nan"])
 def test_malformed_scenario_value_is_config_error(tmp_path, capsys, command, keys, extra,
                                                   message):
     scen = write_scenario(tmp_path / "bad.ini", "bad-value", extra=extra, scenario_keys=keys)
-    assert main([command, "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
-    assert message in capsys.readouterr().err
+    assert main(command.split() + ["--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("section,spec", [("flow", "dilation:2"), ("flow", "rotation:abc"),
                                           ("cocycle", "coboundary:z^x"),
                                           ("cocycle", "coboundary:affine-power:x"),
-                                          ("space", "hardy:abc"), ("space", "bergman:2:x")])
+                                          ("space", "hardy:abc"), ("space", "bergman:2:x"),
+                                          ("space", "hardy:inf"), ("space", "hardy:nan"),
+                                          ("space", "bergman:inf:0"),
+                                          ("space", "bergman:2:nan")])
 def test_malformed_spec_is_config_error(tmp_path, capsys, section, spec):
     scen = write_scenario(tmp_path / "bad.ini", "bad-spec", **{section: spec})
     assert main(["decay", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2

@@ -128,9 +128,10 @@ def test_every_anchor_of_a_rung_gets_the_rung_circle_count(monkeypatch):
     scan = SupScanConfig(refine_rounds=0)
     hardy_criterion(rotation(1.0), cob_z(rotation(1.0)), 2, 0.5, scan)
     seen = 0
+    scale, base, cap = criteria._HARDY_ANGLES
     for k in range(1, scan.ladder_depth + 1):
         r = 1.0 - 2.0 ** -k
-        n_theta = min(scan.angular_cap, max(scan.angular_base, int(scan.angular_scale) << k))
+        n_theta = min(cap, max(base, int(scale) << k))
         for anchors, nodes in batches:
             on_rung = np.abs(np.abs(anchors) - r) < 1e-12
             if np.any(on_rung):
@@ -340,9 +341,7 @@ def test_generator_rotation_probe_is_bounded():
 
 
 @pytest.mark.parametrize("field,value", [("ladder_depth", -3), ("refine_rounds", -1),
-                                         ("n_angles", 0), ("angular_base", 0),
-                                         ("disk_angular_scale", -1.0), ("disk_radial_base", 0),
-                                         ("disk_angular_cap", 0)])
+                                         ("n_angles", 0)])
 def test_scan_config_rejects_out_of_range_values(field, value):
     with pytest.raises(PreconditionError, match=field):
         SupScanConfig(**{field: value})
@@ -385,6 +384,10 @@ def test_verdict_grid_preconditions():
     with pytest.raises(PreconditionError):
         uniform_bound_verdict(dilation(), cob_z(dilation()), H2,
                               t_grid=np.linspace(0.0, 0.5, 10))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(PreconditionError, match="finite"):
+            uniform_bound_verdict(dilation(), cob_z(dilation()), H2,
+                                  t_grid=[0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, bad, 0.99])
 
 
 def test_report_schema_and_witnesses():

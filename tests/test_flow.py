@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from semiflow_lab import flow as flow_module
 from semiflow_lab.analytic import AnalyticFn, disk_samples, unit_circle
 from semiflow_lab.cocycle import Cocycle, verify_cocycle
 from semiflow_lab.errors import (IntegrationError, InvalidSemiflowError,
@@ -43,8 +44,9 @@ def test_ode_escape_raises_invalid_semiflow():
         bad(1.0, 0.5)
 
 
-def test_ode_step_budget():
-    s = Semiflow.from_generator(AnalyticFn(lambda z: -z), max_steps=3)
+def test_ode_step_budget(monkeypatch):
+    monkeypatch.setattr(flow_module, "_MAX_STEPS", 3)
+    s = Semiflow.from_generator(AnalyticFn(lambda z: -z))
     with pytest.raises(IntegrationError):
         s(5.0, 0.4)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semiflow_lab import intertwine
 from semiflow_lab.analytic import AnalyticFn, derivative, disk_samples
 from semiflow_lab.cocycle import Cocycle, make_coboundary
 from semiflow_lab.errors import (DegenerateOperatorError, ExtractionError,
@@ -173,11 +174,17 @@ def test_extraction_requires_zero_start():
         extract_semigroup(family_of(sg), [0.1, 0.2, 0.3])
 
 
-def test_extraction_norm_surrogate_reported():
+def test_extraction_norm_surrogate_reported(monkeypatch):
+    calls = []
+    monkeypatch.setattr(intertwine, "recover_symbols",
+                        lambda *a, **k: calls.append(a) or recover_symbols(*a, **k))
     sg = gallery_semigroups()[0]
     _, _, report = extract_semigroup(family_of(sg), EXTRACT_GRID)
     assert report.norm_surrogate == pytest.approx(1.0, abs=1e-6)
     assert "surrogate" in report.note
+    # symbols are recovered once per time by the intertwiner check and once
+    # for the norm section, which probes its own grid
+    assert len(calls) == 2 * len(EXTRACT_GRID)
 
 
 def test_intertwining_implies_form_residual():

@@ -256,6 +256,11 @@ def test_space_spec_parsing_round_trip():
         SpaceSpec.parse("sobolev:2")
     with pytest.raises(PreconditionError):
         SpaceSpec.hardy(1).conjugate()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(PreconditionError, match="finite"):
+            SpaceSpec.hardy(bad)
+        with pytest.raises(PreconditionError, match="finite"):
+            RadialWeight.standard(bad)
 
 
 def test_default_gamma_formula():
