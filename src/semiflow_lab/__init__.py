@@ -17,9 +17,9 @@ from .intertwine import (AbstractOperator, ExtractionReport, IntertwinerReport,
 from .operators import (OperatorMatrix, OperatorSemigroup, PowerIterationResult,
                         WeightedCompOp, composition_op, matrix, multiplication_op,
                         norm2, norm_lower_bound, semigroup_op)
-from .spaces import (CarlesonSquare, QuadConfig, RadialWeight, RegularityReport,
-                     SpaceSpec, bergman_norm, carleson_measure, growth_bound_check,
-                     hardy_norm, is_regular, pairing, test_function)
+from .spaces import (CarlesonSquare, RadialWeight, RegularityReport, SpaceSpec,
+                     bergman_norm, carleson_measure, growth_bound_check, hardy_norm,
+                     is_regular, pairing, test_function)
 
 __version__ = "0.1.0"
 

@@ -15,7 +15,6 @@ import configparser
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -124,18 +123,7 @@ _SCAN_KINDS = {"ladder_depth": int, "n_angles": int, "refine_rounds": int,
                "refine_contraction": float, "bound_threshold": float, "stability_rel": float}
 
 
-def _threads_of(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    text = os.environ.get("SEMIFLOW_LAB_THREADS", "")
-    try:
-        return int(text or 0)
-    except ValueError:
-        raise ConfigError(f"environment variable SEMIFLOW_LAB_THREADS must be an integer, "
-                          f"got {text!r}") from None
-
-
-def _scan_from(cfg, args) -> criteria.SupScanConfig:
+def _scan_from(cfg) -> criteria.SupScanConfig:
     scan = criteria.DEFAULT_SCAN
     for key in cfg.options("scan") if cfg.has_section("scan") else ():
         if key not in _SCAN_KINDS:
@@ -143,8 +131,6 @@ def _scan_from(cfg, args) -> criteria.SupScanConfig:
                               f"accepted keys: {', '.join(_SCAN_KINDS)}")
     overrides = {key: _read(cfg, "scan", key, kind) for key, kind in _SCAN_KINDS.items()
                  if cfg.has_option("scan", key)}
-    if args.threads:
-        overrides["threads"] = args.threads
     # SupScanConfig rejects out-of-range values with PreconditionError (exit 2)
     return replace(scan, **overrides) if overrides else scan
 
@@ -158,17 +144,22 @@ def _tol_of(cfg, args, key, default) -> float:
     return tol
 
 
-def _write_reports(cfg, args, seed, kind, body: dict, rows) -> None:
-    """<name>.<kind>.json (a header plus ``body``) and <name>.<kind>.csv (``rows``)
-    in the output directory, as ``--format`` selects."""
+def _write_files(args, json_name: str, payload: dict, csv_name: str, rows) -> None:
+    """``payload`` as JSON and ``rows`` (unless None) as CSV in the output
+    directory, as ``--format`` selects."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    name = cfg.get("scenario", "name")
     if args.format in ("json", "both"):
-        header = {"scenario": name, "seed": seed, "generated_at": _utc_stamp()}
-        _write_json(out / f"{name}.{kind}.json", {**header, **body})
-    if args.format in ("csv", "both"):
-        _write_csv(out / f"{name}.{kind}.csv", rows)
+        _write_json(out / json_name, payload)
+    if rows is not None and args.format in ("csv", "both"):
+        _write_csv(out / csv_name, rows)
+
+
+def _write_reports(cfg, args, seed, kind, body: dict, rows) -> None:
+    """<name>.<kind>.json (a header plus ``body``) and <name>.<kind>.csv (``rows``)."""
+    name = cfg.get("scenario", "name")
+    header = {"scenario": name, "seed": seed, "generated_at": _utc_stamp()}
+    _write_files(args, f"{name}.{kind}.json", {**header, **body}, f"{name}.{kind}.csv", rows)
 
 
 def cmd_flow_verify(args) -> int:
@@ -198,7 +189,7 @@ def cmd_verdict(args) -> int:
         raise ConfigError("the criterion equivalences need p > 1; "
                           "use the decay command for p = 1")
     t_grid = _read(cfg, "grid", "t_values", _floats) or None
-    scan = _scan_from(cfg, args)
+    scan = _scan_from(cfg)
     report = criteria.uniform_bound_verdict(flow, cocycle, space, t_grid=t_grid, scan=scan)
     _write_reports(cfg, args, seed, "criterion", report.to_json_dict(), report.csv_rows())
     print(f"verdict {flow.name}/{cocycle.name} on {space.label()}: {report.verdict}")
@@ -226,8 +217,6 @@ def cmd_intertwine(args) -> int:
         t_family, t_values, space = intertwine.load_bundle(args.bundle)
     except PreconditionError as exc:
         raise ConfigError(str(exc))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     name = Path(args.bundle).parent.name or "bundle"
     payload = {"bundle": str(args.bundle), "space": space.label(),
                "generated_at": _utc_stamp(), "seed": args.seed or 0}
@@ -236,11 +225,10 @@ def cmd_intertwine(args) -> int:
     except ExtractionError as exc:
         payload["error"] = str(exc)
         payload["failed_at"] = exc.t
-        _write_json(out / f"{name}.intertwine.json", payload)
+        _write_files(args, f"{name}.intertwine.json", payload, None, None)
         print(f"intertwine: extraction FAILED at t = {exc.t:g}")
         return 1
     payload["report"] = report.to_json_dict()
-    _write_json(out / f"{name}.intertwine.json", payload)
     grid = np.linspace(0.05, 0.85, 9) * np.exp(1j * np.linspace(0.0, 5.5, 9))
     rows = [("t", "z_re", "z_im", "m_re", "m_im", "phi_re", "phi_im")]
     for t in t_values:
@@ -248,7 +236,7 @@ def cmd_intertwine(args) -> int:
         pv = semiflow(float(t), grid)
         for z, m_val, p_val in zip(grid, mv, pv):
             rows.append((t, z.real, z.imag, m_val.real, m_val.imag, p_val.real, p_val.imag))
-    _write_csv(out / f"{name}.symbols.csv", rows)
+    _write_files(args, f"{name}.intertwine.json", payload, f"{name}.symbols.csv", rows)
     print(f"intertwine: extraction {'pass' if report.passed else 'FAIL'} "
           f"(flow law residual {report.flow_law_residual:.3g})")
     return 0 if report.passed else 1
@@ -265,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scenario", required=True, help="scenario INI file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="scan threads (default: $SEMIFLOW_LAB_THREADS, else 0)")
+                       help="ignored; accepted so that existing command lines still parse")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--format", choices=("json", "csv", "both"), default="both")
@@ -294,7 +282,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.threads = _threads_of(args)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

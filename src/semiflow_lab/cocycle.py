@@ -17,7 +17,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .analytic import AnalyticFn, disk_samples, unit_circle
-from .errors import AdmissibilityError, CocycleZeroError, PreconditionError, spec_number
+from .errors import (AdmissibilityError, CocycleZeroError, PreconditionError,
+                     require_tolerance, spec_number)
 from .flow import Semiflow, fixed_points_check
 
 _DEFAULT_RADII = (0.9, 0.99, 0.999)
@@ -151,6 +152,7 @@ class CocycleVerificationReport:
 def verify_cocycle(m: Cocycle, flow: Semiflow, t_grid=None, z_grid=None,
                    tol: float = 1e-8) -> CocycleVerificationReport:
     """Check m_0 = 1 and the multiplicative law; failures land in the report."""
+    require_tolerance(tol)
     t_grid = np.asarray(t_grid if t_grid is not None else np.linspace(0.0, 2.0, 8), dtype=float)
     z_grid = np.asarray(z_grid if z_grid is not None else disk_samples(30), dtype=complex)
     if t_grid.size == 0 or z_grid.size == 0:
@@ -240,6 +242,7 @@ def _radius_trend_divergent(profile: np.ndarray) -> bool:
 def limsup_probe(m: Cocycle, t_seq=None, radii=_DEFAULT_RADII, nodes: int = 512,
                  tol: float = 1e-6) -> LimsupProbe:
     """Probe limsup_{t->0+} of the sup-norm estimates along a decreasing t ladder."""
+    require_tolerance(tol)
     if t_seq is None:
         t_seq = 2.0 ** -np.arange(1, 11)
     t_seq = np.asarray(t_seq, dtype=float)

@@ -18,18 +18,16 @@ direct decay probe are offered.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .analytic import AnalyticFn, neville_extrapolate  # noqa: F401 (perfbench patches it here)
 from .cocycle import Cocycle, limsup_probe
-from .errors import PreconditionError, RegularityError
+from .errors import PreconditionError, RegularityError, require_tolerance
 from .flow import Semiflow
-from .spaces import (DEFAULT_QUAD, DiskRule, GradedDiskRule, QuadConfig,
-                     RadialWeight, SpaceSpec, carleson_measure, default_gamma, is_regular,
-                     kernel_sums)
+from .spaces import (DiskRule, GradedDiskRule, RadialWeight, SpaceSpec, carleson_measure,
+                     default_gamma, is_regular, kernel_sums)
 
 
 # Quadrature resolution per dyadic level k = ceil(-log2(1 - |a|)), with
@@ -50,8 +48,7 @@ class SupScanConfig:
     a uniform fan of angles, followed by local refinement around the
     running argmax.  Anchors are grouped by dyadic level, and each level's
     quadrature grid follows from the level alone (``_HARDY_ANGLES``,
-    ``_DISK_ANGLES``, ``_DISK_RINGS``).  ``threads`` splits each kernel
-    sum's node blocks over a thread pool.
+    ``_DISK_ANGLES``, ``_DISK_RINGS``).
     """
 
     small_radii: tuple = (0.05, 0.1, 0.25)
@@ -61,7 +58,6 @@ class SupScanConfig:
     refine_contraction: float = 0.5
     bound_threshold: float = 1e8
     stability_rel: float = 0.01
-    threads: int = 1
 
     def __post_init__(self):
         for name in ("ladder_depth", "refine_rounds"):
@@ -130,9 +126,7 @@ def _sup_scan(scan: SupScanConfig, t: float, grid_of, nodes_of, advance, q: floa
     Anchors go to :func:`spaces.kernel_sums` (exponent ``q``) in batches
     of one modulus: a rung's fan of angles, and the candidates of one
     refinement radius.  A non-finite integral counts as +inf, which ends
-    the scan with an infinite sample.  With ``scan.threads > 1`` a thread
-    pool that lives for the whole scan maps each kernel sum over its node
-    blocks; samples are bitwise equal to the serial ones.
+    the scan with an infinite sample.
     """
     levels = {} if levels is None else levels
 
@@ -151,19 +145,13 @@ def _sup_scan(scan: SupScanConfig, t: float, grid_of, nodes_of, advance, q: floa
         levels[grid] = entry
         return entry[1].ravel(), entry[2].ravel()
 
-    def run(pmap):
-        def integrals(r, angles):
-            w, masses = level(grid_of(r))
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                values = head(r) * kernel_sums(r, angles, w, masses, q, pmap)
-            return np.where(np.isfinite(values), values, np.inf)
+    def integrals(r, angles):
+        w, masses = level(grid_of(r))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            values = head(r) * kernel_sums(r, angles, w, masses, q)
+        return np.where(np.isfinite(values), values, np.inf)
 
-        return _scan_anchors(integrals, scan)
-
-    if scan.threads and scan.threads > 1:
-        with ThreadPoolExecutor(max_workers=scan.threads) as pool:
-            return run(pool.map)
-    return run(map)
+    return _scan_anchors(integrals, scan)
 
 
 def _scan_anchors(integrals, scan: SupScanConfig) -> CriterionSample:
@@ -208,7 +196,6 @@ def _scan_anchors(integrals, scan: SupScanConfig) -> CriterionSample:
 
 def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
                     scan: SupScanConfig | None = None,
-                    quad: QuadConfig | None = None,
                     levels: dict | None = None) -> CriterionSample:
     """sup over anchors a of the boundary integral
     (1-|a|^2) |m_t|^p / |1 - conj(a) phi_t|^2 on circles extrapolated to
@@ -223,14 +210,13 @@ def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
     if p <= 1:
         raise PreconditionError("the Hardy criterion requires p > 1")
     scan = scan or DEFAULT_SCAN
-    quad = quad or DEFAULT_QUAD
     scale, base, cap = _HARDY_ANGLES
 
     def circle_count(a_abs):
         return int(min(cap, max(base, math.ceil(scale * 2.0 ** _dyadic_level(a_abs)))))
 
     def circles(n_theta):
-        rule = DiskRule.boundary(quad, n_theta)
+        rule = DiskRule.boundary(n_theta)
         return rule.nodes(), np.repeat(rule.radial_w[:, None] / n_theta, n_theta, axis=1)
 
     def advance(w, masses, dt):
@@ -295,7 +281,7 @@ def criterion_sample(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec, t: floa
                      levels: dict | None = None) -> CriterionSample:
     """Dispatch to the Hardy or Bergman criterion for the given space."""
     if space.is_hardy:
-        return hardy_criterion(flow, cocycle, space.p, t, scan, space.quad, levels)
+        return hardy_criterion(flow, cocycle, space.p, t, scan, levels)
     return bergman_criterion(flow, cocycle, space.p, space.weight, t, scan=scan,
                              levels=levels)
 
@@ -378,8 +364,7 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     if profile.size >= 2 and np.all(np.isfinite(profile)) and np.all(profile > 0):
         # growth of the rung maxima per halving of 1 - |a|
         trend["witness_radius_slope"] = float(np.mean(np.diff(np.log(profile))) / np.log(2.0))
-    config = {"scan": scan.to_dict(), "space": space.label(),
-              "quad": asdict(space.quad)}
+    config = {"scan": scan.to_dict(), "space": space.label()}
     return CriterionReport(
         space.label(), flow.name, cocycle.name, space.p,
         [float(t) for t in t_grid],
@@ -449,6 +434,7 @@ def direct_decay_probe(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     This witnesses strong continuity directly and covers p = 1, where the
     criterion equivalences are unavailable.
     """
+    require_tolerance(tol)
     family = list(f_family) if f_family is not None else default_decay_family()
     if not family:
         raise PreconditionError("decay probe needs a nonempty function family")

@@ -27,6 +27,12 @@ def spec_number(kind, value: str, spec: str):
     raise PreconditionError(f"bad parameter {value!r} in spec {spec!r}")
 
 
+def require_tolerance(tol) -> None:
+    """Raise a PreconditionError unless ``tol`` is a finite number > 0."""
+    if not 0 < tol < math.inf:  # written so that NaN fails too
+        raise PreconditionError(f"tolerance must be a finite number > 0, got {tol}")
+
+
 class QuadratureError(SemiflowLabError, ArithmeticError):
     """A quadrature produced non-finite samples.
 

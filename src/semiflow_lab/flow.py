@@ -18,7 +18,7 @@ import numpy as np
 
 from .analytic import AnalyticFn, disk_samples, neville_extrapolate
 from .errors import (DomainError, IntegrationError, InvalidSemiflowError,
-                     PreconditionError)
+                     PreconditionError, require_tolerance)
 
 # Dormand-Prince 4(5) tableau, one row per contraction over the stage stack:
 # row i (1 <= i <= 5) forms stage point i from stages 0..i-1, row 6 is the
@@ -268,8 +268,7 @@ def verify_semiflow(s: Semiflow, t_grid=None, z_grid=None, tol: float = 1e-8) ->
 
     Never raises on a failing family; all defects land in the report.
     """
-    if tol <= 0:
-        raise PreconditionError("tolerance must be positive")
+    require_tolerance(tol)
     t_grid = np.asarray(t_grid if t_grid is not None else np.linspace(0.0, 2.0, 8), dtype=float)
     z_grid = np.asarray(z_grid if z_grid is not None else disk_samples(50), dtype=complex)
     if t_grid.size == 0 or z_grid.size == 0:

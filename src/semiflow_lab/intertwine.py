@@ -14,7 +14,7 @@ backs the p = 2 norm surrogate when available.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -170,11 +170,6 @@ class IntertwinerReport:
     degenerate: bool = False
     passed: bool = False
     note: str = ""
-
-    def to_json_dict(self) -> dict:
-        """Every field but the recovered symbols."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("multiplier", "self_map")}
 
 
 def _fallback_self_map(t_op, family, grid, zero_tol=1e-9):

@@ -9,7 +9,7 @@ The two surrogates cross-validate each other; neither is an exact norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .analytic import AnalyticFn, disk_samples, neville_extrapolate  # noqa: F40
 from .cocycle import Cocycle
 from .errors import DomainError, PreconditionError
 from .flow import Semiflow
-from .spaces import SpaceSpec, monomial_bergman_norm, test_function
+from .spaces import N_ANG, N_RAD, SpaceSpec, monomial_bergman_norm, test_function
 
 _SELFMAP_TOL = 1e-9
 
@@ -97,10 +97,9 @@ def matrix(op: WeightedCompOp, space: SpaceSpec, dim: int = 64) -> OperatorMatri
         raise PreconditionError("matrix dimension must be at least 2")
     if space.p != 2:
         raise PreconditionError("matrix sections are defined on p = 2 spaces")
-    n_theta = max(space.quad.n_theta, 4 * dim)
+    n_theta = max(N_ANG, 4 * dim)
     scales = basis_scales(space, dim)
-    rule = space.rule(replace(space.quad, n_theta=n_theta,
-                              n_radial=max(space.quad.n_radial, dim)))
+    rule = space.rule(n_theta, max(N_RAD, dim))
     z = rule.nodes()
     mv = op.m(z)
     pv = op.phi(z)

@@ -18,7 +18,7 @@ the pointwise growth estimate against the Bergman norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +27,15 @@ from scipy.special import roots_jacobi, roots_legendre
 from .analytic import AnalyticFn, disk_samples, eps_ladder, unit_circle
 from .analytic import neville_extrapolate  # noqa: F401 (perfbench patches it here)
 from .errors import PreconditionError, QuadratureError, RegularityError, spec_number
+
+# The spaces' own quadrature: N_ANG angles per ring; N_RAD rings for a
+# standard weight (Gauss-Jacobi in s = r^2) and 4 N_RAD for a custom one
+# (Gauss-Legendre in r, which does not absorb the endpoint); for Hardy the
+# circles of radius 1 - eps on BOUNDARY_EPS = 1e-2 2^-k, k < 12.
+N_ANG = 512
+N_RAD = 64
+BOUNDARY_EPS = eps_ladder(1e-2, 0.5, 12)
+BOUNDARY_EPS.flags.writeable = False
 
 
 class RadialWeight:
@@ -52,7 +61,8 @@ class RadialWeight:
 
     @classmethod
     def from_table(cls, path) -> "RadialWeight":
-        """Two-column CSV (r, omega(r)); linear interpolation, clamped ends."""
+        """Two-column CSV (r, omega(r)), r strictly increasing; linear
+        interpolation, clamped ends."""
         try:
             table = np.loadtxt(path, delimiter=",", dtype=float)
         except (OSError, ValueError) as exc:
@@ -60,6 +70,10 @@ class RadialWeight:
         if table.ndim != 2 or table.shape[1] != 2:
             raise PreconditionError(f"weight table {path} must have two columns")
         r, w = table[:, 0], table[:, 1]
+        if not np.all(np.isfinite(table)):
+            raise PreconditionError(f"weight table {path} contains non-finite values")
+        if np.any(np.diff(r) <= 0):
+            raise PreconditionError(f"weight table {path} needs strictly increasing r")
         if np.any(w < 0):
             raise PreconditionError("weight table contains negative values")
         return cls(fn=lambda s, _r=r, _w=w: np.interp(s, _r, _w), label=f"table({path})")
@@ -89,28 +103,12 @@ class RadialWeight:
 
 
 @dataclass(frozen=True)
-class QuadConfig:
-    """Grid sizes and the boundary-approach ladder shared by the norms."""
-
-    n_theta: int = 512
-    n_radial: int = 64
-    n_radial_custom: int = 256
-    eps_start: float = 1e-2
-    eps_factor: float = 0.5
-    eps_count: int = 12
-
-
-DEFAULT_QUAD = QuadConfig()
-
-
-@dataclass(frozen=True)
 class SpaceSpec:
-    """Hardy(p) or Bergman(p, omega) with its quadrature configuration."""
+    """Hardy(p) or Bergman(p, omega); the space fixes its measure mu."""
 
     kind: str
     p: float
     weight: RadialWeight | None = None
-    quad: QuadConfig = field(default_factory=QuadConfig)
 
     def __post_init__(self):
         if self.kind not in ("hardy", "bergman"):
@@ -121,12 +119,12 @@ class SpaceSpec:
             raise PreconditionError("a Bergman space needs a radial weight")
 
     @classmethod
-    def hardy(cls, p: float, quad: QuadConfig = DEFAULT_QUAD) -> "SpaceSpec":
-        return cls("hardy", float(p), None, quad)
+    def hardy(cls, p: float) -> "SpaceSpec":
+        return cls("hardy", float(p))
 
     @classmethod
-    def bergman(cls, p: float, weight: RadialWeight, quad: QuadConfig = DEFAULT_QUAD) -> "SpaceSpec":
-        return cls("bergman", float(p), weight, quad)
+    def bergman(cls, p: float, weight: RadialWeight) -> "SpaceSpec":
+        return cls("bergman", float(p), weight)
 
     @classmethod
     def parse(cls, text: str) -> "SpaceSpec":
@@ -160,19 +158,19 @@ class SpaceSpec:
             return f"bergman:{self.p:g}:{self.weight.alpha:g}"
         return f"bergman:{self.p:g}:custom:{self.weight.label}"
 
-    def rule(self, quad: QuadConfig | None = None) -> "DiskRule":
-        """The space's measure under ``quad`` (default: its own): the boundary
-        circles for Hardy, the radial count for the kind of weight for Bergman."""
-        quad = quad or self.quad
+    def rule(self, n_ang: int = N_ANG, n_rad: int = N_RAD) -> "DiskRule":
+        """The space's measure with ``n_ang`` angles per ring: the circles of
+        ``BOUNDARY_EPS`` for Hardy (``n_rad`` unused); ``n_rad`` rings for a
+        standard Bergman weight, 4 ``n_rad`` for a custom one."""
         if self.is_hardy:
-            return DiskRule.boundary(quad)
-        n_rad = quad.n_radial if self.weight.is_standard else quad.n_radial_custom
-        return DiskRule.weighted(self.weight, n_rad, quad.n_theta)
+            return DiskRule.boundary(n_ang)
+        n_rad = n_rad if self.weight.is_standard else 4 * n_rad
+        return DiskRule.weighted(self.weight, n_rad, n_ang)
 
     def norm(self, f: AnalyticFn) -> float:
         if self.is_hardy:
-            return hardy_norm(f, self.p, self.quad)
-        return bergman_norm(f, self.p, self.weight, self.quad)
+            return hardy_norm(f, self.p)
+        return bergman_norm(f, self.p, self.weight)
 
 
 @lru_cache(maxsize=64)
@@ -220,18 +218,19 @@ class DiskRule:
         return cls(*_radial_rule(weight, n_rad), n_ang)
 
     @classmethod
-    def boundary(cls, quad: QuadConfig, n_ang: int | None = None) -> "DiskRule":
-        """Boundary means: weights c_i = prod_{k != i} eps_k / (eps_k - eps_i).
+    def boundary(cls, n_ang: int = N_ANG) -> "DiskRule":
+        """Boundary means on the circles 1 - eps, eps in ``BOUNDARY_EPS``:
+        weights c_i = prod_{k != i} eps_k / (eps_k - eps_i).
 
         The weights sum to one and reproduce at eps = 0 every polynomial in
         eps of degree below the ladder's length.
         """
-        eps = eps_ladder(quad.eps_start, quad.eps_factor, quad.eps_count)
+        eps = BOUNDARY_EPS
         gaps = eps[None, :] - eps[:, None]
         np.fill_diagonal(gaps, 1.0)
         ratios = eps[None, :] / gaps
         np.fill_diagonal(ratios, 1.0)
-        return cls(1.0 - eps, np.prod(ratios, axis=1), 1.0, n_ang or quad.n_theta)
+        return cls(1.0 - eps, np.prod(ratios, axis=1), 1.0, n_ang)
 
     def nodes(self) -> np.ndarray:
         """The (n_rad, n_ang) tensor nodes, built on each call so no cache holds them."""
@@ -269,16 +268,14 @@ class GradedDiskRule:
 _KERNEL_BLOCK = 65536
 
 
-def kernel_sums(r: float, angles, w, masses, q: float, pmap=map) -> np.ndarray:
+def kernel_sums(r: float, angles, w, masses, q: float) -> np.ndarray:
     """sum_j masses_j ((1 - r^2)(1 - |w_j|^2) + |a - w_j|^2)^-q per anchor a = r e^{i angle}.
 
     The bracket is |1 - conj(a) w_j|^2 written as a sum of nonnegative
     terms, so it does not cancel at the kernel's spike.  ``w`` (complex)
     and ``masses`` (real) are one discrete measure; the nodes run in blocks
     of about ``_KERNEL_BLOCK / len(angles)``, with contiguous copies of
-    Re w and Im w.  ``pmap`` maps a function over the blocks (the builtin
-    ``map`` or a thread pool's), and the partial sums are added in block
-    order, so every ``pmap`` gives the same bits.
+    Re w and Im w, and the partial sums are added in block order.
     """
     a = r * np.exp(1j * np.asarray(angles, dtype=float)).reshape(-1, 1)
     head = (1.0 - r) * (1.0 + r)
@@ -307,8 +304,11 @@ def kernel_sums(r: float, angles, w, masses, q: float, pmap=map) -> np.ndarray:
         return d.sum(axis=1)
 
     total = np.zeros(a.shape[0])
-    for part in pmap(block, range(0, w.size, step)):
-        total += part
+    for start in range(0, w.size, step):
+        # a block's temporaries are freed when its call returns, so the next
+        # block reuses their cache-hot memory (an inline loop would hold two
+        # blocks' temporaries at once and run about 5% slower)
+        total += block(start)
     return total
 
 
@@ -329,15 +329,14 @@ def _lp_norm(f: AnalyticFn, p: float, rule: DiskRule) -> float:
     return max(total, 0.0) ** (1.0 / p)
 
 
-def hardy_norm(f: AnalyticFn, p: float, quad: QuadConfig | None = None) -> float:
+def hardy_norm(f: AnalyticFn, p: float) -> float:
     """Hardy-space norm: circle p-means extrapolated to the boundary, then the root."""
-    return _lp_norm(f, p, SpaceSpec.hardy(p).rule(quad))
+    return _lp_norm(f, p, SpaceSpec.hardy(p).rule())
 
 
-def bergman_norm(f: AnalyticFn, p: float, weight: RadialWeight,
-                 quad: QuadConfig | None = None) -> float:
+def bergman_norm(f: AnalyticFn, p: float, weight: RadialWeight) -> float:
     """Weighted Bergman norm by disk quadrature with the weight folded in."""
-    return _lp_norm(f, p, SpaceSpec.bergman(p, weight).rule(quad))
+    return _lp_norm(f, p, SpaceSpec.bergman(p, weight).rule())
 
 
 def monomial_bergman_norm(n: int, p: float, alpha: float) -> float:

@@ -65,29 +65,28 @@ def hardy_p_mean_at(fn, radius: float, p: float, nodes: int = 8192) -> float:
     return float(np.mean(np.abs(fn(z)) ** p) ** (1.0 / p))
 
 
-def circle_ladder_limit(circle_stat, quad, n_theta=None):
+def circle_ladder_limit(circle_stat, n_theta=512):
     """The boundary limit circle by circle: ``circle_stat`` on each circle
-    of radius 1 - eps of ``quad``'s eps ladder, then a Neville tableau to
-    eps = 0.  Returns ``(value, correction)``; ``circle_stat`` maps one
-    circle's nodes to a scalar or an array."""
-    from semiflow_lab.analytic import eps_ladder, neville_extrapolate
+    of radius 1 - eps, eps on the spaces' boundary ladder, then a Neville
+    tableau to eps = 0.  Returns ``(value, correction)``; ``circle_stat``
+    maps one circle's nodes to a scalar or an array."""
+    from semiflow_lab.analytic import neville_extrapolate
+    from semiflow_lab.spaces import BOUNDARY_EPS
 
-    eps = eps_ladder(quad.eps_start, quad.eps_factor, quad.eps_count)
-    n = n_theta or quad.n_theta
-    circle = np.exp(2j * np.pi * np.arange(n) / n)
-    return neville_extrapolate(eps, [circle_stat((1.0 - e) * circle) for e in eps])
+    circle = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
+    return neville_extrapolate(BOUNDARY_EPS,
+                               [circle_stat((1.0 - e) * circle) for e in BOUNDARY_EPS])
 
 
-def hardy_norm_by_circles(fn, p: float, quad) -> float:
+def hardy_norm_by_circles(fn, p: float) -> float:
     """Circle p-norms extrapolated to the boundary."""
-    value, _ = circle_ladder_limit(lambda z: np.mean(np.abs(fn(z)) ** p) ** (1.0 / p), quad)
+    value, _ = circle_ladder_limit(lambda z: np.mean(np.abs(fn(z)) ** p) ** (1.0 / p))
     return float(value.real)
 
 
-def hardy_section_by_circles(m, phi, dim: int, quad) -> np.ndarray:
+def hardy_section_by_circles(m, phi, dim: int) -> np.ndarray:
     """<m phi^j, z^i> on H^2 from direct circle means, no FFT."""
     def pairs(z):
         images = m(z) * phi(z) ** np.arange(dim)[:, None]           # [j, node]
         return np.conj(z ** np.arange(dim)[:, None]) @ images.T / z.size
-    n_theta = max(quad.n_theta, 4 * dim)
-    return circle_ladder_limit(pairs, quad, n_theta)[0]
+    return circle_ladder_limit(pairs, max(512, 4 * dim))[0]

@@ -155,12 +155,6 @@ def test_intertwine_malformed_bundle_is_config_error(tmp_path):
     assert main(["intertwine", "--bundle", str(bad), "--out", str(tmp_path / "out")]) == 2
 
 
-def test_threads_env_fallback(scenario, tmp_path, monkeypatch):
-    monkeypatch.setenv("SEMIFLOW_LAB_THREADS", "2")
-    assert main(["flow-verify", "--scenario", str(scenario),
-                 "--out", str(tmp_path / "out")]) == 0
-
-
 def test_decay_with_custom_weight_table(tmp_path):
     table = tmp_path / "weight.csv"
     r = np.linspace(0.0, 1.0, 101)
@@ -170,7 +164,9 @@ def test_decay_with_custom_weight_table(tmp_path):
     assert main(["decay", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 0
 
 
-@pytest.mark.parametrize("content", [None, "r,w\n0,1\n1,1\n"], ids=["missing", "header-row"])
+@pytest.mark.parametrize("content", [None, "r,w\n0,1\n1,1\n", "1,0\n0.5,1\n0,2\n",
+                                     "0,1\n0.5,nan\n1,1\n", "0,1\n0.5,inf\n1,1\n"],
+                         ids=["missing", "header-row", "decreasing-r", "nan", "inf"])
 def test_unreadable_weight_table_is_config_error(tmp_path, capsys, content):
     table = tmp_path / "weight.csv"
     if content is not None:
@@ -189,6 +185,17 @@ def test_format_selection(scenario, tmp_path):
                  "--format", "json"]) == 0
     assert (out / "ok-case.decay.json").exists()
     assert not (out / "ok-case.decay.csv").exists()
+    # intertwine writes its report as JSON and its symbols as CSV
+    a0 = SpaceSpec.bergman(2, RadialWeight.standard(0.0))
+    sg = gallery_semigroups()[0]
+    ts = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+    manifest = save_bundle(tmp_path / "bundle", ts,
+                           [matrix(sg.at(t, validate=False), a0, 20) for t in ts], a0)
+    for fmt, written in (("json", {"bundle.intertwine.json"}), ("csv", {"bundle.symbols.csv"})):
+        out = tmp_path / f"intertwine-{fmt}"
+        assert main(["intertwine", "--bundle", str(manifest), "--out", str(out),
+                     "--format", fmt]) == 0
+        assert {path.name for path in out.iterdir()} == written
 
 
 @pytest.mark.parametrize("value,message", [("abc", "ladder_depth must be an integer"),
@@ -215,7 +222,7 @@ def test_unknown_scan_key_is_config_error(tmp_path, capsys, key):
 
 def test_scan_keys_cover_the_scan_config():
     names = {f.name for f in dataclasses.fields(SupScanConfig)}
-    assert set(_SCAN_KINDS) | {"small_radii", "threads"} == names
+    assert set(_SCAN_KINDS) | {"small_radii"} == names
 
 
 def test_json_writer_maps_non_finite_numbers_to_null(tmp_path):
@@ -304,9 +311,3 @@ def test_malformed_manifest_is_config_error(tmp_path, capsys, manifest):
     assert str(bad) in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
-
-def test_malformed_threads_env_is_config_error(scenario, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SEMIFLOW_LAB_THREADS", "abc")
-    assert main(["verdict", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
-    assert "SEMIFLOW_LAB_THREADS" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()

@@ -1,19 +1,19 @@
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from semiflow_lab.analytic import AnalyticFn
 from semiflow_lab import criteria, flow as flow_module
-from semiflow_lab.cocycle import Cocycle, exp_growth_cocycle, make_coboundary, \
-    poisson_blowup_cocycle, resolve_cocycle, unit_cocycle
+from semiflow_lab.cocycle import Cocycle, exp_growth_cocycle, limsup_probe, make_coboundary, \
+    poisson_blowup_cocycle, resolve_cocycle, unit_cocycle, verify_cocycle
 from semiflow_lab.criteria import (DEFAULT_T_GRID, SupScanConfig, bergman_criterion,
                                    criterion_sample, direct_decay_probe,
                                    default_decay_family, hardy_criterion, sufficiency_probe,
                                    uniform_bound_verdict)
 from semiflow_lab.errors import PreconditionError, RegularityError
-from semiflow_lab.flow import Semiflow, attraction, dilation, identity_flow, resolve_flow, rotation
+from semiflow_lab.flow import (attraction, dilation, identity_flow, resolve_flow, rotation,
+                               verify_semiflow)
 from semiflow_lab.operators import gallery_semigroups
 from semiflow_lab.spaces import (DiskRule, GradedDiskRule, RadialWeight,
                                  SpaceSpec, carleson_measure)
@@ -77,16 +77,15 @@ def test_dilation_criterion_matches_norm_square():
 def test_bergman_criterion_zero_time_matches_normalization_sweep():
     # At t = 0 the criterion is the sup over anchors of the test-function
     # norms to the p; sweep the same anchor set with its own quadrature
-    from semiflow_lab.spaces import QuadConfig, bergman_norm, test_function as anchor
+    from semiflow_lab.spaces import test_function as anchor
     sample = bergman_criterion(dilation(), unit_cocycle(), 2, RadialWeight.standard(0.0),
                                0.0, scan=FAST_SCAN)
     anchors = list(FAST_SCAN.small_radii) + [1.0 - 2.0 ** -k for k in range(1, 8)]
     norms = []
     for a in anchors:
-        quad = QuadConfig(n_theta=int(max(512, 64 / (1 - a))),
-                          n_radial=int(max(64, 8 / np.sqrt(1 - a))))
-        norms.append(bergman_norm(anchor(a, 2, weight=RadialWeight.standard(0.0)), 2,
-                                  RadialWeight.standard(0.0), quad) ** 2)
+        rule = A0.rule(int(max(512, 64 / (1 - a))), int(max(64, 8 / np.sqrt(1 - a))))
+        f = anchor(a, 2, weight=RadialWeight.standard(0.0))
+        norms.append(rule.integrate(np.abs(f(rule.nodes())) ** 2))
     assert sample.value == pytest.approx(max(norms), rel=0.05)
 
 
@@ -115,9 +114,9 @@ def record_kernel_batches(monkeypatch):
     batches = []
     kernel_sums = criteria.kernel_sums
 
-    def recorded(r, angles, w, masses, q, pmap=map):
+    def recorded(r, angles, w, masses, q):
         batches.append((r * np.exp(1j * np.asarray(angles)), w.size))
-        return kernel_sums(r, angles, w, masses, q, pmap)
+        return kernel_sums(r, angles, w, masses, q)
 
     monkeypatch.setattr(criteria, "kernel_sums", recorded)
     return batches
@@ -144,9 +143,9 @@ def test_default_hardy_scan_builds_seven_circle_levels(monkeypatch):
     counts = []
     boundary = DiskRule.boundary
 
-    def recorded(quad, n_ang=None):
+    def recorded(n_ang=512):
         counts.append(n_ang)
-        return boundary(quad, n_ang)
+        return boundary(n_ang)
 
     monkeypatch.setattr(DiskRule, "boundary", staticmethod(recorded))
     hardy_criterion(dilation(), cob_z(dilation()), 2, 0.5)
@@ -210,44 +209,6 @@ def test_bergman_criterion_custom_weight_matches_tensor_grid():
     standard = bergman_criterion(flow, m, 2, RadialWeight.standard(1.0), 0.5, scan=FAST_SCAN)
     custom = bergman_criterion(flow, m, 2, weight, 0.5, scan=FAST_SCAN)
     assert custom.value == pytest.approx(standard.value, rel=1e-10)
-
-
-def test_threads_give_the_same_bergman_sample():
-    flow = attraction()
-    m = Cocycle.derivative(flow)
-    serial = bergman_criterion(flow, m, 2, W0, 0.5, scan=FAST_SCAN)
-    pooled = bergman_criterion(flow, m, 2, W0, 0.5, scan=replace(FAST_SCAN, threads=2))
-    assert (pooled.value, pooled.witness, pooled.rung_profile) == \
-        (serial.value, serial.witness, serial.rung_profile)
-
-
-def test_threads_give_the_same_hardy_sample():
-    flow = attraction()
-    m = Cocycle.derivative(flow)
-    serial = hardy_criterion(flow, m, 2, 0.5, FAST_SCAN)
-    pooled = hardy_criterion(flow, m, 2, 0.5, replace(FAST_SCAN, threads=2))
-    assert (pooled.value, pooled.witness, pooled.rung_profile, pooled.corrections) == \
-        (serial.value, serial.witness, serial.rung_profile, serial.corrections)
-
-
-@pytest.mark.parametrize("space", [H2, A0], ids=["hardy", "bergman"])
-def test_threads_build_each_criterion_level_once(space, monkeypatch):
-    flow = dilation()
-    m = cob_z(flow)
-    points = []
-    at_times = Semiflow.at_times
-
-    def counted(self, ts, zs, check=True):
-        points.append(np.size(zs))
-        return at_times(self, ts, zs, check)
-
-    monkeypatch.setattr(Semiflow, "at_times", counted)
-    counts = []
-    for threads in (1, 2):
-        points.clear()
-        criterion_sample(flow, m, space, 0.5, replace(FAST_SCAN, threads=threads))
-        counts.append((len(points), sum(points)))
-    assert counts[1] == counts[0]
 
 
 @pytest.mark.parametrize("flow_spec,cocycle_spec", [("generator-dilation", "coboundary:z"),
@@ -445,8 +406,22 @@ def test_hardy_decay_table_matches_the_circle_by_circle_oracle(name):
             def circle_mean(z, _t=t, _f=f):
                 phi, mul = m.sample(flow, _t, z)
                 return np.mean(np.abs(mul * _f(phi) - _f(z)) ** 2)
-            expected = np.sqrt(oracles.circle_ladder_limit(circle_mean, H2.quad)[0].real)
+            expected = np.sqrt(oracles.circle_ladder_limit(circle_mean)[0].real)
             assert abs(table.entries[k, j] - expected) <= 1e-12 * expected, (t, f.label)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-3, float("inf")])
+@pytest.mark.parametrize("probe", ["verify_semiflow", "verify_cocycle", "limsup_probe",
+                                   "direct_decay_probe"])
+def test_tolerance_must_be_finite_and_positive(probe, tol):
+    flow = dilation()
+    m = cob_z(flow)
+    calls = {"verify_semiflow": lambda: verify_semiflow(flow, tol=tol),
+             "verify_cocycle": lambda: verify_cocycle(m, flow, tol=tol),
+             "limsup_probe": lambda: limsup_probe(m, tol=tol),
+             "direct_decay_probe": lambda: direct_decay_probe(flow, m, H2, tol=tol)}
+    with pytest.raises(PreconditionError, match="tolerance must be a finite number > 0"):
+        calls[probe]()
 
 
 def test_decay_attraction_derivative_bergman():

@@ -55,7 +55,7 @@ def test_tail_bound_is_the_largest_norm_outside_the_section(space, expected):
 def test_hardy_section_matches_the_circle_by_circle_oracle():
     op = gallery_semigroups()[1].at(0.5)
     got = matrix(op, H2, 16).entries
-    expected = oracles.hardy_section_by_circles(op.m, op.phi, 16, H2.quad)
+    expected = oracles.hardy_section_by_circles(op.m, op.phi, 16)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from scipy.special import beta
 
-from semiflow_lab.analytic import AnalyticFn, eps_ladder, neville_extrapolate
+from semiflow_lab.analytic import AnalyticFn, neville_extrapolate
 from semiflow_lab.errors import PreconditionError, QuadratureError, RegularityError
-from semiflow_lab.spaces import (DiskRule, GradedDiskRule, QuadConfig,
+from semiflow_lab.spaces import (BOUNDARY_EPS, DiskRule, GradedDiskRule,
                                  RadialWeight, SpaceSpec, bergman_norm, carleson_measure,
                                  default_gamma, growth_bound_check, hardy_norm, is_regular,
                                  monomial_bergman_norm, pairing)
@@ -181,9 +181,10 @@ def test_test_function_norms_uniformly_bounded():
     norms = []
     for k in range(1, 11):
         a = 1.0 - 2.0 ** -k
-        quad = QuadConfig(n_theta=int(max(512, 64 / (1 - a))),
-                          n_radial=int(max(64, 8 / np.sqrt(1 - a))))
-        norms.append(bergman_norm(anchor_test_function(a, 2, weight=W0), 2, W0, quad))
+        rule = SpaceSpec.bergman(2, W0).rule(int(max(512, 64 / (1 - a))),
+                                             int(max(64, 8 / np.sqrt(1 - a))))
+        f = anchor_test_function(a, 2, weight=W0)
+        norms.append(np.sqrt(rule.integrate(np.abs(f(rule.nodes())) ** 2)))
     assert max(norms) < 2.0
     # flat tail as |a| -> 1
     assert abs(norms[-1] - norms[-2]) < 0.02 * norms[-1]
@@ -322,33 +323,34 @@ def test_graded_disk_rule_counts_follow_the_floor():
 
 
 def test_space_rule_picks_radial_count():
-    quad = QuadConfig(n_theta=64, n_radial=16, n_radial_custom=40, eps_count=9)
-    assert SpaceSpec.bergman(2, W0, quad).rule().nodes().shape == (16, 64)
-    assert SpaceSpec.bergman(2, ONE, quad).rule().nodes().shape == (40, 64)
-    assert SpaceSpec.hardy(2, quad).rule().nodes().shape == (9, 64)
-    assert SpaceSpec.hardy(2).rule(quad).nodes().shape == (9, 64)
+    assert SpaceSpec.bergman(2, W0).rule().nodes().shape == (64, 512)
+    assert SpaceSpec.bergman(2, ONE).rule().nodes().shape == (256, 512)
+    assert SpaceSpec.bergman(2, W0).rule(64, 16).nodes().shape == (16, 64)
+    assert SpaceSpec.bergman(2, ONE).rule(64, 10).nodes().shape == (40, 64)
+    assert SpaceSpec.hardy(2).rule().nodes().shape == (12, 512)
+    assert SpaceSpec.hardy(2).rule(64, 16).nodes().shape == (12, 64)
 
 
-def ladder_eps(quad):
-    return eps_ladder(quad.eps_start, quad.eps_factor, quad.eps_count)
+def test_boundary_ladder_is_fixed():
+    assert np.array_equal(BOUNDARY_EPS, 1e-2 * 0.5 ** np.arange(12))
+    with pytest.raises(ValueError):
+        BOUNDARY_EPS[0] = 0.5
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 5])
 def test_boundary_ladder_extrapolates_circle_means(n):
-    quad = QuadConfig()
-    rule = DiskRule.boundary(quad, 64)
+    rule = DiskRule.boundary(64)
     z = rule.nodes()
-    assert np.allclose(np.abs(z), 1.0 - ladder_eps(quad)[:, None], rtol=0, atol=1e-15)
+    assert np.allclose(np.abs(z), 1.0 - BOUNDARY_EPS[:, None], rtol=0, atol=1e-15)
     values = np.abs(z ** n) ** 2                        # (1 - eps)^(2n) on each circle
     assert abs(rule.integrate(values) - 1.0) < 1e-12
-    _, correction = neville_extrapolate(ladder_eps(quad), np.mean(values, axis=1))
+    _, correction = neville_extrapolate(BOUNDARY_EPS, np.mean(values, axis=1))
     assert correction < 1e-10
 
 
 def test_boundary_ladder_weights_are_the_extrapolation_at_zero():
-    quad = QuadConfig()
-    rule = DiskRule.boundary(quad, 64)
-    eps = ladder_eps(quad)
+    rule = DiskRule.boundary(64)
+    eps = BOUNDARY_EPS
     c = rule.radial_w
     assert c.shape == eps.shape and rule.scale == 1.0
     assert abs(np.sum(c) - 1.0) < 1e-14
@@ -368,13 +370,12 @@ ORACLE_FNS = [AnalyticFn(lambda z: 1.0 / (1.0 - 0.7 * z), label="geom"),
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize("f", ORACLE_FNS, ids=lambda f: f.label)
 def test_hardy_norm_matches_the_circle_by_circle_oracle(f, p):
-    expected = oracles.hardy_norm_by_circles(f, p, QuadConfig())
+    expected = oracles.hardy_norm_by_circles(f, p)
     assert abs(hardy_norm(f, p) - expected) <= 1e-12 * expected
 
 
 def test_hardy_pairing_matches_the_circle_by_circle_oracle():
     for f in ORACLE_FNS:
         for g in ORACLE_FNS:
-            expected, _ = oracles.circle_ladder_limit(
-                lambda z: np.mean(f(z) * np.conj(g(z))), QuadConfig())
+            expected, _ = oracles.circle_ladder_limit(lambda z: np.mean(f(z) * np.conj(g(z))))
             assert abs(pairing(f, g, SpaceSpec.hardy(2)) - expected) <= 1e-12 * abs(expected)
