@@ -136,11 +136,6 @@ class AnalyticFn:
 
     # -- algebra ------------------------------------------------------
 
-    def compose(self, inner: "AnalyticFn") -> "AnalyticFn":
-        """self(inner(z)); valid when inner maps its domain into ours."""
-        return AnalyticFn(lambda z: self(inner(z)), r_max=inner.r_max,
-                          label=f"({self.label})o({inner.label})")
-
     def _coerce(self, other):
         if isinstance(other, AnalyticFn):
             return other

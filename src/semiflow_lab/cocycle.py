@@ -200,15 +200,6 @@ def circle_maxima(m: Cocycle, t: float, radii=_DEFAULT_RADII, nodes: int = 512) 
         return np.array([float(np.max(np.abs(m.eval(t, r * circ)))) for r in radii])
 
 
-def sup_norm(m: Cocycle, t: float, radii=_DEFAULT_RADII, nodes: int = 512) -> float:
-    """Lower estimate of the H-infinity norm of m_t by circle maxima.
-
-    By the maximum principle the estimate is nondecreasing in the radius, so
-    the reported value is the overall maximum over the ladder.
-    """
-    return float(np.max(circle_maxima(m, t, radii, nodes)))
-
-
 @dataclass
 class LimsupProbe:
     """Small-time trend of the sup-norm lower estimates.

@@ -39,6 +39,17 @@ _HARDY_ANGLES = (32.0, 512, 32768)
 _DISK_ANGLES = (32.0, 256, 65536)
 _DISK_RINGS = (6.0, 64, 272)
 
+# Deepest rung of the anchor ladder: rung k takes 32 2^k points per Hardy
+# circle, which meets the cap at k = 10.  A deeper rung reads a capped,
+# under-resolved kernel: on rotation:1/coboundary:z, whose exact criterion
+# is 1, rung 12 reads 0.9994 and rung 20 reads 0.017.
+_MAX_LADDER_DEPTH = int(math.log2(_HARDY_ANGLES[2] / _HARDY_ANGLES[0]))
+
+# Nodes per flow and cocycle evaluation when a level advances: a Hardy
+# level moves whole circles at a time (every count is a power of two up to
+# this), and a deep Bergman level moves in bounded batches.
+_ADVANCE_SLICE = 32768
+
 
 @dataclass(frozen=True)
 class SupScanConfig:
@@ -63,6 +74,13 @@ class SupScanConfig:
         for name in ("ladder_depth", "refine_rounds"):
             if getattr(self, name) < 0:
                 raise PreconditionError(f"scan {name} must be >= 0, got {getattr(self, name)}")
+        if self.ladder_depth > _MAX_LADDER_DEPTH:
+            raise PreconditionError(
+                f"scan ladder_depth must be <= {_MAX_LADDER_DEPTH}, got {self.ladder_depth}")
+        # written as "not 0 < r < 1" so that NaN fails too
+        if len(self.small_radii) == 0 or not all(0 < r < 1 for r in self.small_radii):
+            raise PreconditionError(
+                f"scan small_radii must be a nonempty list in (0, 1), got {list(self.small_radii)}")
         if self.n_angles < 1:
             raise PreconditionError(f"scan n_angles must be >= 1, got {self.n_angles}")
         # written as "not > 0" so that NaN fails too
@@ -107,21 +125,21 @@ def _dyadic_level(a_abs: float) -> int:
     return 1 - math.frexp((1.0 - a_abs) * (1.0 + 1e-9))[1]
 
 
-def _sup_scan(scan: SupScanConfig, t: float, grid_of, nodes_of, advance, q: float, head,
-              levels: dict | None = None) -> CriterionSample:
+def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p: float,
+              grid_of, nodes_of, q: float, head, levels: dict | None = None) -> CriterionSample:
     """Maximize ``head(|a|)`` times the kernel sum at a over the anchor grid.
 
     ``grid_of(|a|)`` names the quadrature grid an anchor modulus needs.  A
     level of the measure is ``[s, w, masses]``: ``nodes_of(grid)`` gives
-    the grid's nodes and weights, the level at s = 0, and ``advance(w,
-    masses, dt)`` moves a level from s to s + dt in place by the flow and
-    cocycle laws, w <- phi_dt(w) and masses <- masses |m_dt(w)|^p.  A
-    level is built from its nodes (advanced by t in one go) the first time
-    a grid is needed, or when the cached one is already past t; a cached
-    level at s < t is advanced by t - s.  ``levels`` is that cache; pass
-    one dict to the scans of one flow, cocycle and space in ascending t
-    and every level integrates [0, max t] once.  Without it a scan builds
-    its own levels, each once.
+    the grid's flat nodes and weights, the level at s = 0, and a level
+    moves from s to s + dt in place by the flow and cocycle laws,
+    w <- phi_dt(w) and masses <- masses |m_dt(w)|^p, ``_ADVANCE_SLICE``
+    nodes per evaluation.  A level is built from its nodes (advanced by t
+    in one go) the first time a grid is needed, or when the cached one is
+    already past t; a cached level at s < t is advanced by t - s.
+    ``levels`` is that cache; pass one dict to the scans of one flow,
+    cocycle and space in ascending t and every level integrates [0, max t]
+    once.  Without it a scan builds its own levels, each once.
 
     Anchors go to :func:`spaces.kernel_sums` (exponent ``q``) in batches
     of one modulus: a rung's fan of angles, and the candidates of one
@@ -129,6 +147,12 @@ def _sup_scan(scan: SupScanConfig, t: float, grid_of, nodes_of, advance, q: floa
     the scan with an infinite sample.
     """
     levels = {} if levels is None else levels
+
+    def advance(w, masses, dt):
+        for start in range(0, w.size, _ADVANCE_SLICE):
+            part = slice(start, start + _ADVANCE_SLICE)
+            w[part], m = cocycle.sample(flow, dt, w[part])
+            masses[part] *= np.abs(m) ** p
 
     def level(grid):
         # out of the cache while it moves, so a failed advance leaves no
@@ -143,7 +167,7 @@ def _sup_scan(scan: SupScanConfig, t: float, grid_of, nodes_of, advance, q: floa
                 advance(entry[1], entry[2], t - entry[0])
                 entry[0] = t
         levels[grid] = entry
-        return entry[1].ravel(), entry[2].ravel()
+        return entry[1], entry[2]
 
     def integrals(r, angles):
         w, masses = level(grid_of(r))
@@ -204,8 +228,7 @@ def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
     A level is the circles of the boundary rule (:meth:`DiskRule.boundary`),
     n_theta points each, mapped by phi_t; the extrapolation to the boundary
     is folded into the masses c_i |m_t|^p / n_theta through the rule's
-    radial weights c.  Levels advance one circle at a time; ``levels`` is
-    the level cache of :func:`_sup_scan`.
+    radial weights c.  ``levels`` is the level cache of :func:`_sup_scan`.
     """
     if p <= 1:
         raise PreconditionError("the Hardy criterion requires p > 1")
@@ -217,14 +240,9 @@ def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
 
     def circles(n_theta):
         rule = DiskRule.boundary(n_theta)
-        return rule.nodes(), np.repeat(rule.radial_w[:, None] / n_theta, n_theta, axis=1)
+        return rule.nodes().ravel(), np.repeat(rule.radial_w / n_theta, n_theta)
 
-    def advance(w, masses, dt):
-        for i in range(len(w)):
-            w[i], m = cocycle.sample(flow, dt, w[i])
-            masses[i] *= np.abs(m) ** p
-
-    return _sup_scan(scan, t, circle_count, circles, advance, 1.0,
+    return _sup_scan(scan, t, flow, cocycle, p, circle_count, circles, 1.0,
                      lambda r: (1.0 - r) * (1.0 + r), levels)
 
 
@@ -234,8 +252,7 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
                       levels: dict | None = None) -> CriterionSample:
     """sup over anchors a of the weighted disk integral of
     |f_{a,p}(phi_t)|^p |m_t|^p against the weight.  Requires a regular
-    weight and p > 1.  Levels advance in one batch; ``levels`` is the
-    level cache of :func:`_sup_scan`."""
+    weight and p > 1.  ``levels`` is the level cache of :func:`_sup_scan`."""
     if p <= 1:
         raise PreconditionError("the Bergman criterion requires p > 1")
     report = is_regular(weight)
@@ -265,15 +282,11 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
         rule = GradedDiskRule(weight, n_rad, floor, ang_scale, ang_base, ang_cap)
         return rule.nodes(), rule.weights
 
-    def advance(w, masses, dt):
-        w[:], m = cocycle.sample(flow, dt, w)
-        masses *= np.abs(m) ** p
-
     def head(r):
         return (1.0 - r) ** (gamma + 1.0) / carleson_measure(weight, r)
 
-    return _sup_scan(scan, t, disk_grid, disk_nodes, advance, (gamma + 1.0) / 2.0, head,
-                     levels)
+    return _sup_scan(scan, t, flow, cocycle, p, disk_grid, disk_nodes, (gamma + 1.0) / 2.0,
+                     head, levels)
 
 
 def criterion_sample(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec, t: float,
@@ -441,6 +454,9 @@ def direct_decay_probe(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     if t_seq is None:
         t_seq = 2.0 ** -np.arange(1, 11)
     t_seq = np.asarray(t_seq, dtype=float)
+    # written so that NaN fails too
+    if t_seq.size == 0 or not np.all((t_seq > 0) & (t_seq < np.inf)):
+        raise PreconditionError("decay probe times must be finite, positive and at least one")
     if np.any(np.diff(t_seq) >= 0):
         raise PreconditionError("decay probe times must decrease")
     p = space.p

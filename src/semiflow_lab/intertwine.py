@@ -69,13 +69,6 @@ class AbstractOperator:
     def __call__(self, f: AnalyticFn) -> AnalyticFn:
         return self.action(f)
 
-    def linearity_residual(self, grid=None, lam: complex = 0.7 - 0.2j) -> float:
-        grid = np.asarray(grid if grid is not None else disk_samples(24), dtype=complex)
-        f, g = AnalyticFn.monomial(1), AnalyticFn(lambda z: 1.0 / (2.0 - z), label="1/(2-z)")
-        combo = self.action(f + lam * g)(grid)
-        split = self.action(f)(grid) + lam * self.action(g)(grid)
-        return float(np.max(np.abs(combo - split)))
-
     def __repr__(self):
         return f"AbstractOperator({self.label})"
 
@@ -88,12 +81,8 @@ class CommutantReport:
     multiplier_residual: float
     multiplier: AnalyticFn
 
-    def is_multiplier(self, tol: float = 1e-8) -> bool:
-        return self.commute_residual < tol and self.multiplier_residual < tol
 
-
-def commutant_check(b: AbstractOperator, tol: float = 1e-9, grid=None,
-                    family=None) -> CommutantReport:
+def commutant_check(b: AbstractOperator, grid=None, family=None) -> CommutantReport:
     """Check B against membership in the commutant of multiplication by z.
 
     Commutant members are exactly the bounded multiplication operators, so

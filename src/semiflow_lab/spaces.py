@@ -9,11 +9,13 @@ boundary; for Bergman they are a radial rule with the weight folded in
 (Gauss-Jacobi in s = r^2 for standard weights, so the algebraic endpoint
 singularity of (1-s)^alpha is handled exactly).  For kernels that
 concentrate at the boundary, :class:`GradedDiskRule` grades the angular
-grid per ring toward it.
+grid per ring toward it.  The criteria read a quadrature level from either
+rule as flat nodes and masses and sum one kernel against it
+(:func:`kernel_sums`).
 
-Also here: weight regularity probes, Carleson squares and their measures,
-the boundary-concentrated test functions, duality pairings for p > 1, and
-the pointwise growth estimate against the Bergman norm.
+Also here: weight regularity probes, the omega-measure of a Carleson
+square, the boundary-concentrated test functions, duality pairings for
+p > 1, and the pointwise growth estimate against the Bergman norm.
 """
 
 from __future__ import annotations
@@ -259,8 +261,10 @@ class GradedDiskRule:
         self.weights = np.repeat(scale * radial_w / self.counts, self.counts)
 
     def nodes(self) -> np.ndarray:
-        """The flat nodes, built on each call so no cache holds them."""
-        return np.concatenate([r * unit_circle(n) for r, n in zip(self.radii, self.counts)])
+        """The flat nodes, built on each call so no cache holds them; rings
+        that share a count share one unit circle."""
+        circles = {n: unit_circle(n) for n in np.unique(self.counts)}
+        return np.concatenate([r * circles[n] for r, n in zip(self.radii, self.counts)])
 
 
 # Anchors x nodes per block of a kernel sum: each float temporary of a
@@ -410,41 +414,6 @@ def is_regular(weight: RadialWeight, r_grid=None, band: float = 10.0,
     return RegularityReport(float(np.min(ratios)), float(np.max(ratios)),
                             [float(v) for v in ratios], used_r,
                             in_band and steady, band)
-
-
-@dataclass(frozen=True)
-class CarlesonSquare:
-    """Boundary-anchored box S(a) over the interval induced by a != 0.
-
-    The interval is centered at a/|a| with angular half-width (1-|a|)/2;
-    reading the interval length as plain arc length makes the radial range
-    [|a|, 1), so the box stays inside the disk for every admissible center.
-    """
-
-    center: complex
-
-    def __post_init__(self):
-        if not 0.0 < abs(self.center) < 1.0:
-            raise PreconditionError("Carleson square needs 0 < |a| < 1")
-
-    @property
-    def angular_half_width(self) -> float:
-        return (1.0 - abs(self.center)) / 2.0
-
-    @property
-    def radial_range(self) -> tuple:
-        return abs(self.center), 1.0
-
-    def contains(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        r_ok = (np.abs(z) >= abs(self.center)) & (np.abs(z) < 1.0)
-        rel = np.angle(z * np.conj(self.center / abs(self.center)))
-        return r_ok & (np.abs(rel) <= self.angular_half_width)
-
-    def area(self) -> float:
-        """Normalized area, i.e. the measure with the constant unit weight."""
-        mod = abs(self.center)
-        return (1.0 - mod) * (1.0 - mod ** 2) / (2.0 * np.pi)
 
 
 def carleson_measure(weight: RadialWeight, a: complex) -> float:

@@ -96,13 +96,6 @@ def test_evaluation_agrees_with_truncated_taylor_sum():
         assert abs(f(z) - partial) <= 2.0 * tail + 1e-14
 
 
-def test_composition_stays_evaluable():
-    outer = AnalyticFn(lambda z: 1.0 / (1.0 - z), label="geom")
-    inner = AnalyticFn(lambda z: z / 2.0, label="half")
-    comp = outer.compose(inner)
-    assert comp(0.8) == pytest.approx(1.0 / (1.0 - 0.4))
-
-
 def test_principal_power_safe_and_checked():
     base = AnalyticFn(lambda z: 1.0 - z, label="1-z")
     f = principal_power(base, 1.5)

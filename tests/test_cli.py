@@ -199,7 +199,8 @@ def test_format_selection(scenario, tmp_path):
 
 
 @pytest.mark.parametrize("value,message", [("abc", "ladder_depth must be an integer"),
-                                           ("-3", "ladder_depth must be >= 0")])
+                                           ("-3", "ladder_depth must be >= 0"),
+                                           ("11", "ladder_depth must be <= 10")])
 def test_malformed_scan_value_is_config_error(tmp_path, capsys, value, message):
     scen = write_scenario(tmp_path / "scan.ini", "bad-scan",
                           extra=f"\n[scan]\nladder_depth = {value}\n")

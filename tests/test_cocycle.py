@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiflow_lab.analytic import AnalyticFn, disk_samples, principal_power
-from semiflow_lab.cocycle import (Cocycle, exp_growth_cocycle, limsup_probe,
+from semiflow_lab.cocycle import (Cocycle, circle_maxima, exp_growth_cocycle, limsup_probe,
                                   make_coboundary, poisson_blowup_cocycle,
-                                  resolve_cocycle, sup_norm, unit_cocycle,
-                                  verify_cocycle)
+                                  resolve_cocycle, unit_cocycle, verify_cocycle)
 from semiflow_lab.errors import AdmissibilityError, CocycleZeroError, PreconditionError
 from semiflow_lab.flow import (GALLERY, Semiflow, attraction, dilation, identity_flow,
                                rotation)
@@ -156,19 +155,18 @@ def test_monomial_coboundary_scaling_law(k):
 
 def test_sup_norm_constant_cocycle():
     m = make_coboundary(AnalyticFn.identity(), dilation(), zero_candidates=(0.0,))
-    assert sup_norm(m, 0.5) == pytest.approx(np.exp(-0.5), abs=1e-12)
-    assert sup_norm(m, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert circle_maxima(m, 0.5).max() == pytest.approx(np.exp(-0.5), abs=1e-12)
+    assert circle_maxima(m, 0.0).max() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sup_norm_affine_power_coboundary():
     w = principal_power(AnalyticFn(lambda z: 1.0 - z, label="1-z"), 1.5)
     m = make_coboundary(w, attraction())
-    assert sup_norm(m, 0.2) == pytest.approx(np.exp(-0.3), abs=1e-9)
+    assert circle_maxima(m, 0.2).max() == pytest.approx(np.exp(-0.3), abs=1e-9)
 
 
 def test_sup_norm_monotone_in_radius():
     m = Cocycle.closed(lambda t, z: np.exp(t * z), name="exp(tz)")
-    from semiflow_lab.cocycle import circle_maxima
     profile = circle_maxima(m, 0.7, radii=(0.9, 0.99, 0.999))
     assert np.all(np.diff(profile) >= -1e-12)
 
@@ -176,9 +174,9 @@ def test_sup_norm_monotone_in_radius():
 def test_sup_norm_preconditions():
     m = unit_cocycle()
     with pytest.raises(PreconditionError):
-        sup_norm(m, 0.1, radii=(1.5,))
+        circle_maxima(m, 0.1, radii=(1.5,))
     with pytest.raises(PreconditionError):
-        sup_norm(m, 0.1, nodes=64)
+        circle_maxima(m, 0.1, nodes=64)
 
 
 def test_limsup_contractive():

@@ -217,10 +217,12 @@ def test_each_grid_integrates_the_flow_once(flow_spec, cocycle_spec, monkeypatch
     flow = resolve_flow(flow_spec)
     m = resolve_cocycle(cocycle_spec, flow)
     integrations = Counter()
+    points = []
     integrate = flow_module._integrate_to_stops
 
     def counted(g, z0, stops, *rest):
         integrations[tuple(stops), z0[0].tobytes()] += 1
+        points.append(z0.shape[-1])
         return integrate(g, z0, stops, *rest)
 
     monkeypatch.setattr(flow_module, "_integrate_to_stops", counted)
@@ -229,11 +231,18 @@ def test_each_grid_integrates_the_flow_once(flow_spec, cocycle_spec, monkeypatch
     monkeypatch.setattr(GradedDiskRule, "nodes", lambda rule: levels.append(rule) or nodes(rule))
     scan = SupScanConfig(ladder_depth=3, n_angles=4, refine_rounds=1)
     hardy_criterion(flow, m, 2, 0.5, scan)
-    assert set(integrations.values()) == {1}                # once per Hardy rung
-    integrations.clear()
-    bergman_criterion(flow, m, 2, W0, 0.5, scan=scan)
-    # levels 1-3 of this scan build the same all-base grid, so count per level
-    assert sum(integrations.values()) == len(levels) > 0    # once per Bergman level
+    assert set(integrations.values()) == {1}                # once per Hardy level
+    for scan in (scan, SupScanConfig(ladder_depth=6, n_angles=4, refine_rounds=0)):
+        integrations.clear()
+        points.clear()
+        levels.clear()
+        bergman_criterion(flow, m, 2, W0, 0.5, scan=scan)
+        # once per Bergman level; levels 1-3 build the same all-base grid,
+        # and a level of more than _ADVANCE_SLICE nodes (level 6 has
+        # 35,209) advances in slices, each integrated once
+        assert set(integrations.values()) == {1}
+        assert sum(points) == sum(rule.weights.size for rule in levels) > 0
+    assert max(rule.weights.size for rule in levels) > criteria._ADVANCE_SLICE
     for space in (H2, A0):
         integrations.clear()
         direct_decay_probe(flow, m, space, t_seq=[0.5, 0.25])
@@ -269,25 +278,38 @@ def test_closed_form_verdict_is_bitwise_per_t():
 
 
 def test_hardy_verdict_integrates_each_rung_to_max_t_once(monkeypatch):
-    # every call integrates one circle of a level over [0, stops[-1]]; a
-    # level is keyed by its circle count, so per level the spans add up to
-    # rows x (the last t that needs it), max t for the rung levels, where
-    # per-t builds would add up to rows x sum(t) = rows x 4.2 max t
+    # in point-time: the DP45 calls integrate points x [0, stops[-1]], and a
+    # level that integrates [0, t] once, t the last time it serves, adds
+    # nodes x t; per-t builds would add nodes x (every t it serves), 4.2
+    # times as much for the rung levels, which serve every t
     flow = resolve_flow("generator-dilation")
     m = cob_z(flow)
-    spans = Counter()
+    point_time, now = 0.0, 0.0
+    # a Hardy level is known by its node count, 12 circles of one count
+    served = {}
     integrate = flow_module._integrate_to_stops
+    sample, kernel_sums = criteria.criterion_sample, criteria.kernel_sums
 
     def counted(g, z0, stops, *rest):
-        spans[z0.shape[-1]] += stops[-1]
+        nonlocal point_time
+        point_time += z0.shape[-1] * stops[-1]
         return integrate(g, z0, stops, *rest)
 
+    def timed(flow, cocycle, space, t, *rest):
+        nonlocal now
+        now = t
+        return sample(flow, cocycle, space, t, *rest)
+
+    def recorded(r, angles, w, masses, q):
+        served[w.size] = max(served.get(w.size, 0.0), now)
+        return kernel_sums(r, angles, w, masses, q)
+
     monkeypatch.setattr(flow_module, "_integrate_to_stops", counted)
+    monkeypatch.setattr(criteria, "criterion_sample", timed)
+    monkeypatch.setattr(criteria, "kernel_sums", recorded)
     uniform_bound_verdict(flow, m, H2, t_grid=MARCH_T_GRID, scan=MARCH_SCAN)
-    rows = H2.rule().radii.size
-    t_max = max(MARCH_T_GRID)
-    assert max(spans.values()) == pytest.approx(rows * t_max, rel=1e-12)
-    assert all(span <= rows * t_max * (1.0 + 1e-12) for span in spans.values())
+    assert len(served) > 1
+    assert point_time == pytest.approx(sum(n * t for n, t in served.items()), rel=1e-12)
 
 
 def test_generator_rotation_probe_is_bounded():
@@ -302,7 +324,10 @@ def test_generator_rotation_probe_is_bounded():
 
 
 @pytest.mark.parametrize("field,value", [("ladder_depth", -3), ("refine_rounds", -1),
-                                         ("n_angles", 0)])
+                                         ("n_angles", 0), ("ladder_depth", 11),
+                                         ("small_radii", ()), ("small_radii", (np.nan,)),
+                                         ("small_radii", (0.1, 1.5)), ("small_radii", (0.0,)),
+                                         ("small_radii", (-0.2,))])
 def test_scan_config_rejects_out_of_range_values(field, value):
     with pytest.raises(PreconditionError, match=field):
         SupScanConfig(**{field: value})
@@ -438,6 +463,13 @@ def test_decay_blowup_never_settles():
 
 def test_decay_family_has_ten_members():
     assert len(default_decay_family()) == 10
+
+
+@pytest.mark.parametrize("t_seq", [[], [0.5, np.nan], [np.inf, 0.5], [0.5, 0.0], [0.5, -0.25]],
+                         ids=["empty", "nan", "inf", "zero", "negative"])
+def test_decay_probe_rejects_bad_times(t_seq):
+    with pytest.raises(PreconditionError, match="decay probe times"):
+        direct_decay_probe(dilation(), cob_z(dilation()), H2, t_seq=t_seq)
 
 
 def test_refinement_stability_one_extra_round():

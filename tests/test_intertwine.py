@@ -202,11 +202,6 @@ def test_intertwining_implies_form_residual():
             assert report.form_residual < 1e-6
 
 
-def test_linearity_probe():
-    op = wrap(multiplication_op(AnalyticFn(lambda z: np.exp(z))))
-    assert op.linearity_residual() < 1e-9
-
-
 def test_bundle_round_trip(tmp_path):
     sg = gallery_semigroups()[0]
     ts = EXTRACT_GRID

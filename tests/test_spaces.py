@@ -152,22 +152,12 @@ def test_carleson_measure_rejects_center():
         carleson_measure(W0, 0.0)
 
 
-def test_carleson_square_geometry():
-    from semiflow_lab.spaces import CarlesonSquare
-    sq = CarlesonSquare(0.8 * np.exp(0.4j))
-    assert sq.area() > 0.0
-    assert sq.angular_half_width == pytest.approx(0.1)
-    assert sq.radial_range == (pytest.approx(0.8), 1.0)
-    inside = 0.9 * np.exp(0.42j)
-    outside_angle = 0.9 * np.exp(0.6j)
-    outside_radius = 0.5 * np.exp(0.4j)
-    assert bool(sq.contains(inside))
-    assert not bool(sq.contains(outside_angle))
-    assert not bool(sq.contains(outside_radius))
-    # the box never leaves the disk
-    assert carleson_measure(W0, sq.center) == pytest.approx(sq.area(), rel=1e-12)
-    with pytest.raises(PreconditionError):
-        CarlesonSquare(0.0)
+def test_carleson_measure_of_unit_weight_is_the_square_area():
+    # S(a) has radial range [|a|, 1) and arc length 1 - |a|, so its
+    # normalized area is (1 - |a|)(1 - |a|^2) / (2 pi)
+    a = 0.8 * np.exp(0.4j)
+    area = (1.0 - abs(a)) * (1.0 - abs(a) ** 2) / (2.0 * np.pi)
+    assert carleson_measure(W0, a) == pytest.approx(area, rel=1e-12)
 
 
 def test_test_function_value_at_origin():
