@@ -33,11 +33,15 @@ from .spaces import (DiskRule, GradedDiskRule, RadialWeight, SpaceSpec, carleson
 # Quadrature resolution per dyadic level k = ceil(-log2(1 - |a|)), with
 # d = 2^-k, as (scale, base, cap): a Hardy level takes clip(32 2^k, 512,
 # 32768) points per circle; a Bergman level clip(int(6 / sqrt(d)), 64, 272)
-# rings and clip(ceil(32 / max(1 - r, d)), 256, 65536) angles on ring r.
-# Resolution grows like 2^k so the kernel's spike stays resolved.
+# rings and clip(ceil(32 / max(1 - r, d)), 256, 65536) angles on ring r,
+# rounded up to a power of two.  Resolution grows like 2^k so the kernel's
+# spike stays resolved.  A batch stops short of it at a half-grid indicator
+# <= _HALF_GRID_TOL: the trapezoid error of a periodic analytic integrand
+# falls geometrically, so the finer sum is then off by about its square.
 _HARDY_ANGLES = (32.0, 512, 32768)
 _DISK_ANGLES = (32.0, 256, 65536)
 _DISK_RINGS = (6.0, 64, 272)
+_HALF_GRID_TOL = 1e-10
 
 # Deepest rung of the anchor ladder: rung k takes 32 2^k points per Hardy
 # circle, which meets the cap at k = 10.  A deeper rung reads a capped,
@@ -45,9 +49,7 @@ _DISK_RINGS = (6.0, 64, 272)
 # is 1, rung 12 reads 0.9994 and rung 20 reads 0.017.
 _MAX_LADDER_DEPTH = int(math.log2(_HARDY_ANGLES[2] / _HARDY_ANGLES[0]))
 
-# Nodes per flow and cocycle evaluation when a level advances: a Hardy
-# level moves whole circles at a time (every count is a power of two up to
-# this), and a deep Bergman level moves in bounded batches.
+# Nodes per flow and cocycle evaluation when generations advance.
 _ADVANCE_SLICE = 32768
 
 
@@ -58,8 +60,8 @@ class SupScanConfig:
     The anchor grid is a geometric radius ladder toward the boundary times
     a uniform fan of angles, followed by local refinement around the
     running argmax.  Anchors are grouped by dyadic level, and each level's
-    quadrature grid follows from the level alone (``_HARDY_ANGLES``,
-    ``_DISK_ANGLES``, ``_DISK_RINGS``).
+    quadrature grid follows from the level (``_HARDY_ANGLES``,
+    ``_DISK_ANGLES``, ``_DISK_RINGS``) and the half-grid indicator.
     """
 
     small_radii: tuple = (0.05, 0.1, 0.25)
@@ -71,9 +73,12 @@ class SupScanConfig:
     stability_rel: float = 0.01
 
     def __post_init__(self):
-        for name in ("ladder_depth", "refine_rounds"):
-            if getattr(self, name) < 0:
-                raise PreconditionError(f"scan {name} must be >= 0, got {getattr(self, name)}")
+        for name, low in (("ladder_depth", 0), ("n_angles", 1), ("refine_rounds", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise PreconditionError(
+                    f"scan {name} must be >= {low} and an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.ladder_depth > _MAX_LADDER_DEPTH:
             raise PreconditionError(
                 f"scan ladder_depth must be <= {_MAX_LADDER_DEPTH}, got {self.ladder_depth}")
@@ -81,8 +86,6 @@ class SupScanConfig:
         if len(self.small_radii) == 0 or not all(0 < r < 1 for r in self.small_radii):
             raise PreconditionError(
                 f"scan small_radii must be a nonempty list in (0, 1), got {list(self.small_radii)}")
-        if self.n_angles < 1:
-            raise PreconditionError(f"scan n_angles must be >= 1, got {self.n_angles}")
         # written as "not > 0" so that NaN fails too
         for name in ("bound_threshold", "stability_rel"):
             if not getattr(self, name) > 0:
@@ -108,12 +111,13 @@ DEFAULT_T_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 
 @dataclass
 class CriterionSample:
-    """One sup-scan result: the value, its witness anchor and diagnostics."""
+    """One sup-scan result: the value, its witness anchor and diagnostics (:func:`_sup_scan`)."""
 
     value: float
     witness: complex
     corrections: list = field(default_factory=list)
     rung_profile: list = field(default_factory=list)
+    angular_indicator: float = 0.0
 
 
 def _dyadic_level(a_abs: float) -> int:
@@ -126,27 +130,29 @@ def _dyadic_level(a_abs: float) -> int:
 
 
 def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p: float,
-              grid_of, nodes_of, q: float, head, levels: dict | None = None) -> CriterionSample:
+              grid_of, rule_of, q: float, head, levels: dict | None = None) -> CriterionSample:
     """Maximize ``head(|a|)`` times the kernel sum at a over the anchor grid.
 
-    ``grid_of(|a|)`` names the quadrature grid an anchor modulus needs.  A
-    level of the measure is ``[s, w, masses]``: ``nodes_of(grid)`` gives
-    the grid's flat nodes and weights, the level at s = 0, and a level
-    moves from s to s + dt in place by the flow and cocycle laws,
-    w <- phi_dt(w) and masses <- masses |m_dt(w)|^p, ``_ADVANCE_SLICE``
-    nodes per evaluation.  A level is built from its nodes (advanced by t
-    in one go) the first time a grid is needed, or when the cached one is
-    already past t; a cached level at s < t is advanced by t - s.
-    ``levels`` is that cache; pass one dict to the scans of one flow,
-    cocycle and space in ascending t and every level integrates [0, max t]
-    once.  Without it a scan builds its own levels, each once.
+    ``grid_of(|a|)`` names the nested family an anchor modulus reads and
+    its deepest generation; ``rule_of(family)`` is the family's
+    :class:`spaces.GradedDiskRule`.  A family holds its generations back to
+    back, each at its own s: the rule's nodes w and masses at s = 0, moved
+    in place by the flow and cocycle laws, w <- phi_dt(w) and masses <-
+    masses |m_dt(w)|^p, ``_ADVANCE_SLICE`` nodes per evaluation, when a
+    batch needs them at t (rebuilt if past t).  ``levels`` caches the
+    families; pass one dict to the scans of one flow, cocycle and space in
+    ascending t and each generation integrates [0, last t it serves] once.
 
-    Anchors go to :func:`spaces.kernel_sums` (exponent ``q``) in batches
-    of one modulus: a rung's fan of angles, and the candidates of one
-    refinement radius.  A non-finite integral counts as +inf, which ends
-    the scan with an infinite sample.
+    Anchors go to :func:`spaces.kernel_sums` (exponent ``q``) in batches of
+    one modulus: a rung's fan, and the candidates of one refinement radius.
+    A batch sums generations 0..G for G = 1, 2, ... until the half-grid
+    indicator max |V_G - V_G-1| / max |V_G| is at most ``_HALF_GRID_TOL``
+    or G reaches its cap; ``angular_indicator`` is the largest indicator
+    of a batch that stopped at its cap, 0.0 if none did.  A non-finite
+    integral counts as +inf, which ends the scan with an infinite sample.
     """
     levels = {} if levels is None else levels
+    capped = 0.0
 
     def advance(w, masses, dt):
         for start in range(0, w.size, _ADVANCE_SLICE):
@@ -154,28 +160,51 @@ def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p
             w[part], m = cocycle.sample(flow, dt, w[part])
             masses[part] *= np.abs(m) ** p
 
-    def level(grid):
-        # out of the cache while it moves, so a failed advance leaves no
-        # half-moved level behind
-        entry = levels.pop(grid, None)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if entry is None or entry[0] > t:
-                w, masses = nodes_of(grid)
-                advance(w, masses, t)
-                entry = [t, w, masses]
-            elif entry[0] < t:
-                advance(entry[1], entry[2], t - entry[0])
-                entry[0] = t
-        levels[grid] = entry
-        return entry[1], entry[2]
-
     def integrals(r, angles):
-        w, masses = level(grid_of(r))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            values = head(r) * kernel_sums(r, angles, w, masses, q)
-        return np.where(np.isfinite(values), values, np.inf)
+        nonlocal capped
+        key, cap = grid_of(r)
+        if key not in levels:
+            rule = rule_of(key)
+            levels[key] = (rule, np.empty(rule.offsets[-1], complex),
+                           np.empty(rule.offsets[-1]), [None] * len(rule.offsets))
+        rule, w, masses, s = levels[key]
+        cap = min(cap, len(rule.offsets) - 2)
+        sums = np.empty((len(angles), rule.cuts.size))
 
-    return _scan_anchors(integrals, scan)
+        def value(g):                         # ring i's generations 0..g, over 2^min(g, d_i)
+            segs = rule.first_cut[g + 1]
+            return head(r) * (sums[:, :segs] @ 0.5 ** np.minimum(g, rule.cut_depth[:segs]))
+
+        lo = 0
+        for g in range(1, cap + 1):
+            # generations lo..g at t (the first pass takes 0 and 1, so they share s[0]);
+            # unbuilt while moving, so a failed advance leaves no half-moved generation
+            nodes = slice(rule.offsets[lo], rule.offsets[g + 1])
+            if s[lo] is None or s[lo] > t:
+                for h in range(lo, g + 1):
+                    span = slice(rule.offsets[h], rule.offsets[h + 1])
+                    w[span], masses[span] = rule.generation(h)
+                s[lo] = 0.0
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                if s[lo] < t:
+                    dt, s[lo] = t - s[lo], None
+                    advance(w[nodes], masses[nodes], dt)
+                    s[lo] = t
+                segs = slice(rule.first_cut[lo], rule.first_cut[g + 1])
+                sums[:, segs] = kernel_sums(r, angles, w[nodes], masses[nodes], q,
+                                            rule.cuts[segs] - rule.offsets[lo])
+                fine = value(g)
+                top, gap = np.max(np.abs(fine)), np.max(np.abs(fine - value(g - 1)))
+                if g == cap and 0 < top < np.inf:
+                    capped = max(capped, gap / top)
+                if not gap > _HALF_GRID_TOL * top:      # a non-finite value ends it too
+                    break
+            lo = g + 1
+        return np.where(np.isfinite(fine), fine, np.inf)
+
+    sample = _scan_anchors(integrals, scan)
+    sample.angular_indicator = capped
+    return sample
 
 
 def _scan_anchors(integrals, scan: SupScanConfig) -> CriterionSample:
@@ -225,24 +254,28 @@ def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
     (1-|a|^2) |m_t|^p / |1 - conj(a) phi_t|^2 on circles extrapolated to
     the boundary.  At t = 0 this is the Poisson mean, identically one.
 
-    A level is the circles of the boundary rule (:meth:`DiskRule.boundary`),
-    n_theta points each, mapped by phi_t; the extrapolation to the boundary
-    is folded into the masses c_i |m_t|^p / n_theta through the rule's
-    radial weights c.  ``levels`` is the level cache of :func:`_sup_scan`.
+    The measure is one nested family on the circles of the boundary rule
+    (:meth:`DiskRule.boundary`), mapped by phi_t, whose radial weights c_i
+    fold the extrapolation into the masses c_i |m_t|^p / n; a level of n
+    points per circle is its generations 0..log2(n / 512) + 1.  ``levels``
+    is the family cache of :func:`_sup_scan`.
     """
     if p <= 1:
         raise PreconditionError("the Hardy criterion requires p > 1")
     scan = scan or DEFAULT_SCAN
     scale, base, cap = _HARDY_ANGLES
 
-    def circle_count(a_abs):
-        return int(min(cap, max(base, math.ceil(scale * 2.0 ** _dyadic_level(a_abs)))))
+    top = int(math.log2(cap / base)) + 1     # generations 0..G hold base 2^(G-1) points
 
-    def circles(n_theta):
-        rule = DiskRule.boundary(n_theta)
-        return rule.nodes().ravel(), np.repeat(rule.radial_w / n_theta, n_theta)
+    def circle_cap(a_abs):
+        count = min(cap, max(base, math.ceil(scale * 2.0 ** _dyadic_level(a_abs))))
+        return "circles", int(math.log2(count / base)) + 1
 
-    return _sup_scan(scan, t, flow, cocycle, p, circle_count, circles, 1.0,
+    def circles(_):
+        rule = DiskRule.boundary()
+        return GradedDiskRule(rule.radii, rule.radial_w, np.full(rule.radii.size, top), base)
+
+    return _sup_scan(scan, t, flow, cocycle, p, circle_cap, circles, 1.0,
                      lambda r: (1.0 - r) * (1.0 + r), levels)
 
 
@@ -252,7 +285,7 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
                       levels: dict | None = None) -> CriterionSample:
     """sup over anchors a of the weighted disk integral of
     |f_{a,p}(phi_t)|^p |m_t|^p against the weight.  Requires a regular
-    weight and p > 1.  ``levels`` is the level cache of :func:`_sup_scan`."""
+    weight and p > 1.  ``levels`` is the family cache of :func:`_sup_scan`."""
     if p <= 1:
         raise PreconditionError("the Bergman criterion requires p > 1")
     report = is_regular(weight)
@@ -265,7 +298,7 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
     if gamma < gamma_floor:
         raise PreconditionError(f"gamma = {gamma} below the convergent floor {gamma_floor}")
     scan = scan or DEFAULT_SCAN
-    ang_scale, ang_base, ang_cap = _DISK_ANGLES
+    ang_scale, ang_base, _ = _DISK_ANGLES
     rad_scale, rad_base, rad_cap = _DISK_RINGS
 
     def disk_grid(a_abs):
@@ -275,17 +308,15 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
         # count, so the shallow levels share one grid.
         d = 2.0 ** -_dyadic_level(a_abs)
         n_rad = min(rad_cap, max(rad_base, int(rad_scale / math.sqrt(d))))
-        return n_rad, min(d, ang_scale / ang_base)
+        return (n_rad, min(d, ang_scale / ang_base)), math.inf
 
-    def disk_nodes(grid):
-        n_rad, floor = grid
-        rule = GradedDiskRule(weight, n_rad, floor, ang_scale, ang_base, ang_cap)
-        return rule.nodes(), rule.weights
+    def disk_rule(grid):
+        return GradedDiskRule.weighted(weight, *grid, *_DISK_ANGLES)
 
     def head(r):
         return (1.0 - r) ** (gamma + 1.0) / carleson_measure(weight, r)
 
-    return _sup_scan(scan, t, flow, cocycle, p, disk_grid, disk_nodes, (gamma + 1.0) / 2.0,
+    return _sup_scan(scan, t, flow, cocycle, p, disk_grid, disk_rule, (gamma + 1.0) / 2.0,
                      head, levels)
 
 
@@ -301,7 +332,7 @@ def criterion_sample(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec, t: floa
 
 @dataclass
 class CriterionReport:
-    """Per-t criterion values with the boundedness verdict and diagnostics."""
+    """Per-t criterion values and angular indicators with the boundedness verdict."""
 
     space: str
     flow: str
@@ -310,6 +341,7 @@ class CriterionReport:
     t_values: list
     criterion: list
     witness_a: list
+    angular_indicator: list
     sup: float
     trend: dict
     verdict: str
@@ -335,11 +367,11 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     finite scans stay INCONCLUSIVE.
 
     The scans run in ascending t; the report keeps the order of
-    ``t_grid``.  For a generator-driven flow every scan shares one level
-    cache, so each level is carried from one t to the next by the laws
+    ``t_grid``.  For a generator-driven flow every scan shares one family
+    cache, so each generation is carried from one t to the next by the laws
     phi_t = phi_{t-s} o phi_s and m_t = m_s (m_{t-s} o phi_s) and
-    integrates [0, max t] once, not [0, t] for every t.  A closed-form flow
-    builds each scan's levels at its own t.
+    integrates [0, last t it serves] once, not [0, t] for every t.  A
+    closed-form flow builds each scan's generations at its own t.
     """
     scan = scan or DEFAULT_SCAN
     t_grid = np.asarray(DEFAULT_T_GRID if t_grid is None else t_grid, dtype=float)
@@ -383,6 +415,7 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
         [float(t) for t in t_grid],
         [float(v) for v in values],
         [[float(np.real(s.witness)), float(np.imag(s.witness))] for s in samples],
+        [float(s.angular_indicator) for s in samples],
         sup, trend, verdict, config)
 
 

@@ -8,10 +8,10 @@ ladder of circles whose radial weights extrapolate the circle means to the
 boundary; for Bergman they are a radial rule with the weight folded in
 (Gauss-Jacobi in s = r^2 for standard weights, so the algebraic endpoint
 singularity of (1-s)^alpha is handled exactly).  For kernels that
-concentrate at the boundary, :class:`GradedDiskRule` grades the angular
-grid per ring toward it.  The criteria read a quadrature level from either
-rule as flat nodes and masses and sum one kernel against it
-(:func:`kernel_sums`).
+concentrate at the boundary, :class:`GradedDiskRule` takes either rule's
+rings with a power-of-two angular count per ring, graded toward the
+boundary, as nested generations: the criteria sum one kernel against them,
+flat nodes and masses, a generation at a time (:func:`kernel_sums`).
 
 Also here: weight regularity probes, the omega-measure of a Carleson
 square, the boundary-concentrated test functions, duality pairings for
@@ -244,27 +244,50 @@ class DiskRule:
 
 
 class GradedDiskRule:
-    """The radial rule of :meth:`DiskRule.weighted` with an angular count per ring.
+    """Rings r_i with weights c_i and power-of-two angular counts, as nested generations.
 
-    Ring i gets n_i = clip(ceil(ang_scale / max(1 - r_i, floor)), ang_base,
-    ang_cap) uniform angles, so an integrand whose angular width on ring r
-    is about max(1 - r, floor) is resolved alike on every ring.  Nodes and
-    weights are flat, ring by ring, and ``weights @ values`` is the
-    integral; node weights are scale * radial_w_i / n_i.
+    Ring i takes n_i = base 2^(d_i - 1) angles, d_i >= 1 nondecreasing in i.
+    Generation 0 is every other point of the base count on every ring, and
+    generation h >= 1 the odd points of count base 2^(h-1) on the rings
+    with d_i >= h.  Generations lie back to back (``offsets``), ring by
+    ring, with masses 2 c_i / base: ring i's sum over generations 0..G is
+    2^min(G, d_i) times its integral on min(n_i, base 2^(G-1)) points.  A
+    segment of a generation is its rings of one d_i (``cuts``, ``cut_depth``;
+    generation h's segments start at ``first_cut[h]``).
     """
 
-    def __init__(self, weight: RadialWeight, n_rad: int, floor: float,
-                 ang_scale: float, ang_base: int, ang_cap: int):
-        self.radii, radial_w, scale = _radial_rule(weight, n_rad)
-        counts = np.ceil(ang_scale / np.maximum(1.0 - self.radii, floor))
-        self.counts = np.clip(counts, ang_base, ang_cap).astype(int)
-        self.weights = np.repeat(scale * radial_w / self.counts, self.counts)
+    def __init__(self, radii, radial_w, depth, base: int):
+        self.radii, self.depth, self.half = radii, np.asarray(depth), base // 2
+        self.mass = radial_w / self.half
+        self._first = np.searchsorted(self.depth, np.arange(self.depth.max() + 1))
+        self.offsets, cuts, cut_depth, self.first_cut = [0], [], [], [0]
+        for h, first in enumerate(self._first):
+            per_ring = self.half << max(h - 1, 0)
+            depths, starts = np.unique(self.depth[first:], return_index=True)
+            cuts.extend(self.offsets[-1] + starts * per_ring)
+            cut_depth.extend(depths)
+            self.offsets.append(self.offsets[-1] + (radii.size - first) * per_ring)
+            self.first_cut.append(len(cuts))
+        self.cuts, self.cut_depth = np.array(cuts), np.array(cut_depth)
 
-    def nodes(self) -> np.ndarray:
-        """The flat nodes, built on each call so no cache holds them; rings
-        that share a count share one unit circle."""
-        circles = {n: unit_circle(n) for n in np.unique(self.counts)}
-        return np.concatenate([r * circles[n] for r, n in zip(self.radii, self.counts)])
+    @classmethod
+    def weighted(cls, weight: RadialWeight, n_rad: int, floor: float,
+                 ang_scale: float, ang_base: int, ang_cap: int) -> "GradedDiskRule":
+        """The radial rule of :meth:`DiskRule.weighted`, ring i with clip(ceil(ang_scale /
+        max(1 - r_i, floor)), ang_base, ang_cap) angles rounded up to a power of two
+        (``ang_base`` is one): an integrand of angular width about max(1 - r, floor)
+        on ring r is resolved alike on every ring."""
+        radii, radial_w, scale = _radial_rule(weight, n_rad)
+        counts = np.clip(np.ceil(ang_scale / np.maximum(1.0 - radii, floor)), ang_base, ang_cap)
+        return cls(radii, scale * radial_w, np.ceil(np.log2(counts / ang_base)).astype(int) + 1,
+                   ang_base)
+
+    def generation(self, h: int):
+        """Flat nodes and masses of generation ``h``, built on each call so no cache holds them."""
+        n = self.half << h
+        circle = np.exp(2j * np.pi * (np.arange(n) if h == 0 else np.arange(1, n, 2)) / n)
+        rings = slice(self._first[h], None)
+        return (self.radii[rings, None] * circle).ravel(), np.repeat(self.mass[rings], circle.size)
 
 
 # Anchors x nodes per block of a kernel sum: each float temporary of a
@@ -272,8 +295,9 @@ class GradedDiskRule:
 _KERNEL_BLOCK = 65536
 
 
-def kernel_sums(r: float, angles, w, masses, q: float) -> np.ndarray:
-    """sum_j masses_j ((1 - r^2)(1 - |w_j|^2) + |a - w_j|^2)^-q per anchor a = r e^{i angle}.
+def kernel_sums(r: float, angles, w, masses, q: float, cuts) -> np.ndarray:
+    """sum_j masses_j ((1 - r^2)(1 - |w_j|^2) + |a - w_j|^2)^-q per anchor a = r e^{i angle}
+    and segment; segment k runs from node ``cuts[k]`` to the next (an int array, cuts[0] = 0).
 
     The bracket is |1 - conj(a) w_j|^2 written as a sum of nonnegative
     terms, so it does not cancel at the kernel's spike.  ``w`` (complex)
@@ -285,8 +309,11 @@ def kernel_sums(r: float, angles, w, masses, q: float) -> np.ndarray:
     head = (1.0 - r) * (1.0 + r)
     step = max(1, _KERNEL_BLOCK // a.shape[0])
     whole = q >= 1 and q == int(q)
+    starts = np.arange(0, w.size, step)      # block i meets segments first[i] to last[i] - 1
+    first = np.searchsorted(cuts, starts, "right") - 1
+    last = np.searchsorted(cuts, np.minimum(starts + step, w.size), "left")
 
-    def block(start):
+    def block(start, segs):
         x = np.ascontiguousarray(w[start:start + step].real)
         y = np.ascontiguousarray(w[start:start + step].imag)
         d = x - a.real
@@ -305,14 +332,14 @@ def kernel_sums(r: float, angles, w, masses, q: float) -> np.ndarray:
         else:
             d **= -q
             d *= masses[start:start + step]
-        return d.sum(axis=1)
+        return np.add.reduceat(d, np.maximum(cuts[segs] - start, 0), axis=1)
 
-    total = np.zeros(a.shape[0])
-    for start in range(0, w.size, step):
+    total = np.zeros((a.shape[0], cuts.size))
+    for start, i, j in zip(starts.tolist(), first.tolist(), last.tolist()):
         # a block's temporaries are freed when its call returns, so the next
         # block reuses their cache-hot memory (an inline loop would hold two
         # blocks' temporaries at once and run about 5% slower)
-        total += block(start)
+        total[:, i:j] += block(start, slice(i, j))
     return total
 
 

@@ -90,3 +90,24 @@ def hardy_section_by_circles(m, phi, dim: int) -> np.ndarray:
         images = m(z) * phi(z) ** np.arange(dim)[:, None]           # [j, node]
         return np.conj(z ** np.arange(dim)[:, None]) @ images.T / z.size
     return circle_ladder_limit(pairs, max(512, 4 * dim))[0]
+
+
+def hardy_level_at_zero(a: complex, n: int) -> float:
+    """The t = 0 Hardy criterion at anchor ``a`` on n points per circle, in closed form.
+
+    On the circle rho = 1 - eps the n-point mean of (1-|a|^2) / |1 - conj(a)
+    rho e^{i theta}|^2 is (1-|a|^2) / (1-s^2) Re[(1+q)/(1-q)] with s = |a| rho
+    and q = s^n e^{-i n arg a}: the Poisson kernel's Fourier series summed
+    over the frequencies the grid aliases to zero.  The circle means are
+    weighted by the Lagrange weights of the boundary ladder at eps = 0,
+    computed here from the ladder itself.
+    """
+    from semiflow_lab.spaces import BOUNDARY_EPS
+
+    eps = np.asarray(BOUNDARY_EPS)
+    weights = np.array([np.prod([e / (e - eps[i]) for k, e in enumerate(eps) if k != i])
+                        for i in range(eps.size)])
+    s = abs(a) * (1.0 - eps)
+    q = np.exp(n * np.log(s) - 1j * n * np.angle(a))
+    means = (1.0 - abs(a) ** 2) / (1.0 - s * s) * ((1.0 + q) / (1.0 - q)).real
+    return float(np.sum(weights * means))

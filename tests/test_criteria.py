@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,7 @@ from semiflow_lab.flow import (attraction, dilation, identity_flow, resolve_flow
                                verify_semiflow)
 from semiflow_lab.operators import gallery_semigroups
 from semiflow_lab.spaces import (DiskRule, GradedDiskRule, RadialWeight,
-                                 SpaceSpec, carleson_measure)
+                                 SpaceSpec, carleson_measure, kernel_sums)
 
 import oracles
 
@@ -103,26 +104,69 @@ def test_hardy_criterion_deep_anchors_match_closed_form(t):
 
 
 def test_hardy_criterion_at_the_refinement_clip():
-    # at |a| = 1 - 2^-11 the 32,768-point angular cap binds (about 2e-7 off)
+    # at |a| = 1 - 2^-11 the 32,768-point angular cap binds (about 2e-7 off),
+    # and the sample says so: the half-grid sum there is 6.7e-4 off
     a = 1.0 - 2.0 ** -11
-    value = hardy_criterion(dilation(), cob_z(dilation()), 2, 0.0, deep_scan(a)).value
-    assert abs(value - 1.0) <= 1e-6
+    sample = hardy_criterion(dilation(), cob_z(dilation()), 2, 0.0, deep_scan(a))
+    assert abs(sample.value - 1.0) <= 1e-6
+    assert sample.angular_indicator > 1e-8
+
+
+@pytest.mark.parametrize("pair", ["dilation/coboundary:z", "rotation:1/coboundary:z",
+                                  "attraction/derivative", "dilation/exp-growth"])
+def test_bounded_hardy_pairs_report_small_angular_indicators(pair):
+    # the law's counts resolve every level this scan reaches; the largest
+    # indicator, 2.2e-7, is t = 0's Poisson mean on 32 / (1 - |a|) points
+    flow = resolve_flow(pair.split("/")[0])
+    report = uniform_bound_verdict(flow, resolve_cocycle(pair.split("/")[1], flow), H2,
+                                   scan=FAST_SCAN)
+    assert report.verdict == "BOUNDED"
+    assert len(report.angular_indicator) == len(report.t_values)
+    assert 0.0 < max(report.angular_indicator) <= 1e-6
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_nested_hardy_sums_match_the_closed_form_at_zero(k):
+    # generations 0..k of the Hardy family are the n = 256 2^k point grid on
+    # every circle and generations 0..k-1 its half grid; at t = 0 both sums
+    # have a closed form (tests/oracles.py) at an anchor off every node
+    a = (1.0 - 2.0 ** -10) * np.exp(0.3j)
+    boundary = DiskRule.boundary()
+    rule = GradedDiskRule(boundary.radii, boundary.radial_w, np.full(12, 7), 512)
+    w, masses = (np.concatenate(parts) for parts in
+                 zip(*(rule.generation(h) for h in range(len(rule.offsets) - 1))))
+    sums = kernel_sums(abs(a), [np.angle(a)], w, masses, 1.0, rule.cuts)[0]
+    head = 1.0 - abs(a) ** 2
+    for g, n in ((k, 256 << k), (k - 1, 128 << k)):
+        nested = head * np.sum(sums[:rule.first_cut[g + 1]]) * 0.5 ** g
+        assert nested == pytest.approx(oracles.hardy_level_at_zero(a, n), rel=1e-12), n
 
 
 def record_kernel_batches(monkeypatch):
-    """Patch the criteria's kernel sum to record (anchors, node count) per batch."""
+    """Patch the scan driver and the criteria's kernel sum to record, per
+    batch of anchors, the anchors and the kernel node-evaluations (anchors
+    x nodes, summed over the batch's kernel calls)."""
     batches = []
-    kernel_sums = criteria.kernel_sums
+    kernel_sums, scan_anchors = criteria.kernel_sums, criteria._scan_anchors
 
-    def recorded(r, angles, w, masses, q):
-        batches.append((r * np.exp(1j * np.asarray(angles)), w.size))
-        return kernel_sums(r, angles, w, masses, q)
+    def recorded(r, angles, w, masses, q, cuts):
+        batches[-1][1] += len(angles) * w.size
+        return kernel_sums(r, angles, w, masses, q, cuts)
+
+    def scanned(integrals, scan):
+        def batch(r, angles):
+            batches.append([r * np.exp(1j * np.asarray(angles)), 0])
+            return integrals(r, angles)
+        return scan_anchors(batch, scan)
 
     monkeypatch.setattr(criteria, "kernel_sums", recorded)
+    monkeypatch.setattr(criteria, "_scan_anchors", scanned)
     return batches
 
 
 def test_every_anchor_of_a_rung_gets_the_rung_circle_count(monkeypatch):
+    # rotation:1/coboundary:z needs the full count at every t > 0, so every
+    # rung's batch refines to its law count: 12 circles of n_theta points
     batches = record_kernel_batches(monkeypatch)
     scan = SupScanConfig(refine_rounds=0)
     hardy_criterion(rotation(1.0), cob_z(rotation(1.0)), 2, 0.5, scan)
@@ -131,40 +175,104 @@ def test_every_anchor_of_a_rung_gets_the_rung_circle_count(monkeypatch):
     for k in range(1, scan.ladder_depth + 1):
         r = 1.0 - 2.0 ** -k
         n_theta = min(cap, max(base, int(scale) << k))
-        for anchors, nodes in batches:
+        for anchors, work in batches:
             on_rung = np.abs(np.abs(anchors) - r) < 1e-12
             if np.any(on_rung):
-                assert np.all(on_rung) and nodes == 12 * n_theta, (k, nodes)
+                assert np.all(on_rung) and work == anchors.size * 12 * n_theta, (k, work)
                 seen += anchors.size
     assert seen == scan.ladder_depth * scan.n_angles
 
 
+CLOSED_FORM_PAIRS = ("dilation/coboundary:z", "rotation:1/coboundary:z", "attraction/derivative",
+                     "dilation/exp-growth", "identity/poisson-blowup")
+
+
+def resolve_pair(pair):
+    flow = resolve_flow(pair.split("/")[0])
+    return flow, resolve_cocycle(pair.split("/")[1], flow)
+
+
+@pytest.mark.parametrize("space", [H2, A0], ids=["hardy", "bergman"])
+@pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS)
+def test_half_grid_stop_matches_the_forced_cap(pair, space, monkeypatch):
+    # a batch that stops early on the indicator reads its law-count value
+    flow, m = resolve_pair(pair)
+    scan = SupScanConfig(ladder_depth=6)
+    samples = [criterion_sample(flow, m, space, t, scan) for t in (0.0, 0.5, 0.99)]
+    monkeypatch.setattr(criteria, "_HALF_GRID_TOL", 0.0)
+    for t, sample in zip((0.0, 0.5, 0.99), samples):
+        capped = criterion_sample(flow, m, space, t, scan)
+        assert sample.value == pytest.approx(capped.value, rel=1e-12, abs=0.0), t
+        np.testing.assert_allclose(sample.rung_profile, capped.rung_profile, rtol=1e-12, atol=0)
+
+
+def test_kernel_work_falls_where_the_pullback_leaves_the_boundary(monkeypatch):
+    # kernel node-evaluations (anchors x nodes over all batches) of a
+    # default A^2_0 scan at t = 0.5, against every batch forced to its cap
+    batches = record_kernel_batches(monkeypatch)
+
+    def work(pair):
+        batches.clear()
+        criterion_sample(*resolve_pair(pair), A0, 0.5)
+        return sum(work for _, work in batches)
+
+    dilation_work, rotation_work = work("dilation/coboundary:z"), work("rotation:1/coboundary:z")
+    monkeypatch.setattr(criteria, "_HALF_GRID_TOL", 0.0)
+    assert dilation_work <= 0.45 * work("dilation/coboundary:z")
+    assert rotation_work == work("rotation:1/coboundary:z")
+
+
+def record_generations(monkeypatch):
+    """Patch the nested rules to record each generation build as (rule, h)."""
+    built = []
+    generation = GradedDiskRule.generation
+
+    def recorded(rule, h):
+        built.append((rule, h))
+        return generation(rule, h)
+
+    monkeypatch.setattr(GradedDiskRule, "generation", recorded)
+    return built
+
+
 def test_default_hardy_scan_builds_seven_circle_levels(monkeypatch):
-    counts = []
-    boundary = DiskRule.boundary
-
-    def recorded(n_ang=512):
-        counts.append(n_ang)
-        return boundary(n_ang)
-
-    monkeypatch.setattr(DiskRule, "boundary", staticmethod(recorded))
+    # one family on the 12 boundary circles: generations 0..7 take 256, 256,
+    # 512, ..., 16384 points per circle, and their prefixes 0..G for G >= 1
+    # are the seven circle counts 512 ... 32768 of the level law, each
+    # generation built once; rotation needs every one of them
+    built = record_generations(monkeypatch)
+    hardy_criterion(rotation(1.0), cob_z(rotation(1.0)), 2, 0.5)
+    rules = {id(rule) for rule, _ in built}
+    assert len(rules) == 1 and sorted(h for _, h in built) == list(range(8))
+    rule = built[0][0]
+    assert list(np.diff(rule.offsets) // 12) == [256, 256] + [256 << h for h in range(1, 7)]
+    assert [rule.offsets[g + 1] // 12 for g in range(1, 8)] == [512 << i for i in range(7)]
+    # a dilation pulls the measure inside the disk: fewer generations suffice
+    built.clear()
     hardy_criterion(dilation(), cob_z(dilation()), 2, 0.5)
-    assert sorted(counts) == [512 << i for i in range(7)]
+    assert sorted(h for _, h in built) == list(range(len(built))) and len(built) < 8
 
 
 def test_default_bergman_scan_samples_each_grid_once(monkeypatch):
-    # dyadic levels 1-3 all ask for the 64 x 256 base grid
-    grids = Counter()
+    # dyadic levels 1-3 all ask for the 64-ring grid with floor 1/8, so the
+    # ladder's 10 levels make 8 families; each generation of a family is
+    # built and flowed once
+    built = record_generations(monkeypatch)
+    points = []
     sample = Cocycle.sample
 
     def recorded(self, flow, t, z):
-        grids[np.asarray(z).tobytes()] += 1
+        points.append(np.asarray(z).size)
         return sample(self, flow, t, z)
 
     monkeypatch.setattr(Cocycle, "sample", recorded)
-    flow = dilation()
-    bergman_criterion(flow, cob_z(flow), 2, W0, 0.5)
-    assert len(grids) > 0 and set(grids.values()) == {1}
+    for flow in (dilation(), rotation(1.0)):
+        built.clear()
+        points.clear()
+        bergman_criterion(flow, cob_z(flow), 2, W0, 0.5, scan=SupScanConfig(refine_rounds=0))
+        assert len({id(rule) for rule, _ in built}) == 8
+        assert len(set((id(rule), h) for rule, h in built)) == len(built)
+        assert sum(points) == sum(rule.offsets[h + 1] - rule.offsets[h] for rule, h in built)
 
 
 @pytest.mark.parametrize("space", [H2, A0], ids=["hardy", "bergman"])
@@ -226,23 +334,22 @@ def test_each_grid_integrates_the_flow_once(flow_spec, cocycle_spec, monkeypatch
         return integrate(g, z0, stops, *rest)
 
     monkeypatch.setattr(flow_module, "_integrate_to_stops", counted)
-    levels = []
-    nodes = GradedDiskRule.nodes
-    monkeypatch.setattr(GradedDiskRule, "nodes", lambda rule: levels.append(rule) or nodes(rule))
+    built = record_generations(monkeypatch)
     scan = SupScanConfig(ladder_depth=3, n_angles=4, refine_rounds=1)
     hardy_criterion(flow, m, 2, 0.5, scan)
-    assert set(integrations.values()) == {1}                # once per Hardy level
-    for scan in (scan, SupScanConfig(ladder_depth=6, n_angles=4, refine_rounds=0)):
+    assert set(integrations.values()) == {1}                # once per Hardy generation
+    for scan in (scan, deep_scan(1.0 - 2.0 ** -10)):
         integrations.clear()
         points.clear()
-        levels.clear()
+        built.clear()
         bergman_criterion(flow, m, 2, W0, 0.5, scan=scan)
-        # once per Bergman level; levels 1-3 build the same all-base grid,
-        # and a level of more than _ADVANCE_SLICE nodes (level 6 has
-        # 35,209) advances in slices, each integrated once
+        # once per Bergman generation; levels 1-3 share one family, and a
+        # run of generations of more than _ADVANCE_SLICE nodes (generations
+        # 0 and 1 of the 192-ring family of level 10 have 49,152) advances
+        # in slices, each integrated once
         assert set(integrations.values()) == {1}
-        assert sum(points) == sum(rule.weights.size for rule in levels) > 0
-    assert max(rule.weights.size for rule in levels) > criteria._ADVANCE_SLICE
+        assert sum(points) == sum(rule.offsets[h + 1] - rule.offsets[h] for rule, h in built) > 0
+    assert max(points) == criteria._ADVANCE_SLICE
     for space in (H2, A0):
         integrations.clear()
         direct_decay_probe(flow, m, space, t_seq=[0.5, 0.25])
@@ -279,16 +386,19 @@ def test_closed_form_verdict_is_bitwise_per_t():
 
 def test_hardy_verdict_integrates_each_rung_to_max_t_once(monkeypatch):
     # in point-time: the DP45 calls integrate points x [0, stops[-1]], and a
-    # level that integrates [0, t] once, t the last time it serves, adds
-    # nodes x t; per-t builds would add nodes x (every t it serves), 4.2
-    # times as much for the rung levels, which serve every t
+    # generation that integrates [0, t] once, t the last time a batch sums
+    # it, adds nodes x t; per-t builds would add nodes x (every t it
+    # serves), and a generation flowed twice would add its nodes twice.
+    # Generations 2-4 (rung 6 and the refinement's level 7) serve t = 0
+    # only, so they are never flowed.
     flow = resolve_flow("generator-dilation")
     m = cob_z(flow)
+    scan = SupScanConfig(ladder_depth=6, n_angles=4, refine_rounds=1)
     point_time, now = 0.0, 0.0
-    # a Hardy level is known by its node count, 12 circles of one count
-    served = {}
+    served = {}                                   # generation -> (nodes, last t)
     integrate = flow_module._integrate_to_stops
     sample, kernel_sums = criteria.criterion_sample, criteria.kernel_sums
+    built = record_generations(monkeypatch)
 
     def counted(g, z0, stops, *rest):
         nonlocal point_time
@@ -300,16 +410,24 @@ def test_hardy_verdict_integrates_each_rung_to_max_t_once(monkeypatch):
         now = t
         return sample(flow, cocycle, space, t, *rest)
 
-    def recorded(r, angles, w, masses, q):
-        served[w.size] = max(served.get(w.size, 0.0), now)
-        return kernel_sums(r, angles, w, masses, q)
+    def recorded(r, angles, w, masses, q, cuts):
+        # w is a view of the family's storage: its offset names the generations
+        rule = built[0][0]
+        start = (w.__array_interface__["data"][0]
+                 - w.base.__array_interface__["data"][0]) // w.itemsize
+        for h in range(len(rule.offsets) - 1):
+            if start <= rule.offsets[h] < start + w.size:
+                served[h] = (rule.offsets[h + 1] - rule.offsets[h], now)
+        return kernel_sums(r, angles, w, masses, q, cuts)
 
     monkeypatch.setattr(flow_module, "_integrate_to_stops", counted)
     monkeypatch.setattr(criteria, "criterion_sample", timed)
     monkeypatch.setattr(criteria, "kernel_sums", recorded)
-    uniform_bound_verdict(flow, m, H2, t_grid=MARCH_T_GRID, scan=MARCH_SCAN)
-    assert len(served) > 1
-    assert point_time == pytest.approx(sum(n * t for n, t in served.items()), rel=1e-12)
+    uniform_bound_verdict(flow, m, H2, t_grid=MARCH_T_GRID, scan=scan)
+    assert len({id(rule) for rule, _ in built}) == 1
+    assert sorted(served) == list(range(5))
+    assert [t for _, t in served.values()] == [0.99, 0.99, 0.0, 0.0, 0.0]
+    assert point_time == pytest.approx(sum(n * t for n, t in served.values()), rel=1e-12)
 
 
 def test_generator_rotation_probe_is_bounded():
@@ -327,10 +445,18 @@ def test_generator_rotation_probe_is_bounded():
                                          ("n_angles", 0), ("ladder_depth", 11),
                                          ("small_radii", ()), ("small_radii", (np.nan,)),
                                          ("small_radii", (0.1, 1.5)), ("small_radii", (0.0,)),
-                                         ("small_radii", (-0.2,))])
+                                         ("small_radii", (-0.2,)), ("n_angles", 2.5),
+                                         ("ladder_depth", 2.5), ("refine_rounds", 1.5),
+                                         ("n_angles", True), ("ladder_depth", np.float64(3.0))])
 def test_scan_config_rejects_out_of_range_values(field, value):
     with pytest.raises(PreconditionError, match=field):
         SupScanConfig(**{field: value})
+
+
+def test_scan_config_takes_numpy_integers():
+    scan = SupScanConfig(ladder_depth=np.int64(3), n_angles=np.int32(4), refine_rounds=np.uint8(1))
+    assert [type(v) for v in (scan.ladder_depth, scan.n_angles, scan.refine_rounds)] == [int] * 3
+    assert json.loads(json.dumps(scan.to_dict()))["n_angles"] == 4
 
 
 def test_bergman_criterion_insists_on_regular_weight():
@@ -380,8 +506,10 @@ def test_report_schema_and_witnesses():
     report = uniform_bound_verdict(dilation(), cob_z(dilation()), H2, scan=FAST_SCAN)
     payload = report.to_json_dict()
     assert set(payload) == {"space", "flow", "cocycle", "p", "t_values", "criterion",
-                            "witness_a", "sup", "trend", "verdict", "config"}
-    assert len(payload["witness_a"]) == len(payload["t_values"])
+                            "witness_a", "angular_indicator", "sup", "trend", "verdict",
+                            "config"}
+    assert len(payload["witness_a"]) == len(payload["angular_indicator"]) \
+        == len(payload["t_values"])
     rows = report.csv_rows()
     assert rows[0] == ("t", "criterion", "witness_re", "witness_im")
     assert len(rows) == len(payload["t_values"]) + 1

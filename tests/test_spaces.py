@@ -288,28 +288,55 @@ def test_disk_rule_monomial_moments(n, m, weight, alpha):
     assert abs(rule.integrate(z ** n * np.conj(z) ** m) - expected) < 1e-10
 
 
+def graded_integral(rule, fn):
+    """Sum ``fn`` over every generation of a nested rule; a ring of depth d
+    sums generations 0..d, which is its integral times 2^d."""
+    total = 0.0
+    for h in range(len(rule.offsets) - 1):
+        z, masses = rule.generation(h)
+        rings = rule.depth[rule.depth >= h]
+        total += np.sum(masses * np.repeat(0.5 ** rings, z.size // rings.size) * fn(z))
+    return total
+
+
 @pytest.mark.parametrize("weight,alpha", [(W0, 0.0), (RadialWeight.standard(0.5), 0.5),
                                           (RadialWeight.standard(-0.5), -0.5), (ONE, 0.0)],
                          ids=["alpha0", "alpha0.5", "alpha-0.5", "custom-one"])
 @pytest.mark.parametrize("n,m", [(0, 0), (1, 1), (20, 20), (3, 5), (20, 19), (7, 0)])
 def test_graded_disk_rule_monomial_moments(n, m, weight, alpha):
-    # counts clip(ceil(4 / max(1 - r, 2^-6)), 16, 200) run from the base to the cap
-    rule = GradedDiskRule(weight, 64, 2.0 ** -6, 4.0, 16, 200)
-    assert rule.counts.min() == 16 and rule.counts.max() == 200
-    assert len(set(rule.counts.tolist())) > 10
-    z = rule.nodes()
-    assert z.shape == rule.weights.shape == (rule.counts.sum(),)
+    # counts clip(ceil(4 / max(1 - r, 2^-6)), 16, 200), rounded up to a power
+    # of two, run from the base to 256
+    rule = GradedDiskRule.weighted(weight, 64, 2.0 ** -6, 4.0, 16, 200)
+    counts = 16 << rule.depth >> 1                    # base 2^(d_i - 1)
+    assert sorted(set(counts.tolist())) == [16, 32, 64, 128, 256]
+    assert rule.offsets[-1] == counts.sum()
     expected = (alpha + 1.0) * beta(n + 1, alpha + 1.0) if n == m else 0.0
-    assert abs(rule.weights @ (z ** n * np.conj(z) ** m) - expected) < 1e-10
+    assert abs(graded_integral(rule, lambda z: z ** n * np.conj(z) ** m) - expected) < 1e-10
 
 
 def test_graded_disk_rule_counts_follow_the_floor():
-    rule = GradedDiskRule(W0, 32, 2.0 ** -4, 8.0, 4, 10 ** 6)
+    rule = GradedDiskRule.weighted(W0, 32, 2.0 ** -4, 8.0, 4, 10 ** 6)
     expected = np.ceil(8.0 / np.maximum(1.0 - rule.radii, 2.0 ** -4))
-    assert np.array_equal(rule.counts, np.maximum(expected, 4))
-    assert rule.counts.max() == 128                   # 8 / 2^-4 on the rings past 1 - 2^-4
-    np.testing.assert_allclose(np.abs(rule.nodes()), np.repeat(rule.radii, rule.counts),
-                               rtol=0, atol=1e-15)
+    counts = 4 << rule.depth >> 1                     # base 2^(d_i - 1)
+    assert np.array_equal(counts, 2 ** np.ceil(np.log2(np.maximum(expected, 4))))
+    assert counts.max() == 128                        # 8 / 2^-4 on the rings past 1 - 2^-4
+    # generations 0..d_i of ring i are its uniform grid of counts_i points,
+    # the same floats, and segment k of the layout holds the rings of depth
+    # cut_depth[k] within one generation
+    rings = [[] for _ in rule.radii]
+    for h in range(len(rule.offsets) - 1):
+        z, masses = rule.generation(h)
+        assert z.size == masses.size == rule.offsets[h + 1] - rule.offsets[h]
+        members = np.flatnonzero(rule.depth >= h)
+        for i, part in zip(members, np.split(z, members.size)):
+            rings[i].append(part)
+        ends = np.append(rule.cuts[rule.first_cut[h]:rule.first_cut[h + 1]], rule.offsets[h + 1])
+        for k, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+            depth = rule.cut_depth[rule.first_cut[h] + k]
+            assert (hi - lo) * members.size == np.sum(rule.depth[members] == depth) * z.size
+    for r, n, parts in zip(rule.radii, counts, rings):
+        assert np.array_equal(np.sort_complex(np.concatenate(parts)),
+                              np.sort_complex(r * np.exp(2j * np.pi * np.arange(n) / n)))
 
 
 def test_space_rule_picks_radial_count():
