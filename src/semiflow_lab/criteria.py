@@ -30,14 +30,14 @@ from .spaces import (DiskRule, GradedDiskRule, RadialWeight, SpaceSpec, carleson
                      default_gamma, is_regular, kernel_sums)
 
 
-# Quadrature resolution per dyadic level k = ceil(-log2(1 - |a|)), with
-# d = 2^-k, as (scale, base, cap): a Hardy level takes clip(32 2^k, 512,
-# 32768) points per circle; a Bergman level clip(int(6 / sqrt(d)), 64, 272)
-# rings and clip(ceil(32 / max(1 - r, d)), 256, 65536) angles on ring r,
-# rounded up to a power of two.  Resolution grows like 2^k so the kernel's
-# spike stays resolved.  A batch stops short of it at a half-grid indicator
-# <= _HALF_GRID_TOL: the trapezoid error of a periodic analytic integrand
-# falls geometrically, so the finer sum is then off by about its square.
+# Quadrature resolution per dyadic level k = ceil(-log2(1 - |a|)) as
+# (scale, base, cap): level k reads the generations of its family that hold
+# clip(scale 2^k, base, cap) points per ring, so the kernel's spike stays
+# resolved.  A Bergman family has clip(int(6 2^(k/2)), 64, 272) rings and
+# clip(ceil(32 / (1 - r)), 256, 65536) angles on ring r, rounded up to a
+# power of two.  A batch stops short at a half-grid indicator <=
+# _HALF_GRID_TOL: the trapezoid error of a periodic analytic integrand falls
+# geometrically, so the finer sum is then off by about its square.
 _HARDY_ANGLES = (32.0, 512, 32768)
 _DISK_ANGLES = (32.0, 256, 65536)
 _DISK_RINGS = (6.0, 64, 272)
@@ -129,29 +129,35 @@ def _dyadic_level(a_abs: float) -> int:
     return 1 - math.frexp((1.0 - a_abs) * (1.0 + 1e-9))[1]
 
 
-def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p: float,
-              grid_of, rule_of, q: float, head, levels: dict | None = None) -> CriterionSample:
+def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p: float, law,
+              family_of, rule_of, q: float, head, levels: dict | None = None) -> CriterionSample:
     """Maximize ``head(|a|)`` times the kernel sum at a over the anchor grid.
 
-    ``grid_of(|a|)`` names the nested family an anchor modulus reads and
-    its deepest generation; ``rule_of(family)`` is the family's
-    :class:`spaces.GradedDiskRule`.  A family holds its generations back to
-    back, each at its own s: the rule's nodes w and masses at s = 0, moved
-    in place by the flow and cocycle laws, w <- phi_dt(w) and masses <-
-    masses |m_dt(w)|^p, ``_ADVANCE_SLICE`` nodes per evaluation, when a
-    batch needs them at t (rebuilt if past t).  ``levels`` caches the
-    families; pass one dict to the scans of one flow, cocycle and space in
-    ascending t and each generation integrates [0, last t it serves] once.
+    An anchor on dyadic level k reads generations 0..G_k of the family
+    ``family_of(k)``, a :class:`spaces.GradedDiskRule` built by
+    ``rule_of(family)``; G_k is the first G that holds clip(scale 2^k, base,
+    cap) points per ring, ``law`` = (scale, base, cap), or the family's
+    depth if less.  Each generation keeps its own s and is moved in place
+    by the flow and cocycle laws, w <- phi_dt(w) and masses <- masses
+    |m_dt(w)|^p, ``_ADVANCE_SLICE`` nodes per evaluation, when a batch
+    needs it at t (rebuilt if past t).
+    ``levels`` caches the families; pass one dict to the scans of one flow,
+    cocycle and space in ascending t and each generation integrates [0,
+    last t it serves] once.
 
     Anchors go to :func:`spaces.kernel_sums` (exponent ``q``) in batches of
     one modulus: a rung's fan, and the candidates of one refinement radius.
     A batch sums generations 0..G for G = 1, 2, ... until the half-grid
     indicator max |V_G - V_G-1| / max |V_G| is at most ``_HALF_GRID_TOL``
-    or G reaches its cap; ``angular_indicator`` is the largest indicator
-    of a batch that stopped at its cap, 0.0 if none did.  A non-finite
-    integral counts as +inf, which ends the scan with an infinite sample.
+    or G reaches G_k; ``angular_indicator`` is the largest indicator of a
+    batch that stopped at G_k, 0.0 if none did.  A non-finite integral
+    counts as +inf, which ends the scan with an infinite sample.
     """
+    # written as "not 0 <= t < inf" so that NaN fails too
+    if not 0 <= t < math.inf:
+        raise PreconditionError(f"the criteria need a finite t >= 0, got {t}")
     levels = {} if levels is None else levels
+    scale, base, cap = law
     capped = 0.0
 
     def advance(w, masses, dt):
@@ -162,13 +168,15 @@ def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p
 
     def integrals(r, angles):
         nonlocal capped
-        key, cap = grid_of(r)
+        k = _dyadic_level(r)
+        key = family_of(k)
         if key not in levels:
             rule = rule_of(key)
             levels[key] = (rule, np.empty(rule.offsets[-1], complex),
                            np.empty(rule.offsets[-1]), [None] * len(rule.offsets))
         rule, w, masses, s = levels[key]
-        cap = min(cap, len(rule.offsets) - 2)
+        count = min(cap, max(base, scale * 2.0 ** k))
+        last = min(len(rule.offsets) - 2, math.ceil(math.log2(count / base)) + 1)
         sums = np.empty((len(angles), rule.cuts.size))
 
         def value(g):                         # ring i's generations 0..g, over 2^min(g, d_i)
@@ -176,7 +184,7 @@ def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p
             return head(r) * (sums[:, :segs] @ 0.5 ** np.minimum(g, rule.cut_depth[:segs]))
 
         lo = 0
-        for g in range(1, cap + 1):
+        for g in range(1, last + 1):
             # generations lo..g at t (the first pass takes 0 and 1, so they share s[0]);
             # unbuilt while moving, so a failed advance leaves no half-moved generation
             nodes = slice(rule.offsets[lo], rule.offsets[g + 1])
@@ -195,7 +203,7 @@ def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p
                                             rule.cuts[segs] - rule.offsets[lo])
                 fine = value(g)
                 top, gap = np.max(np.abs(fine)), np.max(np.abs(fine - value(g - 1)))
-                if g == cap and 0 < top < np.inf:
+                if g == last and 0 < top < np.inf:
                     capped = max(capped, gap / top)
                 if not gap > _HALF_GRID_TOL * top:      # a non-finite value ends it too
                     break
@@ -256,27 +264,22 @@ def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
 
     The measure is one nested family on the circles of the boundary rule
     (:meth:`DiskRule.boundary`), mapped by phi_t, whose radial weights c_i
-    fold the extrapolation into the masses c_i |m_t|^p / n; a level of n
-    points per circle is its generations 0..log2(n / 512) + 1.  ``levels``
-    is the family cache of :func:`_sup_scan`.
+    fold the extrapolation into the masses c_i |m_t|^p / n; every level
+    reads a prefix of it.  ``levels`` is the family cache of :func:`_sup_scan`.
     """
-    if p <= 1:
+    # written as "not p > 1" so that NaN fails too
+    if not p > 1:
         raise PreconditionError("the Hardy criterion requires p > 1")
     scan = scan or DEFAULT_SCAN
-    scale, base, cap = _HARDY_ANGLES
-
+    _, base, cap = _HARDY_ANGLES
     top = int(math.log2(cap / base)) + 1     # generations 0..G hold base 2^(G-1) points
-
-    def circle_cap(a_abs):
-        count = min(cap, max(base, math.ceil(scale * 2.0 ** _dyadic_level(a_abs))))
-        return "circles", int(math.log2(count / base)) + 1
 
     def circles(_):
         rule = DiskRule.boundary()
         return GradedDiskRule(rule.radii, rule.radial_w, np.full(rule.radii.size, top), base)
 
-    return _sup_scan(scan, t, flow, cocycle, p, circle_cap, circles, 1.0,
-                     lambda r: (1.0 - r) * (1.0 + r), levels)
+    return _sup_scan(scan, t, flow, cocycle, p, _HARDY_ANGLES, lambda k: "circles", circles,
+                     1.0, lambda r: (1.0 - r) * (1.0 + r), levels)
 
 
 def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: RadialWeight,
@@ -286,7 +289,8 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
     """sup over anchors a of the weighted disk integral of
     |f_{a,p}(phi_t)|^p |m_t|^p against the weight.  Requires a regular
     weight and p > 1.  ``levels`` is the family cache of :func:`_sup_scan`."""
-    if p <= 1:
+    # written as "not p > 1" so that NaN fails too
+    if not p > 1:
         raise PreconditionError("the Bergman criterion requires p > 1")
     report = is_regular(weight)
     if not report.regular:
@@ -298,26 +302,25 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
     if gamma < gamma_floor:
         raise PreconditionError(f"gamma = {gamma} below the convergent floor {gamma_floor}")
     scan = scan or DEFAULT_SCAN
-    ang_scale, ang_base, _ = _DISK_ANGLES
+    ang_scale, ang_base, ang_cap = _DISK_ANGLES
     rad_scale, rad_base, rad_cap = _DISK_RINGS
 
-    def disk_grid(a_abs):
-        # By Schwarz-Pick the kernel's angular width on ring r is about
-        # max(1 - r, 1 - |a|), hence per-ring counts floored at d = 2^-k.
-        # Every floor above ang_scale / ang_base gives each ring the base
-        # count, so the shallow levels share one grid.
-        d = 2.0 ** -_dyadic_level(a_abs)
-        n_rad = min(rad_cap, max(rad_base, int(rad_scale / math.sqrt(d))))
-        return (n_rad, min(d, ang_scale / ang_base)), math.inf
+    def rings(k):
+        return min(rad_cap, max(rad_base, int(rad_scale / math.sqrt(2.0 ** -k))))
 
-    def disk_rule(grid):
-        return GradedDiskRule.weighted(weight, *grid, *_DISK_ANGLES)
+    def disk_rule(n_rad):
+        # By Schwarz-Pick the kernel's angular width on ring r is about max(1 - r,
+        # 1 - |a|), floored at 2^-k by level k's cap; a family is sized for its deepest level.
+        deepest = max((k for k in range(1, math.ceil(math.log2(ang_cap / ang_scale)) + 1)
+                       if rings(k) == n_rad), default=math.inf)
+        return GradedDiskRule.weighted(weight, n_rad, ang_scale, ang_base,
+                                       min(ang_cap, ang_scale * 2.0 ** deepest))
 
     def head(r):
         return (1.0 - r) ** (gamma + 1.0) / carleson_measure(weight, r)
 
-    return _sup_scan(scan, t, flow, cocycle, p, disk_grid, disk_rule, (gamma + 1.0) / 2.0,
-                     head, levels)
+    return _sup_scan(scan, t, flow, cocycle, p, _DISK_ANGLES, rings, disk_rule,
+                     (gamma + 1.0) / 2.0, head, levels)
 
 
 def criterion_sample(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec, t: float,
@@ -384,7 +387,8 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
         raise PreconditionError("the verdict needs samples near t = 1")
     levels = {} if flow.is_generator_driven else None
     samples = [None] * t_grid.size
-    for i in np.argsort(t_grid, kind="stable"):
+    order = np.argsort(t_grid, kind="stable")
+    for i in order:
         samples[i] = criterion_sample(flow, cocycle, space, float(t_grid[i]), scan, levels)
     values = np.array([s.value for s in samples])
     finite = np.isfinite(values)
@@ -399,12 +403,14 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
         verdict = "INCONCLUSIVE"
     sup = float(np.max(values)) if np.all(finite) else np.inf
     trend = {}
-    if np.sum(finite) >= 3:
-        vt = values[finite]
-        tt = t_grid[finite]
+    # the trend reads the samples in ascending t, one per distinct t
+    tt, first = np.unique(t_grid, return_index=True)
+    vt, tt = values[first][finite[first]], tt[finite[first]]
+    if tt.size >= 3:
         with np.errstate(divide="ignore"):
             trend["t_slope"] = float((np.log(vt[-1]) - np.log(vt[-3])) / (tt[-1] - tt[-3]))
-    top = samples[int(np.argmax(np.where(finite, values, -np.inf)))] if np.any(finite) else samples[-1]
+    best = order[int(np.argmax(np.where(finite, values, -np.inf)[order]))]
+    top = samples[best if np.any(finite) else order[-1]]
     profile = np.asarray(top.rung_profile[-4:], dtype=float)
     if profile.size >= 2 and np.all(np.isfinite(profile)) and np.all(profile > 0):
         # growth of the rung maxima per halving of 1 - |a|

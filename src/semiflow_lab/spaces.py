@@ -271,14 +271,14 @@ class GradedDiskRule:
         self.cuts, self.cut_depth = np.array(cuts), np.array(cut_depth)
 
     @classmethod
-    def weighted(cls, weight: RadialWeight, n_rad: int, floor: float,
-                 ang_scale: float, ang_base: int, ang_cap: int) -> "GradedDiskRule":
+    def weighted(cls, weight: RadialWeight, n_rad: int, ang_scale: float, ang_base: int,
+                 ang_cap: int) -> "GradedDiskRule":
         """The radial rule of :meth:`DiskRule.weighted`, ring i with clip(ceil(ang_scale /
-        max(1 - r_i, floor)), ang_base, ang_cap) angles rounded up to a power of two
-        (``ang_base`` is one): an integrand of angular width about max(1 - r, floor)
-        on ring r is resolved alike on every ring."""
+        (1 - r_i)), ang_base, ang_cap) angles rounded up to a power of two (``ang_base``
+        is one), resolving alike an integrand of angular width about 1 - r on ring r;
+        generations 0..G floor that width at ang_scale / (ang_base 2^(G-1))."""
         radii, radial_w, scale = _radial_rule(weight, n_rad)
-        counts = np.clip(np.ceil(ang_scale / np.maximum(1.0 - radii, floor)), ang_base, ang_cap)
+        counts = np.clip(np.ceil(ang_scale / (1.0 - radii)), ang_base, ang_cap)
         return cls(radii, scale * radial_w, np.ceil(np.log2(counts / ang_base)).astype(int) + 1,
                    ang_base)
 

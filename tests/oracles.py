@@ -111,3 +111,15 @@ def hardy_level_at_zero(a: complex, n: int) -> float:
     q = np.exp(n * np.log(s) - 1j * n * np.angle(a))
     means = (1.0 - abs(a) ** 2) / (1.0 - s * s) * ((1.0 + q) / (1.0 - q)).real
     return float(np.sum(weights * means))
+
+
+def floored_disk_level(k: int, radii_of):
+    """Rings and angles per ring of dyadic level k of the Bergman criterion
+    as a grid of its own: n = clip(int(6 / sqrt(d)), 64, 272) rings at
+    ``radii_of(n)``, and clip(ceil(32 / max(1 - r, min(d, 1/8))), 256,
+    65536) angles on ring r rounded up to a power of two, with d = 2^-k.
+    Returns ``(radii, counts)``."""
+    d = 2.0 ** -k
+    radii = radii_of(min(272, max(64, int(6.0 / np.sqrt(d)))))
+    counts = np.clip(np.ceil(32.0 / np.maximum(1.0 - radii, min(d, 1.0 / 8.0))), 256, 65536)
+    return radii, (2 ** np.ceil(np.log2(counts))).astype(int)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -62,6 +63,22 @@ def test_rotation_unimodular_criterion_is_one_for_positive_time():
 def test_hardy_criterion_requires_p_above_one():
     with pytest.raises(PreconditionError):
         hardy_criterion(dilation(), unit_cocycle(), 1.0, 0.1)
+
+
+def test_criteria_reject_a_nan_exponent():
+    with pytest.raises(PreconditionError, match="p > 1"):
+        hardy_criterion(dilation(), unit_cocycle(), np.nan, 0.1)
+    with pytest.raises(PreconditionError, match="p > 1"):
+        bergman_criterion(dilation(), unit_cocycle(), np.nan, W0, 0.1)
+
+
+@pytest.mark.parametrize("t", [-0.5, np.nan, np.inf])
+def test_criteria_reject_a_time_that_is_not_finite_and_nonnegative(t):
+    flow = dilation()
+    with pytest.raises(PreconditionError, match="t >= 0"):
+        hardy_criterion(flow, cob_z(flow), 2, t, FAST_SCAN)
+    with pytest.raises(PreconditionError, match="t >= 0"):
+        bergman_criterion(flow, cob_z(flow), 2, W0, t, scan=FAST_SCAN)
 
 
 def test_dilation_criterion_matches_norm_square():
@@ -254,25 +271,69 @@ def test_default_hardy_scan_builds_seven_circle_levels(monkeypatch):
 
 
 def test_default_bergman_scan_samples_each_grid_once(monkeypatch):
-    # dyadic levels 1-3 all ask for the 64-ring grid with floor 1/8, so the
-    # ladder's 10 levels make 8 families; each generation of a family is
-    # built and flowed once
+    # one family per radial grid: dyadic levels 1-6 all take 64 rings, so the
+    # ladder's 10 levels read 5 families; each generation of a family is
+    # built once, and no node array goes through the cocycle twice
     built = record_generations(monkeypatch)
-    points = []
+    flowed = []
     sample = Cocycle.sample
 
     def recorded(self, flow, t, z):
-        points.append(np.asarray(z).size)
+        flowed.append(np.asarray(z).tobytes())
         return sample(self, flow, t, z)
 
     monkeypatch.setattr(Cocycle, "sample", recorded)
     for flow in (dilation(), rotation(1.0)):
         built.clear()
-        points.clear()
+        flowed.clear()
         bergman_criterion(flow, cob_z(flow), 2, W0, 0.5, scan=SupScanConfig(refine_rounds=0))
-        assert len({id(rule) for rule, _ in built}) == 8
+        rules = {id(rule): rule for rule, _ in built}.values()
+        assert sorted(rule.radii.size for rule in rules) == [64, 67, 96, 135, 192]
         assert len(set((id(rule), h) for rule, h in built)) == len(built)
-        assert sum(points) == sum(rule.offsets[h + 1] - rule.offsets[h] for rule, h in built)
+        assert len(set(flowed)) == len(flowed)
+        assert sum(map(len, flowed)) // 16 == sum(rule.offsets[h + 1] - rule.offsets[h]
+                                                  for rule, h in built)
+
+
+TWO_ONE_MINUS_R2 = RadialWeight.custom(lambda r: 2.0 * (1.0 - r ** 2), label="2(1-r^2)")
+
+
+@pytest.mark.parametrize("weight", [W0, RadialWeight.standard(0.5), TWO_ONE_MINUS_R2],
+                         ids=["alpha0", "alpha0.5", "custom"])
+def test_bergman_levels_read_prefixes_of_one_family(weight, monkeypatch):
+    # level k sums generations 0..G_k of the family on its ring count, and
+    # they hold exactly the grid of level k on its own, ring counts floored
+    # at 2^-k (tests/oracles.py), ring by ring and point by point
+    summed = []
+    kernel_sums = criteria.kernel_sums
+
+    def recorded(r, angles, w, masses, q, cuts):
+        summed.append(w.size)
+        return kernel_sums(r, angles, w, masses, q, cuts)
+
+    monkeypatch.setattr(criteria, "kernel_sums", recorded)
+    monkeypatch.setattr(criteria, "_HALF_GRID_TOL", -1.0)    # no batch stops short of G_k
+    for k in range(1, 12):
+        summed.clear()
+        levels = {}
+        bergman_criterion(identity_flow(), unit_cocycle(), 2, weight, 0.0,
+                          scan=deep_scan(1.0 - 2.0 ** -k), levels=levels)
+        assert len(levels) == 1, k
+        rule = next(iter(levels.values()))[0]
+        radii, counts = oracles.floored_disk_level(
+            k, lambda n: DiskRule.weighted(weight, n, 1).radii)
+        assert np.array_equal(rule.radii, radii), k
+        last = rule.offsets.index(sum(summed)) - 1              # generations 0..G_k summed
+        assert rule.offsets[last + 1] == counts.sum(), k
+        rings = [[] for _ in radii]
+        for h in range(last + 1):
+            z, _ = rule.generation(h)
+            members = np.flatnonzero(rule.depth >= h)
+            for i, part in zip(members, np.split(z, members.size)):
+                rings[i].append(part)
+        for r, n, parts in zip(radii, counts, rings):
+            assert np.array_equal(np.sort_complex(np.concatenate(parts)),
+                                  np.sort_complex(r * np.exp(2j * np.pi * np.arange(n) / n))), k
 
 
 @pytest.mark.parametrize("space", [H2, A0], ids=["hardy", "bergman"])
@@ -478,6 +539,21 @@ def test_verdict_bounded_for_contracting_pair():
     assert report.verdict == "BOUNDED"
     assert report.sup == pytest.approx(1.0, abs=1e-4)
     assert [round(t, 3) for t in report.t_values] == [round(t, 3) for t in DEFAULT_T_GRID]
+
+
+def test_verdict_trend_reads_the_samples_in_ascending_t():
+    flow = dilation()
+    m = cob_z(flow)
+    trend = uniform_bound_verdict(flow, m, H2, scan=FAST_SCAN).trend
+    for grid in (DEFAULT_T_GRID[::-1], np.random.default_rng(0).permutation(DEFAULT_T_GRID)):
+        assert uniform_bound_verdict(flow, m, H2, t_grid=grid, scan=FAST_SCAN).trend == trend
+    # a repeated t is read once: the last three distinct t are 0.4, 0.5, 0.99
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = uniform_bound_verdict(flow, m, H2, scan=FAST_SCAN,
+                                       t_grid=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.99, 0.5))
+    v = dict(zip(report.t_values, report.criterion))
+    assert report.trend["t_slope"] == pytest.approx(np.log(v[0.99] / v[0.4]) / 0.59, rel=1e-12)
 
 
 def test_verdict_unbounded_for_blowup_cocycle():

@@ -304,9 +304,9 @@ def graded_integral(rule, fn):
                          ids=["alpha0", "alpha0.5", "alpha-0.5", "custom-one"])
 @pytest.mark.parametrize("n,m", [(0, 0), (1, 1), (20, 20), (3, 5), (20, 19), (7, 0)])
 def test_graded_disk_rule_monomial_moments(n, m, weight, alpha):
-    # counts clip(ceil(4 / max(1 - r, 2^-6)), 16, 200), rounded up to a power
-    # of two, run from the base to 256
-    rule = GradedDiskRule.weighted(weight, 64, 2.0 ** -6, 4.0, 16, 200)
+    # counts clip(ceil(4 / (1 - r)), 16, 200), rounded up to a power of two,
+    # run from the base to 256
+    rule = GradedDiskRule.weighted(weight, 64, 4.0, 16, 200)
     counts = 16 << rule.depth >> 1                    # base 2^(d_i - 1)
     assert sorted(set(counts.tolist())) == [16, 32, 64, 128, 256]
     assert rule.offsets[-1] == counts.sum()
@@ -314,12 +314,12 @@ def test_graded_disk_rule_monomial_moments(n, m, weight, alpha):
     assert abs(graded_integral(rule, lambda z: z ** n * np.conj(z) ** m) - expected) < 1e-10
 
 
-def test_graded_disk_rule_counts_follow_the_floor():
-    rule = GradedDiskRule.weighted(W0, 32, 2.0 ** -4, 8.0, 4, 10 ** 6)
-    expected = np.ceil(8.0 / np.maximum(1.0 - rule.radii, 2.0 ** -4))
+def test_graded_disk_rule_counts_follow_the_ring_law():
+    rule = GradedDiskRule.weighted(W0, 32, 8.0, 4, 128)
+    expected = np.clip(np.ceil(8.0 / (1.0 - rule.radii)), 4, 128)
     counts = 4 << rule.depth >> 1                     # base 2^(d_i - 1)
-    assert np.array_equal(counts, 2 ** np.ceil(np.log2(np.maximum(expected, 4))))
-    assert counts.max() == 128                        # 8 / 2^-4 on the rings past 1 - 2^-4
+    assert np.array_equal(counts, 2 ** np.ceil(np.log2(expected)))
+    assert counts.max() == 128                        # the cap binds past 1 - 2^-4
     # generations 0..d_i of ring i are its uniform grid of counts_i points,
     # the same floats, and segment k of the layout holds the rings of depth
     # cut_depth[k] within one generation
