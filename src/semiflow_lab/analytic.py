@@ -9,9 +9,9 @@ dilemma anywhere in the package.
 Boundary values are never touched directly: a boundary quantity is
 obtained on circles of radius 1 - eps of a geometric eps ladder and
 extrapolated to eps = 0, by the Lagrange weights of the Hardy quadrature
-rule (``spaces.DiskRule.boundary``) for norms, pairings, sections and the
-criteria, or by a Neville tableau (:func:`neville_extrapolate`), which also
-reports an error indicator.
+rule (``spaces.DiskRule.boundary``) for norms, sections and the criteria,
+or by a Neville tableau (:func:`neville_extrapolate`), which also reports
+an error indicator.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class AnalyticFn:
         return cls(lambda z, _n=n: z ** _n, label=f"z^{n}")
 
     @classmethod
-    def from_coefficients(cls, coeffs, r_max: float = 1.0, label: str = "poly") -> "AnalyticFn":
+    def from_coefficients(cls, coeffs, label: str = "poly") -> "AnalyticFn":
         """Polynomial (or truncated series) with the given Taylor coefficients."""
         c = np.asarray(list(coeffs), dtype=complex)
 
@@ -132,7 +132,7 @@ class AnalyticFn:
                 out = out * z + a
             return out
 
-        return cls(evaluator, r_max=r_max, label=label)
+        return cls(evaluator, label=label)
 
     # -- algebra ------------------------------------------------------
 
@@ -166,25 +166,24 @@ class AnalyticFn:
                           label=f"({self.label})/({g.label})")
 
 
-def principal_power(f: AnalyticFn, exponent: float, check: bool = True) -> AnalyticFn:
+def principal_power(f: AnalyticFn, exponent: float) -> AnalyticFn:
     """f(z)**exponent with the principal branch.
 
-    With ``check`` enabled the values of ``f`` are sampled on a small grid
-    and must stay clear of the branch cut (the closed negative real axis).
+    The values of ``f`` are sampled on 96 points of radius at most 0.95 and
+    must stay clear of the branch cut (the closed negative real axis).
     """
-    if check:
-        grid = disk_samples(96, max_radius=min(0.95, f.r_max))
-        vals = f(grid)
-        bad = (vals.real <= 0.0) & (np.abs(vals.imag) < 1e-12)
-        if np.any(bad) or np.any(np.abs(vals) < 1e-14):
-            raise DomainError(
-                f"principal power of {f.label} unsafe: values touch the branch cut")
+    grid = disk_samples(96, max_radius=min(0.95, f.r_max))
+    vals = f(grid)
+    bad = (vals.real <= 0.0) & (np.abs(vals.imag) < 1e-12)
+    if np.any(bad) or np.any(np.abs(vals) < 1e-14):
+        raise DomainError(
+            f"principal power of {f.label} unsafe: values touch the branch cut")
     return AnalyticFn(lambda z: np.exp(exponent * np.log(f(z))),
                       r_max=f.r_max, label=f"({f.label})^{exponent}")
 
 
-def derivative(f: AnalyticFn, z, rho, nodes: int = 64):
-    """f'(z) by Cauchy circle quadrature of radius rho around z.
+def derivative(f: AnalyticFn, z, rho):
+    """f'(z) by Cauchy circle quadrature on 64 nodes of radius rho around z.
 
     The closed disk of radius rho around every point must stay inside the
     domain of ``f``.  Vectorized over ``z`` (and ``rho``, broadcast).
@@ -200,25 +199,24 @@ def derivative(f: AnalyticFn, z, rho, nodes: int = 64):
         raise DomainError(
             f"derivative circle around |z| = {float(np.max(np.abs(z_arr))):.6g} with "
             f"rho = {float(np.max(rho_arr)):.6g} leaves the domain of {f.label}")
-    circ = unit_circle(nodes)
+    circ = unit_circle(64)
     samples = f(z_arr[..., None] + rho_arr[..., None] * circ)
     vals = np.mean(samples * np.conj(circ), axis=-1) / rho_arr
     return complex(vals[0]) if scalar else vals
 
 
-def taylor_coefficients(f: AnalyticFn, count: int, radius: float = 0.5,
-                        nodes: int | None = None) -> np.ndarray:
+def taylor_coefficients(f: AnalyticFn, count: int, radius: float = 0.5) -> np.ndarray:
     """First ``count`` Taylor coefficients of f at 0 from circle samples.
 
-    Uses a_n = mean_k f(r e^{i theta_k}) e^{-i n theta_k} / r^n with at
-    least 4*count nodes, so aliasing of the first coefficients is governed
-    by r^{nodes}, negligible for the default node count.
+    Uses a_n = mean_k f(r e^{i theta_k}) e^{-i n theta_k} / r^n with
+    max(4 count, 256) nodes, so aliasing of the first coefficients is
+    governed by r^{nodes}, negligible at that count.
     """
     if count < 1:
         raise PreconditionError("coefficient count must be at least 1")
     if not 0.0 < radius <= f.r_max:
         raise DomainError(f"sampling radius {radius} outside (0, r_max] of {f.label}")
-    m = nodes or max(4 * count, 256)
+    m = max(4 * count, 256)
     samples = f(radius * unit_circle(m))
     spectrum = np.fft.fft(samples) / m
     return spectrum[:count] / radius ** np.arange(count)

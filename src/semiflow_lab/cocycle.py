@@ -21,8 +21,6 @@ from .errors import (AdmissibilityError, CocycleZeroError, PreconditionError,
                      require_tolerance, spec_number)
 from .flow import Semiflow, fixed_points_check
 
-_DEFAULT_RADII = (0.9, 0.99, 0.999)
-
 
 class Cocycle:
     """Multiplier family m_t bound to (or compatible with) a semiflow."""
@@ -115,23 +113,23 @@ class Cocycle:
                           label=f"{self.name}.m[{t:g}]")
 
 
-def make_coboundary(w: AnalyticFn, flow: Semiflow, zero_candidates=(),
-                    t_grid=None, tol: float = 1e-9, name: str | None = None) -> Cocycle:
+def make_coboundary(w: AnalyticFn, flow: Semiflow, zero_candidates=()) -> Cocycle:
     """Coboundary m_t = (w o phi_t) / w after checking the declared zeros.
 
-    Every declared zero of ``w`` must be a fixed point of the flow,
-    otherwise the quotient would not satisfy the cocycle law.
+    Every declared zero of ``w`` must be a fixed point of the flow (see
+    :func:`flow.fixed_points_check`), otherwise the quotient would not
+    satisfy the cocycle law.
     """
     zeros = tuple(complex(z) for z in zero_candidates)
     if zeros:
-        ok = fixed_points_check(flow, zeros, t_grid=t_grid, tol=tol)
+        ok = fixed_points_check(flow, zeros)
         bad = [z for z, good in zip(zeros, ok) if not good]
         if bad:
             raise AdmissibilityError(
                 f"declared zeros {bad} of weight {w.label!r} are not fixed points "
                 f"of {flow.name}")
     return Cocycle("coboundary", weight=w, flow=flow, zeros=zeros,
-                   name=name or f"coboundary[{w.label}]")
+                   name=f"coboundary[{w.label}]")
 
 
 @dataclass
@@ -144,9 +142,6 @@ class CocycleVerificationReport:
     tolerance: float
     passed: bool
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def verify_cocycle(m: Cocycle, flow: Semiflow, t_grid=None, z_grid=None,
@@ -188,7 +183,7 @@ def verify_cocycle(m: Cocycle, flow: Semiflow, t_grid=None, z_grid=None,
     return CocycleVerificationReport(law, unit, admissible, tol, passed, note=note)
 
 
-def circle_maxima(m: Cocycle, t: float, radii=_DEFAULT_RADII, nodes: int = 512) -> np.ndarray:
+def circle_maxima(m: Cocycle, t: float, radii=(0.9, 0.99, 0.999), nodes: int = 512) -> np.ndarray:
     """max |m_t| over each sampled circle, in the order of ``radii``."""
     radii = tuple(float(r) for r in radii)
     if any(not 0.0 < r < 1.0 for r in radii):
@@ -230,19 +225,15 @@ def _radius_trend_divergent(profile: np.ndarray) -> bool:
     return bool(growing and profile[-1] > 4.0 * profile[0])
 
 
-def limsup_probe(m: Cocycle, t_seq=None, radii=_DEFAULT_RADII, nodes: int = 512,
-                 tol: float = 1e-6) -> LimsupProbe:
-    """Probe limsup_{t->0+} of the sup-norm estimates along a decreasing t ladder."""
+def limsup_probe(m: Cocycle, tol: float = 1e-6) -> LimsupProbe:
+    """Probe limsup_{t->0+} of the sup-norm estimates along t = 2^-1, ..., 2^-10,
+    with the default radii and nodes of :func:`circle_maxima`."""
     require_tolerance(tol)
-    if t_seq is None:
-        t_seq = 2.0 ** -np.arange(1, 11)
-    t_seq = np.asarray(t_seq, dtype=float)
-    if t_seq.size < 2 or np.any(np.diff(t_seq) >= 0) or t_seq[-1] <= 0:
-        raise PreconditionError("t_seq must decrease strictly to 0 through positive values")
+    t_seq = 2.0 ** -np.arange(1, 11)
     estimates = []
     divergent = []
     for t in t_seq:
-        profile = circle_maxima(m, float(t), radii, nodes)
+        profile = circle_maxima(m, float(t))
         estimates.append(float(np.max(profile)) if np.all(np.isfinite(profile)) else np.inf)
         if _radius_trend_divergent(profile):
             divergent.append(float(t))

@@ -283,12 +283,12 @@ def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
 
 
 def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: RadialWeight,
-                      t: float, gamma: float | None = None,
-                      scan: SupScanConfig | None = None,
+                      t: float, scan: SupScanConfig | None = None,
                       levels: dict | None = None) -> CriterionSample:
     """sup over anchors a of the weighted disk integral of
-    |f_{a,p}(phi_t)|^p |m_t|^p against the weight.  Requires a regular
-    weight and p > 1.  ``levels`` is the family cache of :func:`_sup_scan`."""
+    |f_{a,p}(phi_t)|^p |m_t|^p against the weight, the test functions f_{a,p}
+    taking the exponent gamma = :func:`spaces.default_gamma`.  Requires a
+    regular weight and p > 1.  ``levels`` is the family cache of :func:`_sup_scan`."""
     # written as "not p > 1" so that NaN fails too
     if not p > 1:
         raise PreconditionError("the Bergman criterion requires p > 1")
@@ -297,10 +297,7 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
         raise RegularityError(
             f"weight {weight.label} fails the regularity probe "
             f"(ratio range [{report.min_ratio:.3g}, {report.max_ratio:.3g}])")
-    gamma_floor = default_gamma(p, weight)
-    gamma = gamma_floor if gamma is None else float(gamma)
-    if gamma < gamma_floor:
-        raise PreconditionError(f"gamma = {gamma} below the convergent floor {gamma_floor}")
+    gamma = default_gamma(p, weight)
     scan = scan or DEFAULT_SCAN
     ang_scale, ang_base, ang_cap = _DISK_ANGLES
     rad_scale, rad_base, rad_cap = _DISK_RINGS
@@ -369,9 +366,10 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     Blowups or over-threshold values give UNBOUNDED-TREND; unstable but
     finite scans stay INCONCLUSIVE.
 
-    The scans run in ascending t; the report keeps the order of
-    ``t_grid``.  For a generator-driven flow every scan shares one family
-    cache, so each generation is carried from one t to the next by the laws
+    The scans run in ascending t, one per distinct t; the report keeps the
+    order of ``t_grid``, a repeated t repeating its sample.  For a
+    generator-driven flow every scan shares one family cache, so each
+    generation is carried from one t to the next by the laws
     phi_t = phi_{t-s} o phi_s and m_t = m_s (m_{t-s} o phi_s) and
     integrates [0, last t it serves] once, not [0, t] for every t.  A
     closed-form flow builds each scan's generations at its own t.
@@ -386,10 +384,9 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     if float(np.max(t_grid)) < 0.9:
         raise PreconditionError("the verdict needs samples near t = 1")
     levels = {} if flow.is_generator_driven else None
-    samples = [None] * t_grid.size
-    order = np.argsort(t_grid, kind="stable")
-    for i in order:
-        samples[i] = criterion_sample(flow, cocycle, space, float(t_grid[i]), scan, levels)
+    tt, inverse = np.unique(t_grid, return_inverse=True)
+    scanned = [criterion_sample(flow, cocycle, space, float(t), scan, levels) for t in tt]
+    samples = [scanned[i] for i in inverse]
     values = np.array([s.value for s in samples])
     finite = np.isfinite(values)
     unstable = [s for s, v in zip(samples, values)
@@ -403,14 +400,14 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
         verdict = "INCONCLUSIVE"
     sup = float(np.max(values)) if np.all(finite) else np.inf
     trend = {}
-    # the trend reads the samples in ascending t, one per distinct t
-    tt, first = np.unique(t_grid, return_index=True)
-    vt, tt = values[first][finite[first]], tt[finite[first]]
+    # the trend and the witness read the scans, one per distinct t in ascending t
+    vt = np.array([s.value for s in scanned])
+    kept = np.isfinite(vt)
+    top = scanned[int(np.argmax(np.where(kept, vt, -np.inf))) if np.any(kept) else -1]
+    vt, tt = vt[kept], tt[kept]
     if tt.size >= 3:
         with np.errstate(divide="ignore"):
             trend["t_slope"] = float((np.log(vt[-1]) - np.log(vt[-3])) / (tt[-1] - tt[-3]))
-    best = order[int(np.argmax(np.where(finite, values, -np.inf)[order]))]
-    top = samples[best if np.any(finite) else order[-1]]
     profile = np.asarray(top.rung_profile[-4:], dtype=float)
     if profile.size >= 2 and np.all(np.isfinite(profile)) and np.all(profile > 0):
         # growth of the rung maxima per halving of 1 - |a|
@@ -433,19 +430,16 @@ class SufficiencyProbe:
     tail_value: float
     detail: dict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-def sufficiency_probe(cocycle: Cocycle, t_seq=None, radii=(0.9, 0.99, 0.999),
-                      nodes: int = 512, tol: float = 1e-6) -> SufficiencyProbe:
+def sufficiency_probe(cocycle: Cocycle) -> SufficiencyProbe:
     """Classify limsup of the multiplier sup-norm estimates as t -> 0+.
 
-    ``contractive`` (tail bounded by one) and ``finite`` (tail bounded)
-    both guarantee strong continuity for every p >= 1; ``none`` means the
-    probe found growing circle maxima and implies nothing.
+    ``contractive`` (tail bounded by 1 + 1e-6) and ``finite`` (tail
+    bounded) both guarantee strong continuity for every p >= 1; ``none``
+    means the probe found growing circle maxima and implies nothing.  The
+    probe is :func:`cocycle.limsup_probe` at its defaults.
     """
-    probe = limsup_probe(cocycle, t_seq=t_seq, radii=radii, nodes=nodes, tol=tol)
+    probe = limsup_probe(cocycle)
     regime = {"contractive": "contractive", "finite": "finite"}.get(probe.regime, "none")
     return SufficiencyProbe(regime, probe.tail_value, probe.to_dict())
 

@@ -129,28 +129,29 @@ class PowerIterationResult:
     iterations: int
 
 
-def norm2(a: OperatorMatrix | np.ndarray, iters: int = 1000, tol: float = 1e-12) -> PowerIterationResult:
+def norm2(a: OperatorMatrix | np.ndarray) -> PowerIterationResult:
     """Largest singular value by power iteration on A* A.
 
     A lower bound for the operator norm that is nondecreasing in the
-    section size.  Non-convergence is flagged, never raised.
+    section size.  Stops when two estimates agree to 1e-12 relative;
+    non-convergence after 1000 iterations is flagged, never raised.
     """
     mat = a.entries if isinstance(a, OperatorMatrix) else np.asarray(a, dtype=complex)
     n = mat.shape[0]
     v = 1.0 / np.sqrt(np.arange(1, n + 1))
     v = v / np.linalg.norm(v)
     sigma = 0.0
-    for k in range(1, iters + 1):
+    for k in range(1, 1001):
         u = mat.conj().T @ (mat @ v)
         nu = np.linalg.norm(u)
         if nu == 0.0:
             return PowerIterationResult(0.0, True, k)
         v = u / nu
         new_sigma = float(np.sqrt(nu))
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
+        if abs(new_sigma - sigma) <= 1e-12 * max(new_sigma, 1e-300):
             return PowerIterationResult(new_sigma, True, k)
         sigma = new_sigma
-    return PowerIterationResult(sigma, False, iters)
+    return PowerIterationResult(sigma, False, 1000)
 
 
 def _hardy_trial(a: complex, p: float) -> AnalyticFn:
@@ -163,15 +164,15 @@ def _hardy_trial(a: complex, p: float) -> AnalyticFn:
 
 
 def norm_lower_bound(op: WeightedCompOp, space: SpaceSpec, trials: int = 32,
-                     seed: int = 0, degree: int = 12) -> float:
-    """max ||T f|| / ||f|| over seeded random polynomials plus boundary
-    test functions; a deterministic lower bound for the operator norm."""
+                     seed: int = 0) -> float:
+    """max ||T f|| / ||f|| over seeded random polynomials of degree 12 plus
+    boundary test functions; a deterministic lower bound for the operator norm."""
     if trials < 1:
         raise PreconditionError("need at least one trial")
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(trials):
-        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        coeffs = rng.standard_normal(13) + 1j * rng.standard_normal(13)
         f = AnalyticFn.from_coefficients(coeffs)
         nf = space.norm(f)
         if nf <= 0:
@@ -208,9 +209,6 @@ class OperatorSemigroup:
 
     def at(self, t: float, validate: bool = True) -> WeightedCompOp:
         return semigroup_op(self.flow, self.cocycle, t, validate=validate)
-
-    def apply(self, t: float, f: AnalyticFn) -> AnalyticFn:
-        return self.at(t, validate=False).apply(f)
 
     def __repr__(self):
         return f"OperatorSemigroup({self.name})"

@@ -1,7 +1,7 @@
 """Hardy and weighted Bergman space machinery.
 
 Both spaces are L^p(mu), mu the boundary measure for H^p and omega dA for
-A^p_omega, and every norm, pairing and finite section is one integral
+A^p_omega, and every norm and finite section is one integral
 against mu by a :class:`DiskRule`, which :meth:`SpaceSpec.rule` picks:
 rings times a uniform angular grid.  For Hardy the rings are a geometric
 ladder of circles whose radial weights extrapolate the circle means to the
@@ -14,13 +14,13 @@ boundary, as nested generations: the criteria sum one kernel against them,
 flat nodes and masses, a generation at a time (:func:`kernel_sums`).
 
 Also here: weight regularity probes, the omega-measure of a Carleson
-square, the boundary-concentrated test functions, duality pairings for
-p > 1, and the pointwise growth estimate against the Bergman norm.
+square, the boundary-concentrated test functions, and the pointwise growth
+estimate against the Bergman norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -90,16 +90,6 @@ class RadialWeight:
             return (self.alpha + 1.0) * (1.0 - r ** 2) ** self.alpha
         return np.asarray(self._fn(r), dtype=float)
 
-    def mass(self) -> float:
-        """Total mass of omega dA over the disk (numerical)."""
-        x, w = roots_legendre(512)
-        r = 0.5 * (x + 1.0)
-        vals = 2.0 * self(r) * r
-        total = float(np.sum(0.5 * w * vals))
-        if not np.isfinite(total):
-            raise QuadratureError(f"weight {self.label} has non-finite mass")
-        return total
-
     def __repr__(self):
         return f"RadialWeight({self.label})"
 
@@ -146,11 +136,6 @@ class SpaceSpec:
     @property
     def is_hardy(self) -> bool:
         return self.kind == "hardy"
-
-    def conjugate(self) -> float:
-        if self.p <= 1:
-            raise PreconditionError("conjugate exponent is defined for p > 1 only")
-        return self.p / (self.p - 1.0)
 
     def label(self) -> str:
         """Round-trips through :meth:`parse` for standard weights."""
@@ -343,20 +328,17 @@ def kernel_sums(r: float, angles, w, masses, q: float, cuts) -> np.ndarray:
     return total
 
 
-def _require_finite(value, samples, nodes, message: str) -> None:
-    """Raise on a non-finite value; the witness is the first non-finite sample's node."""
-    if not np.isfinite(value):
-        bad = np.flatnonzero(~np.isfinite(samples))
-        raise QuadratureError(message, witness=complex(nodes.flat[bad[0]]) if bad.size else None)
-
-
 def _lp_norm(f: AnalyticFn, p: float, rule: DiskRule) -> float:
-    """(integral of |f|^p against the rule's measure)^(1/p)."""
+    """(integral of |f|^p against the rule's measure)^(1/p); a non-finite
+    integral raises, its witness the node of the first non-finite sample."""
     z = rule.nodes()
     with np.errstate(over="ignore", invalid="ignore"):
         samples = np.abs(f(z)) ** p
         total = float(rule.integrate(samples))
-    _require_finite(total, samples, z, f"non-finite |f|^p samples for {f.label}")
+    if not np.isfinite(total):
+        bad = np.flatnonzero(~np.isfinite(samples))
+        raise QuadratureError(f"non-finite |f|^p samples for {f.label}",
+                              witness=complex(z.flat[bad[0]]) if bad.size else None)
     return max(total, 0.0) ** (1.0 / p)
 
 
@@ -392,15 +374,12 @@ class RegularityReport:
     regular: bool
     band: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-def _tail_integral(weight: RadialWeight, r: float, n: int = 96) -> float:
+def _tail_integral(weight: RadialWeight, r: float) -> float:
     """int_r^1 omega(s) ds with the endpoint behavior folded into the rule."""
     if weight.is_standard:
         alpha = weight.alpha
-        u, w = _jacobi_unit_rule(n, alpha)
+        u, w = _jacobi_unit_rule(96, alpha)
         s = r + (1.0 - r) * u
         vals = (alpha + 1.0) * (1.0 + s) ** alpha
         return (1.0 - r) ** (alpha + 1.0) * float(np.sum(w * vals))
@@ -409,17 +388,16 @@ def _tail_integral(weight: RadialWeight, r: float, n: int = 96) -> float:
     return (1.0 - r) * float(np.sum(0.5 * w * weight(s)))
 
 
-def is_regular(weight: RadialWeight, r_grid=None, band: float = 10.0,
-               tail_slope_tol: float = 0.1) -> RegularityReport:
+def is_regular(weight: RadialWeight) -> RegularityReport:
     """Probe whether int_r^1 omega is uniformly comparable to omega(r)(1-r).
 
-    The verdict requires every sampled ratio inside (1/band, band) and no
-    monotone drift in the last few grid points (a drifting tail signals a
-    ratio running to 0 or infinity even if still inside the band).
+    The verdict requires every ratio at r = 1 - 2^-k, k = 1..14, inside
+    (1/band, band), band = 10, and a mean log-ratio drift below 0.1 over the
+    last five (a drifting tail signals a ratio running to 0 or infinity
+    even if still inside the band).
     """
-    if r_grid is None:
-        r_grid = 1.0 - 2.0 ** -np.arange(1, 15)
-    r_grid = np.asarray(r_grid, dtype=float)
+    band = 10.0
+    r_grid = 1.0 - 2.0 ** -np.arange(1, 15)
     ratios = []
     used_r = []
     for r in r_grid:
@@ -437,7 +415,7 @@ def is_regular(weight: RadialWeight, r_grid=None, band: float = 10.0,
     in_band = bool(np.all((ratios > 1.0 / band) & (ratios < band)))
     logs = np.log(ratios[-5:])
     drift = float(np.mean(np.diff(logs)))
-    steady = abs(drift) < tail_slope_tol
+    steady = abs(drift) < 0.1
     return RegularityReport(float(np.min(ratios)), float(np.max(ratios)),
                             [float(v) for v in ratios], used_r,
                             in_band and steady, band)
@@ -492,21 +470,9 @@ def test_function(a: complex, p: float, gamma: float | None = None,
                       label=f"test[a={a:.4g},p={p:g}]")
 
 
-def pairing(f: AnalyticFn, g: AnalyticFn, space: SpaceSpec) -> complex:
-    """Duality pairing <f, g>; requires p > 1 (the p = 1 duals are out of scope)."""
-    if space.p <= 1:
-        raise PreconditionError("pairing is supported for p > 1 only")
-    rule = space.rule()
-    z = rule.nodes()
-    with np.errstate(over="ignore", invalid="ignore"):
-        samples = f(z) * np.conj(g(z))
-        total = complex(rule.integrate(samples))
-    _require_finite(total, samples, z, f"non-finite pairing samples for {f.label} and {g.label}")
-    return total
-
-
-def growth_bound_check(f: AnalyticFn, p: float, alpha: float, grid=None) -> float:
-    """max over the grid of (1-|z|^2)^{(2+alpha)/p} |f(z)| / ||f||.
+def growth_bound_check(f: AnalyticFn, p: float, alpha: float) -> float:
+    """max of (1-|z|^2)^{(2+alpha)/p} |f(z)| / ||f|| over z = 0 and 240
+    points of :func:`analytic.disk_samples` of radius at most 0.995.
 
     The pointwise Bergman growth estimate makes this at most 1 up to
     quadrature slack; a zero computed norm is rejected.
@@ -514,8 +480,6 @@ def growth_bound_check(f: AnalyticFn, p: float, alpha: float, grid=None) -> floa
     norm = bergman_norm(f, p, RadialWeight.standard(alpha))
     if norm <= 0.0 or not np.isfinite(norm):
         raise PreconditionError("growth bound undefined for zero (or bad) norm")
-    if grid is None:
-        grid = np.concatenate([[0.0 + 0.0j], disk_samples(240, max_radius=0.995, min_radius=0.0)])
-    grid = np.asarray(grid, dtype=complex)
+    grid = np.concatenate([[0.0 + 0.0j], disk_samples(240, max_radius=0.995, min_radius=0.0)])
     lhs = (1.0 - np.abs(grid) ** 2) ** ((2.0 + alpha) / p) * np.abs(f(grid))
     return float(np.max(lhs)) / norm

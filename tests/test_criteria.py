@@ -541,17 +541,23 @@ def test_verdict_bounded_for_contracting_pair():
     assert [round(t, 3) for t in report.t_values] == [round(t, 3) for t in DEFAULT_T_GRID]
 
 
-def test_verdict_trend_reads_the_samples_in_ascending_t():
+def test_verdict_trend_reads_the_samples_in_ascending_t(monkeypatch):
     flow = dilation()
     m = cob_z(flow)
     trend = uniform_bound_verdict(flow, m, H2, scan=FAST_SCAN).trend
     for grid in (DEFAULT_T_GRID[::-1], np.random.default_rng(0).permutation(DEFAULT_T_GRID)):
         assert uniform_bound_verdict(flow, m, H2, t_grid=grid, scan=FAST_SCAN).trend == trend
-    # a repeated t is read once: the last three distinct t are 0.4, 0.5, 0.99
+    # a repeated t is scanned and read once: the last three distinct t are 0.4, 0.5, 0.99
+    scanned = []
+    sample = criteria.criterion_sample
+    monkeypatch.setattr(criteria, "criterion_sample",
+                        lambda *args: scanned.append(args[3]) or sample(*args))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         report = uniform_bound_verdict(flow, m, H2, scan=FAST_SCAN,
                                        t_grid=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.99, 0.5))
+    assert len(scanned) == 7
+    assert report.criterion[5] == report.criterion[7]
     v = dict(zip(report.t_values, report.criterion))
     assert report.trend["t_slope"] == pytest.approx(np.log(v[0.99] / v[0.4]) / 0.59, rel=1e-12)
 

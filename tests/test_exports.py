@@ -1,6 +1,9 @@
 """The package namespace exports only names that something outside their own
-module uses: the library, the benchmark or the acceptance battery."""
+module uses: the library, the benchmark or the acceptance battery.  A default
+of an exported function is a setting only if some call passes it."""
 
+import ast
+import inspect
 import re
 import types
 from pathlib import Path
@@ -34,3 +37,43 @@ def test_every_export_is_used_outside_its_module():
             unused.append(name)
     # an allowance that something now calls is no longer needed
     assert sorted(unused) == sorted(UNCALLED)
+
+
+# exported defaulted parameters that no call passes, and why
+UNSET = {}
+
+
+def _call_sites():
+    """(callee name, positional arguments, keywords) per call; ``from ... import
+    f as g`` resolves g to f, and ``*args``/``**kwargs`` forward no value of their own."""
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py"),
+                 *(ROOT / "tests").rglob("*.py")]:
+        tree = ast.parse(path.read_text())
+        alias = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for a in node.names if a.asname}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            yield (alias.get(name, name), sum(not isinstance(a, ast.Starred) for a in node.args),
+                   {kw.arg for kw in node.keywords})
+
+
+def test_every_exported_default_is_passed_somewhere():
+    calls = list(_call_sites())
+    unset = []
+    for name in semiflow_lab.__all__:
+        fn = getattr(semiflow_lab, name)
+        if not inspect.isfunction(fn):
+            continue
+        params = list(inspect.signature(fn).parameters.values())
+        for i, param in enumerate(params):
+            if param.default is inspect.Parameter.empty:
+                continue
+            positional = param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+            if not any(callee == name and (param.name in keywords or positional and count > i)
+                       for callee, count, keywords in calls):
+                unset.append(f"{name}.{param.name}")
+    # an allowance that some call now passes is no longer needed
+    assert sorted(unset) == sorted(UNSET)

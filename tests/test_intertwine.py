@@ -187,6 +187,26 @@ def test_extraction_norm_surrogate_reported(monkeypatch):
     assert len(calls) == 2 * len(EXTRACT_GRID)
 
 
+def test_extraction_on_a_custom_weight_has_no_norm_surrogate():
+    # matrix sections need a standard weight; the extraction itself still passes
+    custom = SpaceSpec.bergman(2, RadialWeight.custom(lambda r: 2.0 * (1.0 - r * r)))
+    sg = gallery_semigroups()[0]
+    _, _, report = extract_semigroup(
+        lambda t: AbstractOperator.from_weighted_comp(sg.at(t, validate=False), custom),
+        EXTRACT_GRID)
+    assert report.passed
+    assert np.isnan(report.norm_surrogate)
+
+
+def test_extraction_raises_a_section_error_that_is_not_a_precondition(monkeypatch):
+    def broken(_):
+        raise ZeroDivisionError("a defect in the section code")
+
+    monkeypatch.setattr(intertwine, "norm2", broken)
+    with pytest.raises(ZeroDivisionError):
+        extract_semigroup(family_of(gallery_semigroups()[0]), EXTRACT_GRID)
+
+
 def test_intertwining_implies_form_residual():
     # numerical echo of the converse direction: small intertwining residual
     # with clean recovery forces a small weighted-composition form residual
@@ -214,6 +234,14 @@ def test_bundle_round_trip(tmp_path):
     assert report.passed
     zs = disk_samples(40, max_radius=0.8)
     assert np.max(np.abs(flow(0.3, zs) - sg.flow(0.3, zs))) < 1e-7
+
+
+def test_bundle_keeps_apart_times_its_manifest_tells_apart(tmp_path):
+    ts = [0.1, 0.1000001]
+    mats = [np.eye(4), 2.0 * np.eye(4)]
+    t_family, _, _ = load_bundle(save_bundle(tmp_path / "bundle", ts, mats, A0))
+    for t, mat in zip(ts, mats):
+        assert np.array_equal(t_family(t).section.entries, mat)
 
 
 def test_bundle_rejects_malformed(tmp_path):
