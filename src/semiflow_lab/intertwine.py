@@ -104,11 +104,12 @@ def commutant_check(b: AbstractOperator) -> CommutantReport:
 
 
 def recover_symbols(t_op: AbstractOperator, grid=None):
-    """(m, phi) with m = T1 and phi = Tz / T1, zero-guarded.
+    """(m, phi, masked) with m = T1 and phi = Tz / T1, zero-guarded.
 
     Isolated zeros of T1, where |T1| < 1e-10 (1 + max |T1| on the grid),
     are masked and phi is filled there from nearby perturbed evaluations; a
     T1 below 1e-10 on the whole probe grid is degenerate and raises.
+    ``masked`` lists the probe-grid points masked at recovery, and only those.
     """
     zero_tol = 1e-10
     grid = np.asarray(grid if grid is not None else disk_samples(20), dtype=complex)
@@ -120,7 +121,7 @@ def recover_symbols(t_op: AbstractOperator, grid=None):
         raise DegenerateOperatorError(
             f"{t_op.label}: T1 vanishes on the whole probe grid; "
             "no weighted-composition form can be recovered")
-    masked = []
+    masked = grid[np.abs(mv) < zero_tol * (1.0 + scale)].tolist()
 
     def phi_eval(z):
         z = np.asarray(z, dtype=complex)
@@ -128,7 +129,6 @@ def recover_symbols(t_op: AbstractOperator, grid=None):
         den = m(z)
         small = np.abs(den) < zero_tol * (1.0 + scale)
         if np.any(small):
-            masked.extend(np.atleast_1d(z)[np.atleast_1d(small)].tolist())
             offsets = 1e-5 * np.exp(0.5j * np.pi * np.arange(4))
             zz = np.atleast_1d(z)[np.atleast_1d(small)]
             repl = np.mean([tz(zz + o) / m(zz + o) for o in offsets], axis=0)
@@ -284,9 +284,12 @@ def extract_semigroup(t_family, t_grid):
 
     per_t = {}
     space = None
+    ops = []            # (t, operator) for t < 1, the times the norm surrogate reads
     for t in t_grid:
         op = t_family(float(t))
         space = space or op.space
+        if t < 1.0:
+            ops.append((t, op))
         report = check_intertwiner(op)
         per_t[f"{t:g}"] = report.passed
         if report.degenerate:
@@ -335,9 +338,15 @@ def extract_semigroup(t_family, t_grid):
     norm_surrogate = np.nan
     if space is not None and space.p == 2:
         try:
-            sections = [norm2(matrix_of_family(t_family, t, space, 32)).value
-                        for t in t_grid if t < 1.0]
-            norm_surrogate = float(np.max(sections))
+            norms = []
+            for t, op in ops:       # an attached section is reused, else built from the symbols
+                if op.section is not None and op.section.dim >= 32:
+                    section = op.section.entries[:32, :32]
+                else:
+                    section = matrix(WeightedCompOp(*recover_at(t), validate=False,
+                                                    label=op.label), space, 32)
+                norms.append(norm2(section).value)
+            norm_surrogate = float(np.max(norms))
         except PreconditionError:       # a custom weight has no matrix sections
             pass
     passed = (flow_res < 1e-6 and coc_res < 1e-6 and identity_res < 1e-6
@@ -349,17 +358,6 @@ def extract_semigroup(t_family, t_grid):
                               identity_res, unit_res, min_mod, continuity,
                               norm_surrogate, per_t, passed, note)
     return semiflow, cocycle, report
-
-
-def matrix_of_family(t_family, t, space: SpaceSpec, dim: int) -> OperatorMatrix:
-    """Finite section of a family member, reusing an attached section if any."""
-    op = t_family(float(t))
-    if op.section is not None and op.section.dim >= dim:
-        return OperatorMatrix(op.section.entries[:dim, :dim], op.section.space_label,
-                              dim, op.section.tail_bound)
-    comp = WeightedCompOp(op(AnalyticFn.constant(1.0)),
-                          recover_symbols(op)[1], validate=False, label=op.label)
-    return matrix(comp, space, dim)
 
 
 # -- matrix bundle I/O -------------------------------------------------

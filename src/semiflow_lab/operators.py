@@ -88,10 +88,12 @@ def basis_scales(space: SpaceSpec, count: int) -> np.ndarray:
 def matrix(op: WeightedCompOp, space: SpaceSpec, dim: int = 64) -> OperatorMatrix:
     """Entries <T e_j, e_i> computed column by column through quadrature.
 
-    Per column the operator image is sampled once on the space's rule, at
-    least 4 dim angles and dim rings; all the row pairings then come out of
-    one FFT per ring, so assembly is linear in the grid.  ``tail_bound`` is
-    the largest norm of a column's image outside the section.
+    m phi^j lives on the space's rule (at least 4 dim angles on the 12
+    ``BOUNDARY_EPS`` circles for H^2, on max(64, dim) rings for A^2) in one
+    node buffer, multiplied by phi in place per column.  The row pairings are
+    the first dim FFT modes of each ring against weights that fold in r^i, and
+    1 / (scale_i scale_j) is applied to the finished matrix.  ``tail_bound``
+    is the largest norm of a column's image in the modes the section drops.
     """
     if dim < 2:
         raise PreconditionError("matrix dimension must be at least 2")
@@ -101,22 +103,21 @@ def matrix(op: WeightedCompOp, space: SpaceSpec, dim: int = 64) -> OperatorMatri
     scales = basis_scales(space, dim)
     rule = space.rule(n_theta, max(N_RAD, dim))
     z = rule.nodes()
-    mv = op.m(z)
     pv = op.phi(z)
-    # the mean of g conj(z^i) on the ring of radius r is r^i times the ring's i-th FFT mode
-    radial_pow = rule.radii[:, None] ** np.arange(dim)[None, :]     # [R, dim]
+    col = np.array(op.m(z))      # m phi^j, advanced in place (a copy: m may return its argument)
+    # the mean of g conj(z^i) on the ring of radius r is r^i / n_theta times its i-th FFT mode
+    ring_w = rule.scale * rule.radial_w / n_theta
+    proj_w = ring_w[:, None] * rule.radii[:, None] ** np.arange(dim)[None, :]   # [R, dim]
     entries = np.empty((dim, dim), dtype=complex)
-    tail = 0.0
-    col = np.ones_like(z)
+    dropped = np.empty(dim)
     for j in range(dim):
-        vals = mv * col / scales[j]
-        spec = np.fft.fft(vals, axis=1) / n_theta          # [R, modes]
-        proj = rule.scale * np.sum(rule.radial_w[:, None] * spec[:, :dim] * radial_pow, axis=0)
-        entries[:, j] = proj / scales
-        energy = float(rule.integrate(np.abs(vals) ** 2))
-        captured = float(np.sum(np.abs(entries[:, j]) ** 2))
-        tail = max(tail, np.sqrt(max(energy - captured, 0.0)))
-        col = col * pv
+        spec = np.fft.fft(col, axis=1)
+        entries[:, j] = np.einsum("ri,ri->i", proj_w, spec[:, :dim])
+        rest = spec[:, dim:].view(float)                   # (re, im) pairs of the dropped modes
+        dropped[j] = ring_w @ np.einsum("rk,rk->r", rest, rest)
+        col *= pv
+    entries /= scales[:, None] * scales[None, :]
+    tail = float(np.sqrt(np.max(np.maximum(dropped, 0.0) / (n_theta * scales ** 2))))
     return OperatorMatrix(entries, space.label(), dim, tail)
 
 

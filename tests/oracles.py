@@ -8,6 +8,7 @@ polynomial algebra.
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import betaln, roots_jacobi
 
 
 def radial_monomial_norm(n: int, p: float, alpha: float) -> float:
@@ -90,6 +91,28 @@ def hardy_section_by_circles(m, phi, dim: int) -> np.ndarray:
         images = m(z) * phi(z) ** np.arange(dim)[:, None]           # [j, node]
         return np.conj(z ** np.arange(dim)[:, None]) @ images.T / z.size
     return circle_ladder_limit(pairs, max(512, 4 * dim))[0]
+
+
+def bergman_section_by_rings(m, phi, dim: int, alpha: float) -> np.ndarray:
+    """<m phi^j, e_i> on A^2_alpha from direct node sums on Gauss-Jacobi rings, no FFT.
+
+    In s = r^2 the pairing <f, z^i> is (alpha+1) int_0^1 (1-s)^alpha
+    mean_theta f conj(z^i) ds, summed here on 96 ``roots_jacobi`` rings in s
+    of 1024 angles each (a finer grid than the sections use, for dim <= 64);
+    the monomial norms are the closed-form Beta values (alpha+1) B(n+1, alpha+1).
+    """
+    n_rad, n_theta = 96, 1024
+    x, w = roots_jacobi(n_rad, alpha, 0.0)
+    ring_w = (alpha + 1.0) * w * 2.0 ** (-alpha - 1.0)
+    circle = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
+    powers = np.arange(dim)[:, None]
+    gram = np.zeros((dim, dim), dtype=complex)
+    for r, c in zip(np.sqrt(0.5 * (x + 1.0)), ring_w):
+        z = r * circle
+        images = m(z) * phi(z) ** powers                             # [j, node]
+        gram += c * (np.conj(z ** powers) @ images.T) / n_theta
+    norms = np.sqrt((alpha + 1.0) * np.exp(betaln(np.arange(dim) + 1.0, alpha + 1.0)))
+    return gram / np.outer(norms, norms)
 
 
 def hardy_level_at_zero(a: complex, n: int) -> float:

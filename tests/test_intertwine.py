@@ -76,6 +76,17 @@ def test_recover_symbols_identity():
     assert np.max(np.abs(phi(GRID) - GRID)) < 1e-12
 
 
+def test_recover_symbols_masks_probe_zeros_once():
+    # T1 = z vanishes at the probe point 0; phi = z/2 is filled in there, and
+    # evaluating phi again at that zero leaves the recovered list alone
+    op = wrap(WeightedCompOp(AnalyticFn.identity(), AnalyticFn(lambda z: z / 2.0, label="z/2")))
+    m, phi, masked = recover_symbols(op, grid=[0.0, 0.1, 0.5j])
+    assert masked == [0j]
+    for _ in range(3):
+        assert np.max(np.abs(phi([0.0, 0.1]) - [0.0, 0.05])) < 1e-9
+    assert masked == [0j]
+
+
 def test_recover_symbols_degenerate():
     zero = AbstractOperator(lambda f: AnalyticFn.constant(0.0), A0, label="0")
     with pytest.raises(DegenerateOperatorError):
@@ -182,9 +193,9 @@ def test_extraction_norm_surrogate_reported(monkeypatch):
     _, _, report = extract_semigroup(family_of(sg), EXTRACT_GRID)
     assert report.norm_surrogate == pytest.approx(1.0, abs=1e-6)
     assert "surrogate" in report.note
-    # symbols are recovered once per time by the intertwiner check and once
-    # for the norm section, which probes its own grid
-    assert len(calls) == 2 * len(EXTRACT_GRID)
+    # symbols are recovered once per time, by the intertwiner check; the norm
+    # sections are built from those symbols
+    assert len(calls) == len(EXTRACT_GRID)
 
 
 def test_extraction_on_a_custom_weight_has_no_norm_surrogate():

@@ -59,6 +59,25 @@ def test_hardy_section_matches_the_circle_by_circle_oracle():
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("dim", [16, 64])
+@pytest.mark.parametrize("pair", range(3))
+def test_bergman_section_matches_the_ring_by_ring_oracle(pair, dim, alpha):
+    op = gallery_semigroups()[pair].at(0.5)
+    got = matrix(op, SpaceSpec.bergman(2, RadialWeight.standard(alpha)), dim).entries
+    expected = oracles.bergman_section_by_rings(op.m, op.phi, dim, alpha)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("space", [H2, A0], ids=["hardy", "bergman"])
+@pytest.mark.parametrize("pair", range(3))
+def test_gallery_sections_have_no_tail(pair, space):
+    # the gallery images m phi^j are polynomials of degree j, so the section
+    # drops nothing and the tail must read rounding, not the square root of it
+    a = matrix(gallery_semigroups()[pair].at(0.3), space, 16)
+    assert a.tail_bound <= 1e-12
+
+
 def test_operator_rejects_non_self_map():
     with pytest.raises(DomainError):
         WeightedCompOp(AnalyticFn.constant(1.0),
