@@ -152,6 +152,8 @@ def verify_cocycle(m: Cocycle, flow: Semiflow, t_grid=None, z_grid=None,
     z_grid = np.asarray(z_grid if z_grid is not None else disk_samples(30), dtype=complex)
     if t_grid.size == 0 or z_grid.size == 0:
         raise PreconditionError("verification grids must be nonempty")
+    if not np.all(np.isfinite(t_grid)):
+        raise PreconditionError("verification times must be finite")
     admissible = True
     note = ""
     if m.kind == "coboundary" and m.zeros:

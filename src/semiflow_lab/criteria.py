@@ -362,9 +362,10 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     """Evaluate the criterion across t in [0, 1) and issue the verdict.
 
     BOUNDED is the numerical surrogate for strong continuity: every value
-    finite, below the configured threshold, with stable refinements.
-    Blowups or over-threshold values give UNBOUNDED-TREND; unstable but
-    finite scans stay INCONCLUSIVE.
+    finite, below the configured threshold, with stable refinements and
+    every angular indicator at most ``stability_rel``.  Blowups or
+    over-threshold values give UNBOUNDED-TREND; unstable but finite scans
+    stay INCONCLUSIVE.
 
     The scans run in ascending t, one per distinct t; the report keeps the
     order of ``t_grid``, a repeated t repeating its sample.  For a
@@ -389,9 +390,12 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     samples = [scanned[i] for i in inverse]
     values = np.array([s.value for s in samples])
     finite = np.isfinite(values)
-    unstable = [s for s, v in zip(samples, values)
-                if np.isfinite(v) and s.corrections
-                and s.corrections[-1] > max(scan.stability_rel * v, 1e-9)]
+    # a sample is unstable if its last refinement moved it or its angular
+    # indicator says its quadrature is under-resolved
+    rel = scan.stability_rel
+    unstable = any(s.angular_indicator > rel
+                   or (s.corrections and s.corrections[-1] > max(rel * v, 1e-9))
+                   for s, v in zip(samples, values) if np.isfinite(v))
     if not np.all(finite) or np.any(values[finite] > scan.bound_threshold):
         verdict = "UNBOUNDED-TREND"
     elif not unstable:

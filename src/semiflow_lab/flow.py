@@ -173,8 +173,9 @@ class Semiflow:
         """phi_t(z) for every t in ``ts`` and z in ``zs``; shape (len(ts), len(zs))."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        if ts.size and float(np.min(ts)) < -1e-15:
-            raise PreconditionError("semiflow times must be nonnegative")
+        # written as "not -1e-15 <= t < inf" so that NaN fails too
+        if ts.size and not (-1e-15 <= ts.min() and ts.max() < np.inf):
+            raise PreconditionError("semiflow times must be finite and nonnegative")
         if check and zs.size and float(np.max(np.abs(zs))) >= 1.0:
             raise PreconditionError("semiflow arguments must lie in the open disk")
         if self._closed is not None:
@@ -206,8 +207,8 @@ class Semiflow:
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
         if self.derivative is None:
             raise PreconditionError(f"{self.name} carries no derivative")
-        if t < -1e-15:
-            raise PreconditionError("semiflow times must be nonnegative")
+        if not -1e-15 <= t < np.inf:        # written so that NaN fails too
+            raise PreconditionError("semiflow times must be finite and nonnegative")
         if self._closed is not None:
             return (np.asarray(self._closed(float(t), zs), dtype=complex),
                     np.asarray(self.derivative(float(t), zs), dtype=complex))

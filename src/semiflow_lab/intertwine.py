@@ -82,25 +82,33 @@ class CommutantReport:
     multiplier: AnalyticFn
 
 
+def _family_pass(t_op: AbstractOperator, grid):
+    """(family, T f, T(z f)) over :func:`default_test_family`, each input applied once.
+
+    Row i of the two arrays holds (T f_i)(grid) and (T(z f_i))(grid): row 0
+    (f = z^0) is T1 on the grid and row n is T z^n for n < 10.
+    """
+    family = default_test_family()
+    zf = AnalyticFn.identity()
+    tf = np.array([t_op(f)(grid) for f in family])
+    tzf = np.array([t_op(zf * f)(grid) for f in family])
+    return family, tf, tzf
+
+
 def commutant_check(b: AbstractOperator) -> CommutantReport:
     """Check B against membership in the commutant of multiplication by z.
 
     Commutant members are exactly the bounded multiplication operators, so
     the probe measures both commutation B(zf) = z B(f) and the multiplier
     form B(f) = (B1) f on :func:`default_test_family` at ``disk_samples(40)``.
+    A NaN anywhere makes its residual NaN.
     """
     grid = disk_samples(40)
-    g = b(AnalyticFn.constant(1.0))
-    gv = g(grid)
-    commute = 0.0
-    mult = 0.0
-    zf = AnalyticFn.identity()
-    for f in default_test_family():
-        bf = b(f)(grid)
-        bzf = b(zf * f)(grid)
-        commute = max(commute, float(np.max(np.abs(bzf - grid * bf))))
-        mult = max(mult, float(np.max(np.abs(bf - gv * f(grid)))))
-    return CommutantReport(commute, mult, g)
+    family, bf, bzf = _family_pass(b, grid)
+    fv = np.array([f(grid) for f in family])
+    return CommutantReport(float(np.max(np.abs(bzf - grid * bf))),
+                           float(np.max(np.abs(bf - bf[0] * fv))),
+                           b(AnalyticFn.constant(1.0)))
 
 
 def recover_symbols(t_op: AbstractOperator, grid=None):
@@ -161,18 +169,6 @@ class IntertwinerReport:
     note: str = ""
 
 
-def _fallback_self_map(t_op, family, grid):
-    """Estimate phi from T(z f0)/T(f0) for the first member with max |T f0| > 1e-9."""
-    zf = AnalyticFn.identity()
-    for f in family:
-        tf = t_op(f)(grid)
-        if float(np.max(np.abs(tf))) > 1e-9:
-            tzf = t_op(zf * f)(grid)
-            safe = np.where(np.abs(tf) > 1e-9, tf, 1.0)
-            return tzf / safe, f.label
-    return None, None
-
-
 def check_intertwiner(t_op: AbstractOperator) -> IntertwinerReport:
     """Full verification that T acts as f -> m (f o phi) with |phi| < 1.
 
@@ -180,49 +176,43 @@ def check_intertwiner(t_op: AbstractOperator) -> IntertwinerReport:
     T(z f) = phi T(f), the weighted-composition form itself, the self-map
     bound, and a boundary lower estimate of the multiplier sup-norm, on
     :func:`default_test_family` at ``disk_samples(60, max_radius=0.9)``.
-    T passes with residuals below 1e-7 (intertwining) and 1e-6 (form).
+    T passes with residuals below 1e-7 (intertwining) and 1e-6 (form); a
+    NaN anywhere makes its residual NaN, which fails.  Every residual reads
+    one pass of T over the family, plus T z^10 for the power residuals.
     Failures are reported, not raised (a degenerate T1 falls back to a
     ratio-based self-map estimate so non-intertwiners still get a residual).
     """
     grid = disk_samples(60, max_radius=0.9)
-    family = default_test_family()
-    zf = AnalyticFn.identity()
     try:
         m, phi, masked = recover_symbols(t_op, grid)
-        degenerate = False
-        phi_v = phi(grid)
-        m_v = m(grid)
-        note = f"{len(masked)} masked zeros of T1" if masked else ""
     except DegenerateOperatorError:
-        degenerate = True
         m = phi = None
-        phi_v, used = _fallback_self_map(t_op, family, grid)
-        m_v = None
-        note = (f"degenerate recovery: T1 vanishes; self-map estimated from {used}"
-                if phi_v is not None else "degenerate recovery: zero operator")
-    inter = 0.0
-    mult_rel = 0.0
-    form = 0.0
-    if phi_v is not None:
-        for f in family:
-            tf = t_op(f)(grid)
-            tzf = t_op(zf * f)(grid)
-            resid = float(np.max(np.abs(tzf - phi_v * tf)))
-            inter = max(inter, resid)
-            mult_rel = max(mult_rel, resid / (1.0 + float(np.max(np.abs(tf)))))
-            if not degenerate:
-                form = max(form, float(np.max(np.abs(tf - m_v * f(phi_v)))))
-        self_map_max = float(np.max(np.abs(phi_v)))
+    family, tf, tzf = _family_pass(t_op, grid)
+    degenerate = m is None
+    if not degenerate:
+        phi_v = phi(grid)
+        note = f"{len(masked)} masked zeros of T1" if masked else ""
     else:
-        inter = mult_rel = form = np.inf
-        self_map_max = np.inf
+        # phi from T(z f)/T(f) for the first member with max |T f| > 1e-9
+        live = [i for i, row in enumerate(tf) if np.max(np.abs(row)) > 1e-9]
+        phi_v, note = None, "degenerate recovery: zero operator"
+        if live:
+            i = live[0]
+            phi_v = tzf[i] / np.where(np.abs(tf[i]) > 1e-9, tf[i], 1.0)
+            note = f"degenerate recovery: T1 vanishes; self-map estimated from {family[i].label}"
     powers = {}
-    if phi_v is not None:
-        one = AnalyticFn.constant(1.0)
-        t_one = t_op(one)(grid)
-        for n in (1, 2, 5, 10):
-            tzn = t_op(AnalyticFn.monomial(n))(grid)
-            powers[str(n)] = float(np.max(np.abs(tzn - phi_v ** n * t_one)))
+    if phi_v is None:
+        inter = mult_rel = form = self_map_max = np.inf
+    else:
+        resid = np.max(np.abs(tzf - phi_v * tf), axis=1)
+        inter = float(np.max(resid))
+        mult_rel = float(np.max(resid / (1.0 + np.max(np.abs(tf), axis=1))))
+        form = 0.0 if degenerate else float(
+            np.max(np.abs(tf - tf[0] * np.array([f(phi_v) for f in family]))))
+        self_map_max = float(np.max(np.abs(phi_v)))
+        for n, tzn in ((1, tf[1]), (2, tf[2]), (5, tf[5]),
+                       (10, t_op(AnalyticFn.monomial(10))(grid))):
+            powers[str(n)] = float(np.max(np.abs(tzn - phi_v ** n * tf[0])))
     bound_est, growing = np.inf, True
     if m is not None:
         ladder = eps_ladder(1e-2, 0.5, 8)
@@ -232,8 +222,6 @@ def check_intertwiner(t_op: AbstractOperator) -> IntertwinerReport:
         if np.all(np.isfinite(maxima)) and maxima[0] > 0:
             bound_est = float(np.max(maxima))
             growing = bool(maxima[-1] > 2.0 * maxima[len(maxima) // 2])
-        else:
-            bound_est, growing = np.inf, True
     passed = (not degenerate and inter < 1e-7 and form < 1e-6
               and self_map_max < 1.0 - 1e-9 and not growing)
     return IntertwinerReport(m, phi, mult_rel, inter, self_map_max, form,
@@ -277,10 +265,10 @@ def extract_semigroup(t_family, t_grid):
     if len(t_grid) < 3 or t_grid[1] > 0.25:
         raise PreconditionError("extraction grid needs points accumulating at 0")
     grid = disk_samples(60, max_radius=0.9)
-    symbols: dict = {}  # round(t, 12) -> (m_t, phi_t), from the intertwiner checks
+    table: dict = {}    # round(t, 12) -> (m_t, phi_t, m_t(grid), phi_t(grid))
 
-    def recover_at(t):
-        return symbols[round(float(t), 12)]
+    def symbols(t):
+        return table[round(float(t), 12)]
 
     per_t = {}
     space = None
@@ -301,40 +289,28 @@ def extract_semigroup(t_family, t_grid):
                 f"extraction failed at t = {t:g}: intertwiner check failed "
                 f"(intertwining residual {report.intertwining_residual:.3g}, "
                 f"self-map max {report.self_map_max:.9g})", t=float(t))
-        symbols[round(t, 12)] = (report.multiplier, report.self_map)
+        m, phi = report.multiplier, report.self_map
+        table[round(t, 12)] = (m, phi, m(grid), phi(grid))
 
-    def flow_map(t, z):
-        _, phi = recover_at(t)
-        return phi(z)
+    semiflow = Semiflow.closed_form(lambda t, z: symbols(t)[1](z), name="extracted-flow")
+    cocycle = Cocycle.closed(lambda t, z: symbols(t)[0](z), name="extracted-cocycle")
 
-    def cocycle_map(t, z):
-        m, _ = recover_at(t)
-        return m(z)
-
-    semiflow = Semiflow.closed_form(flow_map, name="extracted-flow")
-    cocycle = Cocycle.closed(cocycle_map, name="extracted-cocycle")
-
-    available = set(round(t, 12) for t in t_grid)
-    flow_res = 0.0
-    coc_res = 0.0
-    m0, phi0 = recover_at(0.0)
-    identity_res = float(np.max(np.abs(phi0(grid) - grid)))
-    unit_res = float(np.max(np.abs(m0(grid) - 1.0)))
-    min_mod = np.inf
+    # the law residuals read the table; np.maximum keeps a NaN residual NaN
+    flow_res = coc_res = 0.0
     for t in t_grid:
-        m_t, phi_t = recover_at(t)
-        phi_t_v = phi_t(grid)
-        m_t_v = m_t(grid)
-        min_mod = min(min_mod, float(np.min(np.abs(m_t_v))))
+        _, _, m_t_v, phi_t_v = symbols(t)
         for s in t_grid:
-            if round(t + s, 12) not in available:
-                continue
-            m_sum, phi_sum = recover_at(t + s)
-            m_s, phi_s = recover_at(s)
-            flow_res = max(flow_res, float(np.max(np.abs(phi_sum(grid) - phi_s(phi_t_v)))))
-            coc_res = max(coc_res, float(np.max(np.abs(m_sum(grid) - m_t_v * m_s(phi_t_v)))))
+            if round(t + s, 12) in table:
+                m_s, phi_s, _, _ = symbols(s)
+                _, _, m_sum_v, phi_sum_v = symbols(t + s)
+                flow_res = np.maximum(flow_res, np.max(np.abs(phi_sum_v - phi_s(phi_t_v))))
+                coc_res = np.maximum(coc_res, np.max(np.abs(m_sum_v - m_t_v * m_s(phi_t_v))))
+    _, _, m0_v, phi0_v = symbols(0.0)
+    identity_res = float(np.max(np.abs(phi0_v - grid)))
+    unit_res = float(np.max(np.abs(m0_v - 1.0)))
+    min_mod = float(np.min(np.abs([entry[2] for entry in table.values()])))
     small_ts = [t for t in t_grid if 0 < t <= 0.3][:4]
-    continuity = [float(np.max(np.abs(recover_at(t)[1](grid) - grid))) for t in small_ts]
+    continuity = [float(np.max(np.abs(symbols(t)[3] - grid))) for t in small_ts]
     norm_surrogate = np.nan
     if space is not None and space.p == 2:
         try:
@@ -343,7 +319,7 @@ def extract_semigroup(t_family, t_grid):
                 if op.section is not None and op.section.dim >= 32:
                     section = op.section.entries[:32, :32]
                 else:
-                    section = matrix(WeightedCompOp(*recover_at(t), validate=False,
+                    section = matrix(WeightedCompOp(*symbols(t)[:2], validate=False,
                                                     label=op.label), space, 32)
                 norms.append(norm2(section).value)
             norm_surrogate = float(np.max(norms))
@@ -354,7 +330,7 @@ def extract_semigroup(t_family, t_grid):
               and (not continuity or continuity[0] < 0.5))
     note = ("norm surrogate is a finite-section lower bound; the uniform-bound "
             "hypothesis itself is not numerically decidable")
-    report = ExtractionReport([float(t) for t in t_grid], flow_res, coc_res,
+    report = ExtractionReport([float(t) for t in t_grid], float(flow_res), float(coc_res),
                               identity_res, unit_res, min_mod, continuity,
                               norm_surrogate, per_t, passed, note)
     return semiflow, cocycle, report
@@ -390,6 +366,8 @@ def load_bundle(manifest_path):
         manifest = json.loads(mpath.read_text())
         space = SpaceSpec.parse(manifest["space"])
         t_values = [float(t) for t in manifest["t_values"]]
+        if not np.all(np.isfinite(t_values)):
+            raise ValueError(f"t_values {t_values} are not all finite")
         root = mpath.parent
         ops = {}
         for t in t_values:

@@ -194,8 +194,8 @@ def norm_lower_bound(op: WeightedCompOp, space: SpaceSpec, trials: int = 32,
 def semigroup_op(flow: Semiflow, cocycle: Cocycle, t: float,
                  validate: bool = True) -> WeightedCompOp:
     """The weighted composition operator S_t f = m_t * (f o phi_t)."""
-    if t < 0:
-        raise PreconditionError("semigroup time must be nonnegative")
+    if not 0 <= t < np.inf:                 # written so that NaN fails too
+        raise PreconditionError(f"semigroup time must be finite and nonnegative, got {t}")
     return WeightedCompOp(cocycle.fn(t), flow.map_fn(t), validate=validate,
                           label=f"S[{flow.name}/{cocycle.name}@{t:g}]")
 
@@ -258,4 +258,6 @@ def load_matrix_csv(path) -> np.ndarray:
     flat = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
     if flat.shape[1] % 2:
         raise PreconditionError(f"matrix CSV {path} must hold re,im pairs")
+    if not np.all(np.isfinite(flat)):
+        raise PreconditionError(f"matrix CSV {path} holds non-finite entries")
     return flat[:, 0::2] + 1j * flat[:, 1::2]

@@ -155,6 +155,41 @@ def test_intertwine_malformed_bundle_is_config_error(tmp_path):
     assert main(["intertwine", "--bundle", str(bad), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_intertwine_bundle_with_non_finite_entries_is_config_error(tmp_path, capsys, value):
+    # such a bundle once exited 1 with "intertwining residual 0"
+    a0 = SpaceSpec.bergman(2, RadialWeight.standard(0.0))
+    sg = gallery_semigroups()[0]
+    ts = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+    mats = [matrix(sg.at(t, validate=False), a0, 20) for t in ts]
+    manifest = save_bundle(tmp_path / "bundle", ts, mats, a0)
+    csv = tmp_path / "bundle" / "t_0.3.csv"
+    rows = csv.read_text().splitlines()
+    rows[5] = ",".join([value] * 40)
+    csv.write_text("\n".join(rows) + "\n")
+    assert main(["intertwine", "--bundle", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "t_0.3.csv" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_intertwine_manifest_with_a_non_finite_time_is_config_error(tmp_path, capsys, value):
+    # the message names the manifest, not only the time ("no operator at t = nan")
+    h2 = SpaceSpec.hardy(2)
+    ts = [0.0, 0.1, 0.2, 0.3]
+    sg = gallery_semigroups()[0]
+    manifest = save_bundle(tmp_path / "bundle", ts,
+                           [matrix(sg.at(t, validate=False), h2, 20) for t in ts], h2)
+    content = json.loads(manifest.read_text())
+    content["t_values"][-1] = value
+    content["files"][value] = content["files"]["0.3"]
+    manifest.write_text(json.dumps(content))
+    assert main(["intertwine", "--bundle", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "Traceback" not in err
+
+
 def test_decay_with_custom_weight_table(tmp_path):
     table = tmp_path / "weight.csv"
     r = np.linspace(0.0, 1.0, 101)

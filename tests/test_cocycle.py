@@ -94,6 +94,13 @@ def test_verify_cocycle_evaluates_each_time_sum_once(monkeypatch):
     assert len(calls) == 83
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_verify_cocycle_rejects_a_time_that_is_not_finite(t):
+    m = make_coboundary(AnalyticFn.identity(), dilation(), zero_candidates=(0.0,))
+    with pytest.raises(PreconditionError):
+        verify_cocycle(m, dilation(), t_grid=[0.0, 0.5, t])
+
+
 def test_verify_derivative_cocycle_over_dilation():
     m = Cocycle.derivative(dilation())
     report = verify_cocycle(m, dilation())

@@ -9,8 +9,8 @@ from semiflow_lab.analytic import AnalyticFn
 from semiflow_lab import criteria, flow as flow_module
 from semiflow_lab.cocycle import Cocycle, exp_growth_cocycle, limsup_probe, make_coboundary, \
     poisson_blowup_cocycle, resolve_cocycle, unit_cocycle, verify_cocycle
-from semiflow_lab.criteria import (DEFAULT_T_GRID, SupScanConfig, bergman_criterion,
-                                   criterion_sample, direct_decay_probe,
+from semiflow_lab.criteria import (DEFAULT_SCAN, DEFAULT_T_GRID, SupScanConfig,
+                                   bergman_criterion, criterion_sample, direct_decay_probe,
                                    default_decay_family, hardy_criterion, sufficiency_probe,
                                    uniform_bound_verdict)
 from semiflow_lab.errors import PreconditionError, RegularityError
@@ -140,6 +140,41 @@ def test_bounded_hardy_pairs_report_small_angular_indicators(pair):
     assert report.verdict == "BOUNDED"
     assert len(report.angular_indicator) == len(report.t_values)
     assert 0.0 < max(report.angular_indicator) <= 1e-6
+
+
+@pytest.mark.parametrize("space, gamma, scan", [
+    (H2, 1.0, DEFAULT_SCAN), (H2, 0.75, DEFAULT_SCAN), (A0, 1.0, DEFAULT_SCAN),
+    (H2, 0.4, DEFAULT_SCAN),
+    (H2, 1.0, SupScanConfig(ladder_depth=7, n_angles=8, refine_rounds=0))],
+    ids=["hardy-1", "hardy-0.75", "bergman-1", "hardy-0.4", "hardy-1-unrefined"])
+def test_under_resolved_scan_is_never_bounded(space, gamma, scan):
+    # m_t = ((1 - e^-t z)/(1 - z))^gamma has a |1 - z|^-gamma peak on a ring
+    # node; every copy scans with angular indicators of 0.98-1 and once read
+    # BOUNDED (sups 1e8, 2.5e5, 291 and 54; at gamma = 0.4 m_t is in H^2,
+    # but the scan does not resolve it). Without refinement rounds a sample
+    # has no correction to test, and the indicator still gates.
+    flow = dilation()
+    report = uniform_bound_verdict(
+        flow, resolve_cocycle(f"coboundary:affine-power:{gamma}", flow), space, scan=scan)
+    assert max(report.angular_indicator) > scan.stability_rel
+    assert report.verdict == "INCONCLUSIVE"
+
+
+@pytest.mark.parametrize("space", [H2, A0], ids=["hardy", "bergman"])
+def test_rotated_singularity_keeps_the_sup_or_is_never_bounded(space):
+    # dilation commutes with rotations, so w = (1 - e^{-i beta} z) gives the
+    # same criterion at every beta: either the sups agree within 5% or no
+    # copy reads BOUNDED (A^2_0 once read BOUNDED with sups 291, 37 and 16)
+    flow = dilation()
+    reports = []
+    for beta in (0.0, 1e-3, np.pi / 16 + 0.02):
+        turn = np.exp(-1j * beta)
+        w = AnalyticFn(lambda z, _u=turn: 1.0 - _u * z, label=f"1-e^(-i{beta:g})z")
+        reports.append(uniform_bound_verdict(flow, make_coboundary(w, flow), space,
+                                             scan=FAST_SCAN))
+    sups = [r.sup for r in reports]
+    assert (max(sups) <= 1.05 * min(sups)
+            or all(r.verdict != "BOUNDED" for r in reports)), [(r.verdict, r.sup) for r in reports]
 
 
 @pytest.mark.parametrize("k", range(1, 8))

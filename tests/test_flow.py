@@ -32,6 +32,22 @@ def test_flow_point_rejects_negative_time():
         dilation()(-0.5, 0.1)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_at_times_rejects_a_time_that_is_not_finite(t):
+    # a NaN time would spin DP45 to its step budget, and an infinite one
+    # passed the stop test of the integrator and returned an early position
+    for flow in (generator_twin("dilation"), dilation()):
+        with pytest.raises(PreconditionError):
+            flow.at_times([0.1, t], [0.5])
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_jet_rejects_a_time_that_is_not_finite(t):
+    for flow in (generator_twin("dilation"), dilation()):
+        with pytest.raises(PreconditionError):
+            flow.jet(t, [0.5])
+
+
 def test_broken_flow_escapes_and_raises():
     with pytest.raises(InvalidSemiflowError):
         broken_escape()(1.0, 0.5)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,60 @@ def test_check_intertwiner_power_relation_spotchecks():
     report = check_intertwiner(op)
     assert set(report.power_residuals) == {"1", "2", "5", "10"}
     assert max(report.power_residuals.values()) < 1e-9
+
+
+def test_check_intertwiner_applies_each_input_once():
+    # 2 for the symbols (T1, Tz), 24 for the family pass, 1 for T z^10
+    sg = OperatorSemigroup(attraction(), Cocycle.derivative(attraction()))
+    op = wrap(sg.at(0.3, validate=False))
+    applied, action = [], op.action
+    op.action = lambda f: applied.append(f.label) or action(f)
+    assert check_intertwiner(op).passed
+    assert len(applied) <= 27
+    assert len(set(applied)) == len(applied)
+
+
+def test_nan_on_one_input_fails_the_check():
+    # the identity except on 1/(2-z); a NaN residual must not read as 0
+    def action(f):
+        if f.label == "1/(2-z)":
+            return AnalyticFn(lambda z: np.full_like(z, np.nan), label="nan")
+        return f
+
+    op = AbstractOperator(action, A0, label="nan-at-one-input")
+    report = check_intertwiner(op)
+    assert not report.passed
+    assert np.isnan(report.intertwining_residual)
+    assert np.isnan(report.multiplier_consistency_residual)
+    assert np.isnan(report.form_residual)
+    assert np.isnan(commutant_check(op).multiplier_residual)
+
+
+def test_extraction_evaluates_each_symbol_on_the_probe_grid_once(monkeypatch):
+    on_grid = Counter()
+    check = intertwine.check_intertwiner
+
+    def check_and_count(op):
+        report = check(op)
+        for name in ("multiplier", "self_map"):
+            fn = getattr(report, name)
+
+            def counted(z, _fn=fn, _key=(op.label, name)):
+                if z.shape == GRID.shape and np.array_equal(z, GRID):
+                    on_grid[_key] += 1
+                return _fn(z)
+
+            setattr(report, name, AnalyticFn(counted, label=fn.label))
+        return report
+
+    monkeypatch.setattr(intertwine, "check_intertwiner", check_and_count)
+    sg = gallery_semigroups()[1]
+    _, _, report = extract_semigroup(family_of(sg), EXTRACT_GRID)
+    assert report.passed
+    # once into the table, and once more where the t = 0 row of the laws
+    # composes with phi_0(grid), which is the grid itself
+    assert len(on_grid) == 2 * len(EXTRACT_GRID)
+    assert set(on_grid.values()) == {2}, on_grid
 
 
 def test_extraction_round_trip_families():

@@ -185,6 +185,13 @@ def test_semigroup_operator_dilation_example():
     assert op.apply(AnalyticFn.identity())(0.8) == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize("t", [-0.5, np.nan, np.inf])
+def test_semigroup_operator_rejects_a_time_that_is_not_finite_and_nonnegative(t):
+    sg = gallery_semigroups()[0]
+    with pytest.raises(PreconditionError):
+        semigroup_op(sg.flow, sg.cocycle, t)
+
+
 def test_semigroup_law_on_functions():
     zs = disk_samples(50)
     fam = [AnalyticFn.monomial(k) for k in range(10)]
