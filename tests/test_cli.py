@@ -157,7 +157,7 @@ def test_intertwine_malformed_bundle_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_intertwine_bundle_with_non_finite_entries_is_config_error(tmp_path, capsys, value):
-    # such a bundle once exited 1 with "intertwining residual 0"
+    # a NaN or infinite entry is malformed input (exit 2), not an analytic failure (exit 1)
     a0 = SpaceSpec.bergman(2, RadialWeight.standard(0.0))
     sg = gallery_semigroups()[0]
     ts = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
