@@ -8,10 +8,10 @@ dilemma anywhere in the package.
 
 Boundary values are never touched directly: a boundary quantity is
 obtained on circles of radius 1 - eps of a geometric eps ladder and
-extrapolated to eps = 0, by the Lagrange weights of the Hardy quadrature
-rule (``spaces.DiskRule.boundary``) for norms, sections and the criteria,
-or by a Neville tableau (:func:`neville_extrapolate`), which also reports
-an error indicator.
+extrapolated to eps = 0 by Lagrange weights (``spaces.lagrange_at_zero``:
+the Hardy rule's circles for norms and sections, a window at the anchor's
+depth for the criterion), or by a Neville tableau
+(:func:`neville_extrapolate`), which also reports an error indicator.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ def neville_extrapolate(xs, ys):
         raise PreconditionError("extrapolation needs at least one sample")
     if n == 1:
         return work[0], np.abs(work[0]) * 0.0
-    shape = (n,) + (1,) * (work.ndim - 1)
-    x = xs.reshape(shape)
+    x = xs.reshape((n,) + (1,) * (work.ndim - 1))
     previous = work[0].copy()
     for level in range(1, n):
         for i in range(n - level):

@@ -55,9 +55,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_csv(path: Path, rows) -> None:
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(handle).writerows(rows)
 
 
 def load_scenario(path) -> configparser.ConfigParser:

@@ -155,7 +155,6 @@ def verify_cocycle(m: Cocycle, flow: Semiflow, t_grid=None, z_grid=None,
     if not np.all(np.isfinite(t_grid)):
         raise PreconditionError("verification times must be finite")
     admissible = True
-    note = ""
     if m.kind == "coboundary" and m.zeros:
         admissible = all(fixed_points_check(flow, m.zeros))
     evaluated: dict = {}
@@ -172,8 +171,7 @@ def verify_cocycle(m: Cocycle, flow: Semiflow, t_grid=None, z_grid=None,
         m_at = {float(t): m_on_grid(float(t)) for t in t_grid}
         phi_at = {float(t): flow.at_times([float(t)], z_grid)[0] for t in t_grid}
         for t in t_grid:
-            m_t = m_at[float(t)]
-            phi_t = phi_at[float(t)]
+            m_t, phi_t = m_at[float(t)], phi_at[float(t)]
             for s in t_grid:
                 lhs = m_on_grid(float(t + s))
                 rhs = m_t * m.eval(float(s), phi_t)
@@ -182,7 +180,7 @@ def verify_cocycle(m: Cocycle, flow: Semiflow, t_grid=None, z_grid=None,
         return CocycleVerificationReport(np.inf, np.inf, False, tol, False,
                                          note=f"evaluation failed: {exc}")
     passed = admissible and unit < tol and law < tol
-    return CocycleVerificationReport(law, unit, admissible, tol, passed, note=note)
+    return CocycleVerificationReport(law, unit, admissible, tol, passed)
 
 
 def circle_maxima(m: Cocycle, t: float, radii=(0.9, 0.99, 0.999), nodes: int = 512) -> np.ndarray:
@@ -221,8 +219,7 @@ def _radius_trend_divergent(profile: np.ndarray) -> bool:
         return True
     if profile.size < 3 or float(np.min(profile)) <= 0.0:
         return False
-    logs = np.log(profile)
-    increments = np.diff(logs)
+    increments = np.diff(np.log(profile))
     growing = increments[-1] > max(1.2 * increments[-2], 0.05)
     return bool(growing and profile[-1] > 4.0 * profile[0])
 
@@ -232,8 +229,7 @@ def limsup_probe(m: Cocycle, tol: float = 1e-6) -> LimsupProbe:
     with the default radii and nodes of :func:`circle_maxima`."""
     require_tolerance(tol)
     t_seq = 2.0 ** -np.arange(1, 11)
-    estimates = []
-    divergent = []
+    estimates, divergent = [], []
     for t in t_seq:
         profile = circle_maxima(m, float(t))
         estimates.append(float(np.max(profile)) if np.all(np.isfinite(profile)) else np.inf)

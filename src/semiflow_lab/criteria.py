@@ -26,8 +26,8 @@ from .analytic import AnalyticFn, neville_extrapolate  # noqa: F401 (perfbench p
 from .cocycle import Cocycle, limsup_probe
 from .errors import PreconditionError, RegularityError, require_tolerance
 from .flow import Semiflow
-from .spaces import (DiskRule, GradedDiskRule, RadialWeight, SpaceSpec, carleson_measure,
-                     default_gamma, is_regular, kernel_sums)
+from .spaces import (GradedDiskRule, RadialWeight, SpaceSpec, carleson_measure, default_gamma,
+                     is_regular, kernel_sums, lagrange_at_zero)
 
 
 # Quadrature resolution per dyadic level k = ceil(-log2(1 - |a|)) as
@@ -38,16 +38,23 @@ from .spaces import (DiskRule, GradedDiskRule, RadialWeight, SpaceSpec, carleson
 # power of two.  A batch stops short at a half-grid indicator <=
 # _HALF_GRID_TOL: the trapezoid error of a periodic analytic integrand falls
 # geometrically, so the finer sum is then off by about its square.
-_HARDY_ANGLES = (32.0, 512, 32768)
+_HARDY_ANGLES = (32.0, 512, 65536)
 _DISK_ANGLES = (32.0, 256, 65536)
 _DISK_RINGS = (6.0, 64, 272)
 _HALF_GRID_TOL = 1e-10
 
-# Deepest rung of the anchor ladder: rung k takes 32 2^k points per Hardy
-# circle, which meets the cap at k = 10.  A deeper rung reads a capped,
-# under-resolved kernel: on rotation:1/coboundary:z, whose exact criterion
-# is 1, rung 12 reads 0.9994 and rung 20 reads 0.017.
-_MAX_LADDER_DEPTH = int(math.log2(_HARDY_ANGLES[2] / _HARDY_ANGLES[0]))
+# Hardy level k reads _HARDY_WINDOW circles 1 - 2^-m from m = k + _HARDY_OFFSET + 1 on,
+# at the anchor's depth; their eps ratios are fixed, so every level extrapolates to
+# eps = 0 by _WINDOW_W.  _WINDOW_GAP is _WINDOW_W less the weights on the deepest 5.
+_HARDY_OFFSET, _HARDY_WINDOW = 3, 6
+_WINDOW_W = lagrange_at_zero(2.0 ** -np.arange(_HARDY_WINDOW))
+_WINDOW_GAP = _WINDOW_W - np.append(0.0, lagrange_at_zero(2.0 ** -np.arange(1, _HARDY_WINDOW)))
+
+# Deepest rung of the anchor ladder: the refinement clip, one level below it,
+# takes 32 2^k points per Hardy circle, which meets the cap at k = 11.  A deeper
+# level reads a capped kernel: on rotation:1/coboundary:z, exactly 1, 32,768
+# points read 0.9994 at level 12 and 0.017 at level 20.
+_MAX_LADDER_DEPTH = int(math.log2(_HARDY_ANGLES[2] / _HARDY_ANGLES[0])) - 1
 
 # Nodes per flow and cocycle evaluation when generations advance.
 _ADVANCE_SLICE = 32768
@@ -118,6 +125,7 @@ class CriterionSample:
     corrections: list = field(default_factory=list)
     rung_profile: list = field(default_factory=list)
     angular_indicator: float = 0.0
+    extrapolation_indicator: float = 0.0
 
 
 def _dyadic_level(a_abs: float) -> int:
@@ -129,36 +137,40 @@ def _dyadic_level(a_abs: float) -> int:
     return 1 - math.frexp((1.0 - a_abs) * (1.0 + 1e-9))[1]
 
 
+def _law_generations(law, k: int) -> int:
+    """The first G whose generations 0..G hold clip(scale 2^k, base, cap) points per ring."""
+    return math.ceil(math.log2(min(law[2], max(law[1], law[0] * 2.0 ** k)) / law[1])) + 1
+
+
 def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p: float, law,
-              family_of, rule_of, q: float, head, levels: dict | None = None) -> CriterionSample:
+              family_of, rule_of, q: float, head, levels=None, window=None) -> CriterionSample:
     """Maximize ``head(|a|)`` times the kernel sum at a over the anchor grid.
 
     An anchor on dyadic level k reads generations 0..G_k of the family
     ``family_of(k)``, a :class:`spaces.GradedDiskRule` built by
-    ``rule_of(family)``; G_k is the first G that holds clip(scale 2^k, base,
-    cap) points per ring, ``law`` = (scale, base, cap), or the family's
-    depth if less.  Each generation keeps its own s and is moved in place
-    by the flow and cocycle laws, w <- phi_dt(w) and masses <- masses
-    |m_dt(w)|^p, ``_ADVANCE_SLICE`` nodes per evaluation, when a batch
-    needs it at t (rebuilt if past t).
-    ``levels`` caches the families; pass one dict to the scans of one flow,
-    cocycle and space in ascending t and each generation integrates [0,
-    last t it serves] once.
+    ``rule_of(family)``, G_k = :func:`_law_generations` or the family's depth
+    if less; with ``window``, only the ``_HARDY_WINDOW`` rings from ring
+    ``window(k)`` on, weighted ``_WINDOW_W``.  Each generation keeps its own
+    s and is moved in place by the flow and cocycle laws, w <- phi_dt(w) and
+    masses <- masses |m_dt(w)|^p, ``_ADVANCE_SLICE`` nodes per evaluation,
+    when a batch needs it at t (rebuilt if past t).  ``levels`` caches the
+    families; pass one dict to the scans of one flow, cocycle and space in
+    ascending t and each generation integrates [0, last t it serves] once.
 
     Anchors go to :func:`spaces.kernel_sums` (exponent ``q``) in batches of
     one modulus: a rung's fan, and the candidates of one refinement radius.
     A batch sums generations 0..G for G = 1, 2, ... until the half-grid
     indicator max |V_G - V_G-1| / max |V_G| is at most ``_HALF_GRID_TOL``
     or G reaches G_k; ``angular_indicator`` is the largest indicator of a
-    batch that stopped at G_k, 0.0 if none did.  A non-finite integral
-    counts as +inf, which ends the scan with an infinite sample.
+    batch that stopped at G_k, 0.0 if none did, and ``extrapolation_indicator``
+    the largest max |value weighted ``_WINDOW_GAP``| / max |value| of a
+    batch.  A non-finite integral counts as +inf and ends the scan.
     """
     # written as "not 0 <= t < inf" so that NaN fails too
     if not 0 <= t < math.inf:
         raise PreconditionError(f"the criteria need a finite t >= 0, got {t}")
     levels = {} if levels is None else levels
-    scale, base, cap = law
-    capped = 0.0
+    capped = extrapolated = 0.0
 
     def advance(w, masses, dt):
         for start in range(0, w.size, _ADVANCE_SLICE):
@@ -167,7 +179,7 @@ def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p
             masses[part] *= np.abs(m) ** p
 
     def integrals(r, angles):
-        nonlocal capped
+        nonlocal capped, extrapolated
         k = _dyadic_level(r)
         key = family_of(k)
         if key not in levels:
@@ -175,11 +187,14 @@ def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p
             levels[key] = (rule, np.empty(rule.offsets[-1], complex),
                            np.empty(rule.offsets[-1]), [None] * len(rule.offsets))
         rule, w, masses, s = levels[key]
-        count = min(cap, max(base, scale * 2.0 ** k))
-        last = min(len(rule.offsets) - 2, math.ceil(math.log2(count / base)) + 1)
-        sums = np.empty((len(angles), rule.cuts.size))
+        last = min(len(rule.offsets) - 2, _law_generations(law, k))
+        first = None if window is None else window(k)
+        sums = np.empty((len(angles), rule.cuts.size) if first is None
+                        else (len(angles), last + 1, _HARDY_WINDOW))
 
-        def value(g):                         # ring i's generations 0..g, over 2^min(g, d_i)
+        def value(g, weights=_WINDOW_W):      # ring i's generations 0..g, over 2^min(g, d_i)
+            if first is not None:             # every window ring has d_i >= g
+                return head(r) * 0.5 ** g * (sums[:, :g + 1].sum(axis=1) @ weights)
             segs = rule.first_cut[g + 1]
             return head(r) * (sums[:, :segs] @ 0.5 ** np.minimum(g, rule.cut_depth[:segs]))
 
@@ -198,9 +213,16 @@ def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p
                     dt, s[lo] = t - s[lo], None
                     advance(w[nodes], masses[nodes], dt)
                     s[lo] = t
-                segs = slice(rule.first_cut[lo], rule.first_cut[g + 1])
-                sums[:, segs] = kernel_sums(r, angles, w[nodes], masses[nodes], q,
-                                            rule.cuts[segs] - rule.offsets[lo])
+                if first is None:
+                    segs = slice(rule.first_cut[lo], rule.first_cut[g + 1])
+                    sums[:, segs] = kernel_sums(r, angles, w[nodes], masses[nodes], q,
+                                                rule.cuts[segs] - rule.offsets[lo])
+                for h in range(lo, g + 1) if first is not None else ():
+                    n = rule.half << max(h - 1, 0)  # per ring; generation h ends on the last ring
+                    start = rule.offsets[h + 1] - (rule.radii.size - first) * n
+                    part = slice(start, start + _HARDY_WINDOW * n)
+                    sums[:, h] = kernel_sums(r, angles, w[part], masses[part], q,
+                                             n * np.arange(_HARDY_WINDOW))
                 fine = value(g)
                 top, gap = np.max(np.abs(fine)), np.max(np.abs(fine - value(g - 1)))
                 if g == last and 0 < top < np.inf:
@@ -208,10 +230,12 @@ def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p
                 if not gap > _HALF_GRID_TOL * top:      # a non-finite value ends it too
                     break
             lo = g + 1
+        if first is not None and 0 < top < np.inf:
+            extrapolated = max(extrapolated, np.max(np.abs(value(g, _WINDOW_GAP))) / top)
         return np.where(np.isfinite(fine), fine, np.inf)
 
     sample = _scan_anchors(integrals, scan)
-    sample.angular_indicator = capped
+    sample.angular_indicator, sample.extrapolation_indicator = capped, extrapolated
     return sample
 
 
@@ -262,24 +286,25 @@ def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
     (1-|a|^2) |m_t|^p / |1 - conj(a) phi_t|^2 on circles extrapolated to
     the boundary.  At t = 0 this is the Poisson mean, identically one.
 
-    The measure is one nested family on the circles of the boundary rule
-    (:meth:`DiskRule.boundary`), mapped by phi_t, whose radial weights c_i
-    fold the extrapolation into the masses c_i |m_t|^p / n; every level
-    reads a prefix of it.  ``levels`` is the family cache of :func:`_sup_scan`.
+    Level k, clamped to [1, K], reads the circles 1 - 2^-m, m = k + 4 ... k +
+    9, mapped by phi_t, with masses |m_t|^p 2 / base and their Lagrange
+    weights at eps = 0; K <= 11 is the scan's deepest level (its refinement
+    clip), and one family holds m = 5 ... K + 9, circle m at the count of
+    level min(m - 4, K).  ``levels`` is the family cache of :func:`_sup_scan`.
     """
     # written as "not p > 1" so that NaN fails too
     if not p > 1:
         raise PreconditionError("the Hardy criterion requires p > 1")
     scan = scan or DEFAULT_SCAN
-    _, base, cap = _HARDY_ANGLES
-    top = int(math.log2(cap / base)) + 1     # generations 0..G hold base 2^(G-1) points
-
-    def circles(_):
-        rule = DiskRule.boundary()
-        return GradedDiskRule(rule.radii, rule.radial_w, np.full(rule.radii.size, top), base)
-
-    return _sup_scan(scan, t, flow, cocycle, p, _HARDY_ANGLES, lambda k: "circles", circles,
-                     1.0, lambda r: (1.0 - r) * (1.0 + r), levels)
+    clip = 1.0 - 2.0 ** -(scan.ladder_depth + 1)
+    deepest = min(_MAX_LADDER_DEPTH + 1, max(map(_dyadic_level, [*scan.anchor_radii(), clip])))
+    m = np.arange(_HARDY_OFFSET + 2, deepest + _HARDY_OFFSET + _HARDY_WINDOW + 1)
+    depth = [_law_generations(_HARDY_ANGLES, min(k, deepest)) for k in m - _HARDY_OFFSET - 1]
+    return _sup_scan(scan, t, flow, cocycle, p, _HARDY_ANGLES, lambda k: deepest,
+                     lambda _: GradedDiskRule(1.0 - 2.0 ** -m, np.ones(m.size), np.array(depth),
+                                              _HARDY_ANGLES[1]),
+                     1.0, lambda r: (1.0 - r) * (1.0 + r), levels,
+                     lambda k: min(max(k, 1), deepest) - 1)
 
 
 def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: RadialWeight,
@@ -332,7 +357,7 @@ def criterion_sample(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec, t: floa
 
 @dataclass
 class CriterionReport:
-    """Per-t criterion values and angular indicators with the boundedness verdict."""
+    """Per-t criterion values and indicators with the boundedness verdict."""
 
     space: str
     flow: str
@@ -342,6 +367,7 @@ class CriterionReport:
     criterion: list
     witness_a: list
     angular_indicator: list
+    extrapolation_indicator: list
     sup: float
     trend: dict
     verdict: str
@@ -363,9 +389,9 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
 
     BOUNDED is the numerical surrogate for strong continuity: every value
     finite, below the configured threshold, with stable refinements and
-    every angular indicator at most ``stability_rel``.  Blowups or
-    over-threshold values give UNBOUNDED-TREND; unstable but finite scans
-    stay INCONCLUSIVE.
+    every angular and extrapolation indicator at most ``stability_rel``.
+    Blowups or over-threshold values give UNBOUNDED-TREND; unstable but
+    finite scans stay INCONCLUSIVE.
 
     The scans run in ascending t, one per distinct t; the report keeps the
     order of ``t_grid``, a repeated t repeating its sample.  For a
@@ -390,10 +416,10 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     samples = [scanned[i] for i in inverse]
     values = np.array([s.value for s in samples])
     finite = np.isfinite(values)
-    # a sample is unstable if its last refinement moved it or its angular
-    # indicator says its quadrature is under-resolved
+    # a sample is unstable if its last refinement moved it or an indicator
+    # says its quadrature is under-resolved
     rel = scan.stability_rel
-    unstable = any(s.angular_indicator > rel
+    unstable = any(max(s.angular_indicator, s.extrapolation_indicator) > rel
                    or (s.corrections and s.corrections[-1] > max(rel * v, 1e-9))
                    for s, v in zip(samples, values) if np.isfinite(v))
     if not np.all(finite) or np.any(values[finite] > scan.bound_threshold):
@@ -423,6 +449,7 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
         [float(v) for v in values],
         [[float(np.real(s.witness)), float(np.imag(s.witness))] for s in samples],
         [float(s.angular_indicator) for s in samples],
+        [float(s.extrapolation_indicator) for s in samples],
         sup, trend, verdict, config)
 
 
@@ -488,9 +515,7 @@ def direct_decay_probe(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     family = list(f_family) if f_family is not None else default_decay_family()
     if not family:
         raise PreconditionError("decay probe needs a nonempty function family")
-    if t_seq is None:
-        t_seq = 2.0 ** -np.arange(1, 11)
-    t_seq = np.asarray(t_seq, dtype=float)
+    t_seq = np.asarray(2.0 ** -np.arange(1, 11) if t_seq is None else t_seq, dtype=float)
     # written so that NaN fails too
     if t_seq.size == 0 or not np.all((t_seq > 0) & (t_seq < np.inf)):
         raise PreconditionError("decay probe times must be finite, positive and at least one")

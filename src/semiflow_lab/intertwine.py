@@ -140,8 +140,7 @@ def recover_symbols(t_op: AbstractOperator, grid=None):
             offsets = 1e-5 * np.exp(0.5j * np.pi * np.arange(4))
             zz = np.atleast_1d(z)[np.atleast_1d(small)]
             repl = np.mean([tz(zz + o) / m(zz + o) for o in offsets], axis=0)
-            out = num / np.where(small, 1.0, den)
-            out = np.asarray(out, dtype=complex)
+            out = np.asarray(num / np.where(small, 1.0, den), dtype=complex)
             out[np.atleast_1d(small)] = repl
             return out
         return num / den
@@ -339,7 +338,9 @@ def extract_semigroup(t_family, t_grid):
 # -- matrix bundle I/O -------------------------------------------------
 
 def save_bundle(path, t_values, matrices, space: SpaceSpec) -> Path:
-    """Write one CSV per time, named after its manifest key, plus a manifest JSON."""
+    """Write one CSV per time, named after its manifest key, plus a strict-JSON manifest."""
+    if not np.all(np.isfinite(np.asarray(t_values, dtype=float))):
+        raise PreconditionError(f"bundle times must be finite, got {list(t_values)}")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -355,7 +356,7 @@ def save_bundle(path, t_values, matrices, space: SpaceSpec) -> Path:
         "files": files,
     }
     mpath = root / "manifest.json"
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False))
     return mpath
 
 

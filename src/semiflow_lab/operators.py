@@ -171,22 +171,17 @@ def norm_lower_bound(op: WeightedCompOp, space: SpaceSpec, trials: int = 32,
     if trials < 1:
         raise PreconditionError("need at least one trial")
     rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(trials):
-        coeffs = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-        f = AnalyticFn.from_coefficients(coeffs)
-        nf = space.norm(f)
-        if nf <= 0:
-            continue
-        best = max(best, space.norm(op.apply(f)) / nf)
+    family = [AnalyticFn.from_coefficients(rng.standard_normal(13) + 1j * rng.standard_normal(13))
+              for _ in range(trials)]
     for r in (0.2, 0.5, 0.8, 0.95):
         for ang in range(4):
             a = r * np.exp(2j * np.pi * (ang + 0.25) / 4)
-            f = _hardy_trial(a, space.p) if space.is_hardy else \
-                test_function(a, space.p, weight=space.weight)
-            nf = space.norm(f)
-            if nf <= 0:
-                continue
+            family.append(_hardy_trial(a, space.p) if space.is_hardy else
+                          test_function(a, space.p, weight=space.weight))
+    best = 0.0
+    for f in family:
+        nf = space.norm(f)
+        if nf > 0:
             best = max(best, space.norm(op.apply(f)) / nf)
     return best
 

@@ -185,6 +185,14 @@ def _radial_rule(weight: RadialWeight, n_rad: int):
     return radii, w * radii * weight(radii), 1.0
 
 
+def lagrange_at_zero(eps) -> np.ndarray:
+    """Weights c_i = prod_{k != i} eps_k / (eps_k - eps_i) of the circle means on 1 - eps_i:
+    they sum to one and reproduce at eps = 0 every polynomial in eps of degree < len(eps)."""
+    eps = np.asarray(eps, dtype=float)
+    same = np.eye(eps.size, dtype=bool)
+    return np.prod(np.where(same, 1.0, eps / np.where(same, 1.0, eps - eps[:, None])), axis=1)
+
+
 class DiskRule:
     """Rings of radius r_k times a uniform angular grid: one measure of L^p(mu).
 
@@ -206,18 +214,8 @@ class DiskRule:
 
     @classmethod
     def boundary(cls, n_ang: int = N_ANG) -> "DiskRule":
-        """Boundary means on the circles 1 - eps, eps in ``BOUNDARY_EPS``:
-        weights c_i = prod_{k != i} eps_k / (eps_k - eps_i).
-
-        The weights sum to one and reproduce at eps = 0 every polynomial in
-        eps of degree below the ladder's length.
-        """
-        eps = BOUNDARY_EPS
-        gaps = eps[None, :] - eps[:, None]
-        np.fill_diagonal(gaps, 1.0)
-        ratios = eps[None, :] / gaps
-        np.fill_diagonal(ratios, 1.0)
-        return cls(1.0 - eps, np.prod(ratios, axis=1), 1.0, n_ang)
+        """The circles 1 - eps, eps in ``BOUNDARY_EPS``, weighted by :func:`lagrange_at_zero`."""
+        return cls(1.0 - BOUNDARY_EPS, lagrange_at_zero(BOUNDARY_EPS), 1.0, n_ang)
 
     def nodes(self) -> np.ndarray:
         """The (n_rad, n_ang) tensor nodes, built on each call so no cache holds them."""

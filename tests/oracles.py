@@ -115,19 +115,19 @@ def bergman_section_by_rings(m, phi, dim: int, alpha: float) -> np.ndarray:
     return gram / np.outer(norms, norms)
 
 
-def hardy_level_at_zero(a: complex, n: int) -> float:
+def hardy_level_at_zero(a: complex, n: int, eps=None) -> float:
     """The t = 0 Hardy criterion at anchor ``a`` on n points per circle, in closed form.
 
     On the circle rho = 1 - eps the n-point mean of (1-|a|^2) / |1 - conj(a)
     rho e^{i theta}|^2 is (1-|a|^2) / (1-s^2) Re[(1+q)/(1-q)] with s = |a| rho
     and q = s^n e^{-i n arg a}: the Poisson kernel's Fourier series summed
     over the frequencies the grid aliases to zero.  The circle means are
-    weighted by the Lagrange weights of the boundary ladder at eps = 0,
-    computed here from the ladder itself.
+    weighted by the Lagrange weights at eps = 0 of the circles ``eps``
+    (default the boundary ladder), computed here from the circles themselves.
     """
     from semiflow_lab.spaces import BOUNDARY_EPS
 
-    eps = np.asarray(BOUNDARY_EPS)
+    eps = np.asarray(BOUNDARY_EPS if eps is None else eps, dtype=float)
     weights = np.array([np.prod([e / (e - eps[i]) for k, e in enumerate(eps) if k != i])
                         for i in range(eps.size)])
     s = abs(a) * (1.0 - eps)

@@ -121,12 +121,77 @@ def test_hardy_criterion_deep_anchors_match_closed_form(t):
 
 
 def test_hardy_criterion_at_the_refinement_clip():
-    # at |a| = 1 - 2^-11 the 32,768-point angular cap binds (about 2e-7 off),
-    # and the sample says so: the half-grid sum there is 6.7e-4 off
+    # |a| = 1 - 2^-11 reads 65,536 points per circle, and the sample says so:
+    # the half-grid sum there, on 32,768 points, is 2.2e-7 off
     a = 1.0 - 2.0 ** -11
     sample = hardy_criterion(dilation(), cob_z(dilation()), 2, 0.0, deep_scan(a))
     assert abs(sample.value - 1.0) <= 1e-6
     assert sample.angular_indicator > 1e-8
+
+
+@pytest.mark.parametrize("pair", ["dilation/coboundary:z", "attraction/derivative"])
+def test_hardy_criterion_at_zero_is_one_at_every_level(pair):
+    # the Poisson mean is identically one; each level extrapolates its own
+    # window of six circles, so the error stays at about 2e-12 down to the
+    # clip (the fixed 12 circles read 1.1e-11 off at k = 10, 2.2e-7 at 11)
+    flow, m = resolve_pair(pair)
+    for k in range(1, 12):
+        value = hardy_criterion(flow, m, 2, 0.0, deep_scan(1.0 - 2.0 ** -k)).value
+        assert abs(value - 1.0) <= 5e-12, k
+
+
+@pytest.mark.parametrize("k", [1, 4, 7, 10, 11])
+def test_hardy_level_reads_its_window_in_closed_form(k, monkeypatch):
+    # level k is the mean on n points of the circles 1 - 2^-m, m = k + 4 ...
+    # k + 9, n = clip(32 2^k, 512, 65536) its law count, weighted by their
+    # Lagrange weights at eps = 0
+    monkeypatch.setattr(criteria, "_HALF_GRID_TOL", 0.0)     # every batch sums its law count
+    a = 1.0 - 2.0 ** -k
+    value = hardy_criterion(dilation(), unit_cocycle(), 2, 0.0, deep_scan(a)).value
+    n = min(65536, max(512, 32 << k))
+    eps = 2.0 ** -np.arange(k + 4, k + 10)
+    assert value == pytest.approx(oracles.hardy_level_at_zero(a, n, eps), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("pair", ["dilation/coboundary:z", "rotation:1/coboundary:z",
+                                  "attraction/derivative", "dilation/exp-growth"])
+def test_extrapolation_indicator_is_small_and_costs_no_kernel_sum(pair, monkeypatch):
+    # a batch makes one kernel call per generation it sums, on its window of
+    # 6 circles: generations 0..G, 256 2^G points per circle, take G + 1
+    # calls, none of them for the indicator, which reuses the per-circle sums
+    batches = []
+    kernel_sums, scan_anchors = criteria.kernel_sums, criteria._scan_anchors
+
+    def recorded(r, angles, w, masses, q, cuts):
+        assert len(cuts) == 6
+        batches[-1].append(w.size)
+        return kernel_sums(r, angles, w, masses, q, cuts)
+
+    def scanned(integrals, scan):
+        def batch(r, angles):
+            batches.append([])
+            return integrals(r, angles)
+        return scan_anchors(batch, scan)
+
+    monkeypatch.setattr(criteria, "kernel_sums", recorded)
+    monkeypatch.setattr(criteria, "_scan_anchors", scanned)
+    report = uniform_bound_verdict(*resolve_pair(pair), H2, scan=FAST_SCAN)
+    assert report.verdict == "BOUNDED"
+    assert len(report.extrapolation_indicator) == len(report.t_values)
+    assert 0.0 < max(report.extrapolation_indicator) <= 1e-9
+    assert batches and all(sizes[:2] == [6 * 256] * 2 and sum(sizes) == 6 * 256 << (len(sizes) - 1)
+                           for sizes in batches)
+
+
+def test_extrapolation_indicator_gates_bounded(monkeypatch):
+    # with the gap weights replaced by the window weights the indicator
+    # reads 1 on every sample, and a BOUNDED pair becomes INCONCLUSIVE
+    flow, m = resolve_pair("dilation/coboundary:z")
+    monkeypatch.setattr(criteria, "_WINDOW_GAP", criteria._WINDOW_W)
+    report = uniform_bound_verdict(flow, m, H2, scan=FAST_SCAN)
+    assert min(report.extrapolation_indicator) == pytest.approx(1.0)
+    assert max(report.angular_indicator) <= 1e-6
+    assert report.verdict == "INCONCLUSIVE"
 
 
 @pytest.mark.parametrize("pair", ["dilation/coboundary:z", "rotation:1/coboundary:z",
@@ -218,7 +283,8 @@ def record_kernel_batches(monkeypatch):
 
 def test_every_anchor_of_a_rung_gets_the_rung_circle_count(monkeypatch):
     # rotation:1/coboundary:z needs the full count at every t > 0, so every
-    # rung's batch refines to its law count: 12 circles of n_theta points
+    # rung's batch refines to its law count: its window of 6 circles of
+    # n_theta points
     batches = record_kernel_batches(monkeypatch)
     scan = SupScanConfig(refine_rounds=0)
     hardy_criterion(rotation(1.0), cob_z(rotation(1.0)), 2, 0.5, scan)
@@ -230,7 +296,7 @@ def test_every_anchor_of_a_rung_gets_the_rung_circle_count(monkeypatch):
         for anchors, work in batches:
             on_rung = np.abs(np.abs(anchors) - r) < 1e-12
             if np.any(on_rung):
-                assert np.all(on_rung) and work == anchors.size * 12 * n_theta, (k, work)
+                assert np.all(on_rung) and work == anchors.size * 6 * n_theta, (k, work)
                 seen += anchors.size
     assert seen == scan.ladder_depth * scan.n_angles
 
@@ -287,18 +353,28 @@ def record_generations(monkeypatch):
     return built
 
 
-def test_default_hardy_scan_builds_seven_circle_levels(monkeypatch):
-    # one family on the 12 boundary circles: generations 0..7 take 256, 256,
-    # 512, ..., 16384 points per circle, and their prefixes 0..G for G >= 1
-    # are the seven circle counts 512 ... 32768 of the level law, each
-    # generation built once; rotation needs every one of them
+def test_default_hardy_scan_builds_one_window_family(monkeypatch):
+    # the default scan reaches level K = 11 (the refinement clip), so one
+    # family holds the circles 1 - 2^-m, m = 5 ... 20; circle m takes the
+    # generations of the deepest level that reads it, min(m - 4, 11), whose
+    # prefixes 0..G for G >= 1 are the eight counts 512 ... 65,536 of the
+    # level law; generation h >= 2 holds 14 - h circles of 256 2^(h-1) points
     built = record_generations(monkeypatch)
     hardy_criterion(rotation(1.0), cob_z(rotation(1.0)), 2, 0.5)
     rules = {id(rule) for rule, _ in built}
     assert len(rules) == 1 and sorted(h for _, h in built) == list(range(8))
     rule = built[0][0]
-    assert list(np.diff(rule.offsets) // 12) == [256, 256] + [256 << h for h in range(1, 7)]
-    assert [rule.offsets[g + 1] // 12 for g in range(1, 8)] == [512 << i for i in range(7)]
+    np.testing.assert_array_equal(rule.radii, 1.0 - 2.0 ** -np.arange(5, 21))
+    assert list(rule.depth) == [1] * 4 + list(range(2, 9)) + [8] * 5
+    per_ring = np.array([256, 256] + [256 << h for h in range(1, 8)])
+    assert list(np.diff(rule.offsets) // per_ring) == [16, 16] + list(range(12, 5, -1))
+    assert list(np.cumsum(per_ring)[1:]) == [512 << i for i in range(8)]
+    # rotation's rungs need generations 0..7 (32,768 points at level 10);
+    # attraction/derivative's witness sits on the clip, which reads generation 8
+    built.clear()
+    sample = hardy_criterion(attraction(), Cocycle.derivative(attraction()), 2, 0.5)
+    assert abs(sample.witness) == 1.0 - 2.0 ** -11
+    assert sorted(h for _, h in built) == list(range(9))
     # a dilation pulls the measure inside the disk: fewer generations suffice
     built.clear()
     hardy_criterion(dilation(), cob_z(dilation()), 2, 0.5)
@@ -485,8 +561,9 @@ def test_hardy_verdict_integrates_each_rung_to_max_t_once(monkeypatch):
     # generation that integrates [0, t] once, t the last time a batch sums
     # it, adds nodes x t; per-t builds would add nodes x (every t it
     # serves), and a generation flowed twice would add its nodes twice.
-    # Generations 2-4 (rung 6 and the refinement's level 7) serve t = 0
-    # only, so they are never flowed.
+    # Generations 2-3 (levels 5 and 6) serve t = 0 only, so they are never
+    # flowed; the t = 0 witness stays off the clip, so generation 4 (level 7)
+    # is never built.
     flow = resolve_flow("generator-dilation")
     m = cob_z(flow)
     scan = SupScanConfig(ladder_depth=6, n_angles=4, refine_rounds=1)
@@ -507,13 +584,14 @@ def test_hardy_verdict_integrates_each_rung_to_max_t_once(monkeypatch):
         return sample(flow, cocycle, space, t, *rest)
 
     def recorded(r, angles, w, masses, q, cuts):
-        # w is a view of the family's storage: its offset names the generations
+        # w is a window of one generation in the family's storage: its offset
+        # names the generation
         rule = built[0][0]
         start = (w.__array_interface__["data"][0]
                  - w.base.__array_interface__["data"][0]) // w.itemsize
-        for h in range(len(rule.offsets) - 1):
-            if start <= rule.offsets[h] < start + w.size:
-                served[h] = (rule.offsets[h + 1] - rule.offsets[h], now)
+        h = int(np.searchsorted(rule.offsets, start, "right")) - 1
+        assert start + w.size <= rule.offsets[h + 1]
+        served[h] = (rule.offsets[h + 1] - rule.offsets[h], now)
         return kernel_sums(r, angles, w, masses, q, cuts)
 
     monkeypatch.setattr(flow_module, "_integrate_to_stops", counted)
@@ -521,8 +599,8 @@ def test_hardy_verdict_integrates_each_rung_to_max_t_once(monkeypatch):
     monkeypatch.setattr(criteria, "kernel_sums", recorded)
     uniform_bound_verdict(flow, m, H2, t_grid=MARCH_T_GRID, scan=scan)
     assert len({id(rule) for rule, _ in built}) == 1
-    assert sorted(served) == list(range(5))
-    assert [t for _, t in served.values()] == [0.99, 0.99, 0.0, 0.0, 0.0]
+    assert sorted(served) == sorted(h for _, h in built) == list(range(4))
+    assert [t for _, t in served.values()] == [0.99, 0.99, 0.0, 0.0]
     assert point_time == pytest.approx(sum(n * t for n, t in served.values()), rel=1e-12)
 
 
@@ -623,10 +701,10 @@ def test_report_schema_and_witnesses():
     report = uniform_bound_verdict(dilation(), cob_z(dilation()), H2, scan=FAST_SCAN)
     payload = report.to_json_dict()
     assert set(payload) == {"space", "flow", "cocycle", "p", "t_values", "criterion",
-                            "witness_a", "angular_indicator", "sup", "trend", "verdict",
-                            "config"}
+                            "witness_a", "angular_indicator", "extrapolation_indicator",
+                            "sup", "trend", "verdict", "config"}
     assert len(payload["witness_a"]) == len(payload["angular_indicator"]) \
-        == len(payload["t_values"])
+        == len(payload["extrapolation_indicator"]) == len(payload["t_values"])
     rows = report.csv_rows()
     assert rows[0] == ("t", "criterion", "witness_re", "witness_im")
     assert len(rows) == len(payload["t_values"]) + 1

@@ -311,6 +311,15 @@ def test_bundle_keeps_apart_times_its_manifest_tells_apart(tmp_path):
         assert np.array_equal(t_family(t).section.entries, mat)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_save_bundle_refuses_a_non_finite_time(tmp_path, bad):
+    # a NaN time would be written as the non-JSON constant NaN, which
+    # load_bundle and strict JSON readers reject
+    with pytest.raises(PreconditionError, match="finite"):
+        save_bundle(tmp_path / "bundle", [0.0, 0.1, 0.2, bad], [np.eye(4)] * 4, A0)
+    assert not (tmp_path / "bundle").exists()
+
+
 def test_bundle_rejects_malformed(tmp_path):
     bad = tmp_path / "manifest.json"
     bad.write_text('{"space": "hardy:2"}')
