@@ -143,19 +143,21 @@ def _law_generations(law, k: int) -> int:
 
 
 def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p: float, law,
-              family_of, rule_of, q: float, head, levels=None, window=None) -> CriterionSample:
+              level_of, rule_of, q: float, head, levels=None) -> CriterionSample:
     """Maximize ``head(|a|)`` times the kernel sum at a over the anchor grid.
 
-    An anchor on dyadic level k reads generations 0..G_k of the family
-    ``family_of(k)``, a :class:`spaces.GradedDiskRule` built by
-    ``rule_of(family)``, G_k = :func:`_law_generations` or the family's depth
-    if less; with ``window``, only the ``_HARDY_WINDOW`` rings from ring
-    ``window(k)`` on, weighted ``_WINDOW_W``.  Each generation keeps its own
-    s and is moved in place by the flow and cocycle laws, w <- phi_dt(w) and
-    masses <- masses |m_dt(w)|^p, ``_ADVANCE_SLICE`` nodes per evaluation,
-    when a batch needs it at t (rebuilt if past t).  ``levels`` caches the
-    families; pass one dict to the scans of one flow, cocycle and space in
-    ascending t and each generation integrates [0, last t it serves] once.
+    An anchor on dyadic level k reads ``level_of(k) = (family, rings, weights,
+    gap)``: the rings ``rings`` (a slice) of the family's
+    :class:`spaces.GradedDiskRule`, built by ``rule_of(family)``, over
+    generations 0..G_k, G_k = :func:`_law_generations` or the family's depth
+    if less.  Ring i's sum S_i over generations 0..G, taken from the
+    generations that hold it, reads the level as head(|a|) sum_i weights_i
+    S_i 2^-min(G, d_i).  Each generation keeps its own s and is moved in
+    place by the flow and cocycle laws, w <- phi_dt(w) and masses <- masses
+    |m_dt(w)|^p, ``_ADVANCE_SLICE`` nodes per evaluation, when a batch needs
+    it at t (rebuilt if past t).  ``levels`` caches the families; pass one
+    dict to the scans of one flow, cocycle and space in ascending t and each
+    generation integrates [0, last t it serves] once.
 
     Anchors go to :func:`spaces.kernel_sums` (exponent ``q``) in batches of
     one modulus: a rung's fan, and the candidates of one refinement radius.
@@ -163,8 +165,9 @@ def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p
     indicator max |V_G - V_G-1| / max |V_G| is at most ``_HALF_GRID_TOL``
     or G reaches G_k; ``angular_indicator`` is the largest indicator of a
     batch that stopped at G_k, 0.0 if none did, and ``extrapolation_indicator``
-    the largest max |value weighted ``_WINDOW_GAP``| / max |value| of a
-    batch.  A non-finite integral counts as +inf and ends the scan.
+    the largest max |value weighted ``gap``| / max |value| of a batch, 0.0
+    if ``gap`` is None.  A non-finite integral counts as +inf and ends the
+    scan.
     """
     # written as "not 0 <= t < inf" so that NaN fails too
     if not 0 <= t < math.inf:
@@ -181,22 +184,18 @@ def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p
     def integrals(r, angles):
         nonlocal capped, extrapolated
         k = _dyadic_level(r)
-        key = family_of(k)
+        key, rings, weights, gap = level_of(k)
         if key not in levels:
             rule = rule_of(key)
             levels[key] = (rule, np.empty(rule.offsets[-1], complex),
                            np.empty(rule.offsets[-1]), [None] * len(rule.offsets))
         rule, w, masses, s = levels[key]
         last = min(len(rule.offsets) - 2, _law_generations(law, k))
-        first = None if window is None else window(k)
-        sums = np.empty((len(angles), rule.cuts.size) if first is None
-                        else (len(angles), last + 1, _HARDY_WINDOW))
+        depth = rule.depth[rings]
+        sums = np.zeros((len(angles), last + 1, depth.size))    # 0 where h > d_i
 
-        def value(g, weights=_WINDOW_W):      # ring i's generations 0..g, over 2^min(g, d_i)
-            if first is not None:             # every window ring has d_i >= g
-                return head(r) * 0.5 ** g * (sums[:, :g + 1].sum(axis=1) @ weights)
-            segs = rule.first_cut[g + 1]
-            return head(r) * (sums[:, :segs] @ 0.5 ** np.minimum(g, rule.cut_depth[:segs]))
+        def value(g, weights=weights):        # ring i's generations 0..g, over 2^min(g, d_i)
+            return head(r) * ((sums[:, :g + 1].sum(axis=1) * 0.5 ** np.minimum(g, depth)) @ weights)
 
         lo = 0
         for g in range(1, last + 1):
@@ -213,25 +212,22 @@ def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p
                     dt, s[lo] = t - s[lo], None
                     advance(w[nodes], masses[nodes], dt)
                     s[lo] = t
-                if first is None:
-                    segs = slice(rule.first_cut[lo], rule.first_cut[g + 1])
-                    sums[:, segs] = kernel_sums(r, angles, w[nodes], masses[nodes], q,
-                                                rule.cuts[segs] - rule.offsets[lo])
-                for h in range(lo, g + 1) if first is not None else ():
-                    n = rule.half << max(h - 1, 0)  # per ring; generation h ends on the last ring
-                    start = rule.offsets[h + 1] - (rule.radii.size - first) * n
-                    part = slice(start, start + _HARDY_WINDOW * n)
-                    sums[:, h] = kernel_sums(r, angles, w[part], masses[part], q,
-                                             n * np.arange(_HARDY_WINDOW))
+                for h in range(lo, g + 1):
+                    # the level's rings in generation h: rings i.. of n points each
+                    n, i = rule.half << max(h - 1, 0), max(rings.start, rule.first[h])
+                    start = rule.offsets[h] + (i - rule.first[h]) * n
+                    part = slice(start, start + (rings.stop - i) * n)
+                    sums[:, h, i - rings.start:] = kernel_sums(
+                        r, angles, w[part], masses[part], q, n * np.arange(rings.stop - i))
                 fine = value(g)
-                top, gap = np.max(np.abs(fine)), np.max(np.abs(fine - value(g - 1)))
+                top, step = np.max(np.abs(fine)), np.max(np.abs(fine - value(g - 1)))
                 if g == last and 0 < top < np.inf:
-                    capped = max(capped, gap / top)
-                if not gap > _HALF_GRID_TOL * top:      # a non-finite value ends it too
+                    capped = max(capped, step / top)
+                if not step > _HALF_GRID_TOL * top:     # a non-finite value ends it too
                     break
             lo = g + 1
-        if first is not None and 0 < top < np.inf:
-            extrapolated = max(extrapolated, np.max(np.abs(value(g, _WINDOW_GAP))) / top)
+        if gap is not None and 0 < top < np.inf:
+            extrapolated = max(extrapolated, np.max(np.abs(value(g, gap))) / top)
         return np.where(np.isfinite(fine), fine, np.inf)
 
     sample = _scan_anchors(integrals, scan)
@@ -300,11 +296,15 @@ def hardy_criterion(flow: Semiflow, cocycle: Cocycle, p: float, t: float,
     deepest = min(_MAX_LADDER_DEPTH + 1, max(map(_dyadic_level, [*scan.anchor_radii(), clip])))
     m = np.arange(_HARDY_OFFSET + 2, deepest + _HARDY_OFFSET + _HARDY_WINDOW + 1)
     depth = [_law_generations(_HARDY_ANGLES, min(k, deepest)) for k in m - _HARDY_OFFSET - 1]
-    return _sup_scan(scan, t, flow, cocycle, p, _HARDY_ANGLES, lambda k: deepest,
+
+    def level_of(k):
+        first = min(max(k, 1), deepest) - 1
+        return deepest, slice(first, first + _HARDY_WINDOW), _WINDOW_W, _WINDOW_GAP
+
+    return _sup_scan(scan, t, flow, cocycle, p, _HARDY_ANGLES, level_of,
                      lambda _: GradedDiskRule(1.0 - 2.0 ** -m, np.ones(m.size), np.array(depth),
                                               _HARDY_ANGLES[1]),
-                     1.0, lambda r: (1.0 - r) * (1.0 + r), levels,
-                     lambda k: min(max(k, 1), deepest) - 1)
+                     1.0, lambda r: (1.0 - r) * (1.0 + r), levels)
 
 
 def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: RadialWeight,
@@ -338,10 +338,14 @@ def bergman_criterion(flow: Semiflow, cocycle: Cocycle, p: float, weight: Radial
         return GradedDiskRule.weighted(weight, n_rad, ang_scale, ang_base,
                                        min(ang_cap, ang_scale * 2.0 ** deepest))
 
+    def level_of(k):      # every ring of the family, its radial weight in the masses
+        n_rad = rings(k)
+        return n_rad, slice(0, n_rad), np.ones(n_rad), None
+
     def head(r):
         return (1.0 - r) ** (gamma + 1.0) / carleson_measure(weight, r)
 
-    return _sup_scan(scan, t, flow, cocycle, p, _DISK_ANGLES, rings, disk_rule,
+    return _sup_scan(scan, t, flow, cocycle, p, _DISK_ANGLES, level_of, disk_rule,
                      (gamma + 1.0) / 2.0, head, levels)
 
 

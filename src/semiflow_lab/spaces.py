@@ -11,7 +11,7 @@ singularity of (1-s)^alpha is handled exactly).  For kernels that
 concentrate at the boundary, :class:`GradedDiskRule` takes either rule's
 rings with a power-of-two angular count per ring, graded toward the
 boundary, as nested generations: the criteria sum one kernel against them,
-flat nodes and masses, a generation at a time (:func:`kernel_sums`).
+flat nodes and masses, one sum per ring of a generation (:func:`kernel_sums`).
 
 Also here: weight regularity probes, the omega-measure of a Carleson
 square, the boundary-concentrated test functions, and the pointwise growth
@@ -232,26 +232,20 @@ class GradedDiskRule:
     Ring i takes n_i = base 2^(d_i - 1) angles, d_i >= 1 nondecreasing in i.
     Generation 0 is every other point of the base count on every ring, and
     generation h >= 1 the odd points of count base 2^(h-1) on the rings
-    with d_i >= h.  Generations lie back to back (``offsets``), ring by
-    ring, with masses 2 c_i / base: ring i's sum over generations 0..G is
-    2^min(G, d_i) times its integral on min(n_i, base 2^(G-1)) points.  A
-    segment of a generation is its rings of one d_i (``cuts``, ``cut_depth``;
-    generation h's segments start at ``first_cut[h]``).
+    with d_i >= h, which are the rings ``first[h]`` on.  Generations lie
+    back to back from ``offsets[h]``, ring by ring, with n = base / 2 points
+    per ring in generations 0 and 1 and base 2^(h-2) in generation h >= 2,
+    so ring i of generation h is one contiguous run of nodes.  The masses
+    are 2 c_i / base: ring i's sum over generations 0..G is 2^min(G, d_i)
+    times its integral on min(n_i, base 2^(G-1)) points.
     """
 
     def __init__(self, radii, radial_w, depth, base: int):
         self.radii, self.depth, self.half = radii, np.asarray(depth), base // 2
         self.mass = radial_w / self.half
-        self._first = np.searchsorted(self.depth, np.arange(self.depth.max() + 1))
-        self.offsets, cuts, cut_depth, self.first_cut = [0], [], [], [0]
-        for h, first in enumerate(self._first):
-            per_ring = self.half << max(h - 1, 0)
-            depths, starts = np.unique(self.depth[first:], return_index=True)
-            cuts.extend(self.offsets[-1] + starts * per_ring)
-            cut_depth.extend(depths)
-            self.offsets.append(self.offsets[-1] + (radii.size - first) * per_ring)
-            self.first_cut.append(len(cuts))
-        self.cuts, self.cut_depth = np.array(cuts), np.array(cut_depth)
+        self.first = np.searchsorted(self.depth, np.arange(self.depth.max() + 1))
+        per_ring = self.half << np.maximum(np.arange(self.first.size) - 1, 0)
+        self.offsets = [0, *np.cumsum((radii.size - self.first) * per_ring).tolist()]
 
     @classmethod
     def weighted(cls, weight: RadialWeight, n_rad: int, ang_scale: float, ang_base: int,
@@ -269,7 +263,7 @@ class GradedDiskRule:
         """Flat nodes and masses of generation ``h``, built on each call so no cache holds them."""
         n = self.half << h
         circle = np.exp(2j * np.pi * (np.arange(n) if h == 0 else np.arange(1, n, 2)) / n)
-        rings = slice(self._first[h], None)
+        rings = slice(self.first[h], None)
         return (self.radii[rings, None] * circle).ravel(), np.repeat(self.mass[rings], circle.size)
 
 
@@ -281,6 +275,7 @@ _KERNEL_BLOCK = 65536
 def kernel_sums(r: float, angles, w, masses, q: float, cuts) -> np.ndarray:
     """sum_j masses_j ((1 - r^2)(1 - |w_j|^2) + |a - w_j|^2)^-q per anchor a = r e^{i angle}
     and segment; segment k runs from node ``cuts[k]`` to the next (an int array, cuts[0] = 0).
+    The criteria pass one segment per ring of a :class:`GradedDiskRule` generation.
 
     The bracket is |1 - conj(a) w_j|^2 written as a sum of nonnegative
     terms, so it does not cancel at the kernel's spike.  ``w`` (complex)
@@ -429,11 +424,8 @@ def carleson_measure(weight: RadialWeight, a: complex) -> float:
     if not 0.0 < mod < 1.0:
         raise PreconditionError("carleson_measure needs 0 < |a| < 1")
     if weight.is_standard:
-        alpha = weight.alpha
-        s0 = mod ** 2
-        u, w = _jacobi_unit_rule(96, alpha)
-        # int_{|a|}^1 omega(r) r dr = (alpha+1)/2 * int_{s0}^1 (1-s)^alpha ds
-        radial = 0.5 * (alpha + 1.0) * (1.0 - s0) ** (alpha + 1.0) * float(np.sum(w))
+        # int_{|a|}^1 omega(r) r dr = (alpha+1)/2 * int_{|a|^2}^1 (1-s)^alpha ds
+        radial = 0.5 * (1.0 - mod ** 2) ** (weight.alpha + 1.0)
     else:
         x, w = roots_legendre(192)
         r = mod + (1.0 - mod) * 0.5 * (x + 1.0)
@@ -457,10 +449,13 @@ def test_function(a: complex, p: float, gamma: float | None = None,
     """
     weight = weight or RadialWeight.standard(0.0)
     a = complex(a)
+    # written as "not 1 <= p < inf" and "not 0 < gamma < inf" so that NaN fails too
+    if not 1 <= p < np.inf:
+        raise PreconditionError(f"test-function p must be finite and at least 1, got {p}")
     if gamma is None:
         gamma = default_gamma(p, weight)
-    if gamma <= 0:
-        raise PreconditionError("test-function exponent must be positive")
+    if not 0 < gamma < np.inf:
+        raise PreconditionError(f"test-function exponent must be finite and positive, got {gamma}")
     q = (gamma + 1.0) / p
     scale = (1.0 - abs(a)) ** q / carleson_measure(weight, a) ** (1.0 / p)
     abar = np.conj(a)

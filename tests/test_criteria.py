@@ -145,7 +145,7 @@ def test_hardy_level_reads_its_window_in_closed_form(k, monkeypatch):
     # level k is the mean on n points of the circles 1 - 2^-m, m = k + 4 ...
     # k + 9, n = clip(32 2^k, 512, 65536) its law count, weighted by their
     # Lagrange weights at eps = 0
-    monkeypatch.setattr(criteria, "_HALF_GRID_TOL", 0.0)     # every batch sums its law count
+    monkeypatch.setattr(criteria, "_HALF_GRID_TOL", -1.0)    # every batch sums its law count
     a = 1.0 - 2.0 ** -k
     value = hardy_criterion(dilation(), unit_cocycle(), 2, 0.0, deep_scan(a)).value
     n = min(65536, max(512, 32 << k))
@@ -252,10 +252,13 @@ def test_nested_hardy_sums_match_the_closed_form_at_zero(k):
     rule = GradedDiskRule(boundary.radii, boundary.radial_w, np.full(12, 7), 512)
     w, masses = (np.concatenate(parts) for parts in
                  zip(*(rule.generation(h) for h in range(len(rule.offsets) - 1))))
-    sums = kernel_sums(abs(a), [np.angle(a)], w, masses, 1.0, rule.cuts)[0]
+    per_ring = 256 << np.maximum(np.arange(rule.first.size) - 1, 0)
+    cuts = np.concatenate([rule.offsets[h] + per_ring[h] * np.arange(12 - first)
+                           for h, first in enumerate(rule.first)])      # one cut per ring
+    sums = kernel_sums(abs(a), [np.angle(a)], w, masses, 1.0, cuts)[0]
     head = 1.0 - abs(a) ** 2
     for g, n in ((k, 256 << k), (k - 1, 128 << k)):
-        nested = head * np.sum(sums[:rule.first_cut[g + 1]]) * 0.5 ** g
+        nested = head * np.sum(sums[cuts < rule.offsets[g + 1]]) * 0.5 ** g
         assert nested == pytest.approx(oracles.hardy_level_at_zero(a, n), rel=1e-12), n
 
 
@@ -279,6 +282,25 @@ def record_kernel_batches(monkeypatch):
     monkeypatch.setattr(criteria, "kernel_sums", recorded)
     monkeypatch.setattr(criteria, "_scan_anchors", scanned)
     return batches
+
+
+@pytest.mark.parametrize("space", [H2, A0], ids=["hardy", "bergman"])
+def test_every_criterion_kernel_call_sums_whole_rings(space, monkeypatch):
+    # a call sums the level's rings of one generation, n points each, one cut
+    # per ring (a Bergman call once cut a pass by ring depth instead)
+    calls = []
+    kernel_sums = criteria.kernel_sums
+
+    def recorded(r, angles, w, masses, q, cuts):
+        calls.append((w.size, np.asarray(cuts)))
+        return kernel_sums(r, angles, w, masses, q, cuts)
+
+    monkeypatch.setattr(criteria, "kernel_sums", recorded)
+    criterion_sample(rotation(1.0), cob_z(rotation(1.0)), space, 0.5, FAST_SCAN)
+    assert calls
+    for size, cuts in calls:
+        n = size // len(cuts)
+        assert size == n * len(cuts) and np.array_equal(cuts, n * np.arange(len(cuts)))
 
 
 def test_every_anchor_of_a_rung_gets_the_rung_circle_count(monkeypatch):
@@ -317,7 +339,7 @@ def test_half_grid_stop_matches_the_forced_cap(pair, space, monkeypatch):
     flow, m = resolve_pair(pair)
     scan = SupScanConfig(ladder_depth=6)
     samples = [criterion_sample(flow, m, space, t, scan) for t in (0.0, 0.5, 0.99)]
-    monkeypatch.setattr(criteria, "_HALF_GRID_TOL", 0.0)
+    monkeypatch.setattr(criteria, "_HALF_GRID_TOL", -1.0)    # no batch stops short of G_k
     for t, sample in zip((0.0, 0.5, 0.99), samples):
         capped = criterion_sample(flow, m, space, t, scan)
         assert sample.value == pytest.approx(capped.value, rel=1e-12, abs=0.0), t
@@ -335,7 +357,7 @@ def test_kernel_work_falls_where_the_pullback_leaves_the_boundary(monkeypatch):
         return sum(work for _, work in batches)
 
     dilation_work, rotation_work = work("dilation/coboundary:z"), work("rotation:1/coboundary:z")
-    monkeypatch.setattr(criteria, "_HALF_GRID_TOL", 0.0)
+    monkeypatch.setattr(criteria, "_HALF_GRID_TOL", -1.0)    # no batch stops short of G_k
     assert dilation_work <= 0.45 * work("dilation/coboundary:z")
     assert rotation_work == work("rotation:1/coboundary:z")
 

@@ -167,6 +167,14 @@ def test_test_function_value_at_origin():
     assert f(0.0) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("p,gamma", [(0.0, None), (0.5, 3.0), (np.nan, None), (np.inf, None),
+                                     (2.0, np.nan), (2.0, 0.0), (2.0, -1.0), (2.0, np.inf)])
+def test_test_function_rejects_bad_exponents(p, gamma):
+    # p = 0 once raised ZeroDivisionError, and a NaN p or gamma gave a NaN function
+    with pytest.raises(PreconditionError, match="test-function"):
+        anchor_test_function(0.5, p, gamma, W0)
+
+
 def test_test_function_norms_uniformly_bounded():
     norms = []
     for k in range(1, 11):
@@ -286,19 +294,15 @@ def test_graded_disk_rule_counts_follow_the_ring_law():
     assert np.array_equal(counts, 2 ** np.ceil(np.log2(expected)))
     assert counts.max() == 128                        # the cap binds past 1 - 2^-4
     # generations 0..d_i of ring i are its uniform grid of counts_i points,
-    # the same floats, and segment k of the layout holds the rings of depth
-    # cut_depth[k] within one generation
+    # the same floats
     rings = [[] for _ in rule.radii]
     for h in range(len(rule.offsets) - 1):
         z, masses = rule.generation(h)
         assert z.size == masses.size == rule.offsets[h + 1] - rule.offsets[h]
         members = np.flatnonzero(rule.depth >= h)
+        assert members[0] == rule.first[h]
         for i, part in zip(members, np.split(z, members.size)):
             rings[i].append(part)
-        ends = np.append(rule.cuts[rule.first_cut[h]:rule.first_cut[h + 1]], rule.offsets[h + 1])
-        for k, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
-            depth = rule.cut_depth[rule.first_cut[h] + k]
-            assert (hi - lo) * members.size == np.sum(rule.depth[members] == depth) * z.size
     for r, n, parts in zip(rule.radii, counts, rings):
         assert np.array_equal(np.sort_complex(np.concatenate(parts)),
                               np.sort_complex(r * np.exp(2j * np.pi * np.arange(n) / n)))
