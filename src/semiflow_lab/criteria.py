@@ -212,13 +212,22 @@ def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p
                     dt, s[lo] = t - s[lo], None
                     advance(w[nodes], masses[nodes], dt)
                     s[lo] = t
+                runs = []        # one kernel call per contiguous run: [start, stop, cuts, (h, i)s]
                 for h in range(lo, g + 1):
                     # the level's rings in generation h: rings i.. of n points each
                     n, i = rule.half << max(h - 1, 0), max(rings.start, rule.first[h])
                     start = rule.offsets[h] + (i - rule.first[h]) * n
-                    part = slice(start, start + (rings.stop - i) * n)
-                    sums[:, h, i - rings.start:] = kernel_sums(
-                        r, angles, w[part], masses[part], q, n * np.arange(rings.stop - i))
+                    if not runs or runs[-1][1] != start:
+                        runs.append([start, start, [], []])
+                    runs[-1][1] = start + (rings.stop - i) * n
+                    runs[-1][2].append(start + n * np.arange(rings.stop - i))
+                    runs[-1][3].append((h, i))
+                for start, stop, cuts, parts in runs:
+                    out = kernel_sums(r, angles, w[start:stop], masses[start:stop], q,
+                                      np.concatenate(cuts) - start)
+                    for h, i in parts:
+                        sums[:, h, i - rings.start:] = out[:, :rings.stop - i]
+                        out = out[:, rings.stop - i:]
                 fine = value(g)
                 top, step = np.max(np.abs(fine)), np.max(np.abs(fine - value(g - 1)))
                 if g == last and 0 < top < np.inf:

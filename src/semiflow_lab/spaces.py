@@ -7,7 +7,8 @@ rings times a uniform angular grid.  For Hardy the rings are a geometric
 ladder of circles whose radial weights extrapolate the circle means to the
 boundary; for Bergman they are a radial rule with the weight folded in
 (Gauss-Jacobi in s = r^2 for standard weights, so the algebraic endpoint
-singularity of (1-s)^alpha is handled exactly).  For kernels that
+singularity of (1-s)^alpha is handled exactly; every Gauss rule is built
+here in numpy: Golub-Welsch nodes with Christoffel weights).  For kernels that
 concentrate at the boundary, :class:`GradedDiskRule` takes either rule's
 rings with a power-of-two angular count per ring, graded toward the
 boundary, as nested generations: the criteria sum one kernel against them,
@@ -20,11 +21,11 @@ estimate against the Bergman norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .analytic import AnalyticFn, disk_samples, eps_ladder, unit_circle
 from .analytic import neville_extrapolate  # noqa: F401 (perfbench patches it here)
@@ -32,8 +33,9 @@ from .errors import PreconditionError, QuadratureError, RegularityError, spec_nu
 
 # The spaces' own quadrature: N_ANG angles per ring; N_RAD rings for a
 # standard weight (Gauss-Jacobi in s = r^2) and 4 N_RAD for a custom one
-# (Gauss-Legendre in r, which does not absorb the endpoint); for Hardy the
-# circles of radius 1 - eps on BOUNDARY_EPS = 1e-2 2^-k, k < 12.
+# (Gauss-Legendre in r, which does not absorb the endpoint), both Golub-Welsch
+# nodes with Christoffel weights (_jacobi_unit_rule); for Hardy the circles of
+# radius 1 - eps on BOUNDARY_EPS = 1e-2 2^-k, k < 12.
 N_ANG = 512
 N_RAD = 64
 BOUNDARY_EPS = eps_ladder(1e-2, 0.5, 12)
@@ -162,12 +164,26 @@ class SpaceSpec:
 
 @lru_cache(maxsize=64)
 def _jacobi_unit_rule(n: int, alpha: float):
-    """Nodes/weights with sum w_i g(s_i) ~ int_0^1 g(s) (1-s)^alpha ds."""
-    if alpha == 0.0:
-        x, w = roots_legendre(n)
-        return 0.5 * (x + 1.0), 0.5 * w
-    x, w = roots_jacobi(n, alpha, 0.0)
-    return 0.5 * (x + 1.0), w * 2.0 ** (-alpha - 1.0)
+    """Nodes/weights with sum w_i g(s_i) ~ int_0^1 g(s) (1-s)^alpha ds; alpha = 0 is Legendre.
+
+    Golub-Welsch: s = (1 + x) / 2, x the eigenvalues of the Jacobi matrix of P_n^(alpha, 0)
+    polished by one Newton step on its recurrence, and weights 1 / ((alpha + 1) sum_k<n p_k(x)^2),
+    p_k orthonormal (squared eigenvector components lose the small end weights' digits).
+    """
+    c = 2.0 * np.arange(n) + alpha
+    diag = -alpha * alpha / (c * (c + 2.0) + (c == 0))     # c = 0 only at k = alpha = 0
+    k = np.arange(1.0, n)
+    b = np.concatenate(([0.0], 2.0 * k * (k + alpha) / (c[1:] * np.sqrt(c[1:] ** 2 - 1.0)), [1.0]))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(b[1:-1], -1))
+    for newton in (True, False):
+        p, q, dp, dq, norm2 = np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+        for j in range(n):      # b_j+1 p_j+1 = (x - diag_j) p_j - b_j p_j-1; b_n = 1 scales p_n
+            norm2 += p * p
+            p, q, dp, dq = (((x - diag[j]) * p - b[j] * q) / b[j + 1], p,
+                            ((x - diag[j]) * dp + p - b[j] * dq) / b[j + 1], dp)
+        if newton:
+            x -= p / dp
+    return 0.5 * (x + 1.0), 1.0 / ((alpha + 1.0) * norm2)
 
 
 def _radial_rule(weight: RadialWeight, n_rad: int):
@@ -175,14 +191,13 @@ def _radial_rule(weight: RadialWeight, n_rad: int):
 
     Standard weights use Gauss-Jacobi in s = r^2, exact on the (1-s)^alpha
     endpoint, and keep their (alpha+1) factor apart as ``scale``; custom
-    weights use Gauss-Legendre in r with r omega(r) folded into the weights.
+    weights use Gauss-Legendre in r with 2 r omega(r) folded into the weights.
     """
     if weight.is_standard:
         s, radial_w = _jacobi_unit_rule(n_rad, weight.alpha)
         return np.sqrt(s), radial_w, weight.alpha + 1.0
-    x, w = roots_legendre(n_rad)
-    radii = 0.5 * (x + 1.0)
-    return radii, w * radii * weight(radii), 1.0
+    radii, w = _jacobi_unit_rule(n_rad, 0.0)
+    return radii, 2.0 * w * radii * weight(radii), 1.0
 
 
 def lagrange_at_zero(eps) -> np.ndarray:
@@ -351,9 +366,9 @@ def monomial_bergman_norm(n: int, p: float, alpha: float) -> float:
     ||z^n||^p = (alpha+1) B(pn/2 + 1, alpha + 1); used for orthonormal
     basis scaling where an analytic value keeps the matrix assembly exact.
     """
-    from scipy.special import betaln
-    logv = np.log(alpha + 1.0) + betaln(p * n / 2.0 + 1.0, alpha + 1.0)
-    return float(np.exp(logv / p))
+    a, b = p * n / 2.0 + 1.0, alpha + 1.0
+    logv = math.log(b) + math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return math.exp(logv / p)
 
 
 @dataclass
@@ -376,9 +391,8 @@ def _tail_integral(weight: RadialWeight, r: float) -> float:
         s = r + (1.0 - r) * u
         vals = (alpha + 1.0) * (1.0 + s) ** alpha
         return (1.0 - r) ** (alpha + 1.0) * float(np.sum(w * vals))
-    x, w = roots_legendre(256)
-    s = r + (1.0 - r) * 0.5 * (x + 1.0)
-    return (1.0 - r) * float(np.sum(0.5 * w * weight(s)))
+    u, w = _jacobi_unit_rule(256, 0.0)
+    return (1.0 - r) * float(np.sum(w * weight(r + (1.0 - r) * u)))
 
 
 def is_regular(weight: RadialWeight) -> RegularityReport:
@@ -427,9 +441,9 @@ def carleson_measure(weight: RadialWeight, a: complex) -> float:
         # int_{|a|}^1 omega(r) r dr = (alpha+1)/2 * int_{|a|^2}^1 (1-s)^alpha ds
         radial = 0.5 * (1.0 - mod ** 2) ** (weight.alpha + 1.0)
     else:
-        x, w = roots_legendre(192)
-        r = mod + (1.0 - mod) * 0.5 * (x + 1.0)
-        radial = (1.0 - mod) * float(np.sum(0.5 * w * weight(r) * r))
+        u, w = _jacobi_unit_rule(192, 0.0)
+        r = mod + (1.0 - mod) * u
+        radial = (1.0 - mod) * float(np.sum(w * weight(r) * r))
     return (1.0 - mod) / np.pi * radial
 
 

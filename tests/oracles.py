@@ -6,6 +6,7 @@ Carleson masses from a brute-force 2-D tensor rule, Taylor data from direct
 polynomial algebra.
 """
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import betaln, roots_jacobi
@@ -20,6 +21,24 @@ def radial_monomial_norm(n: int, p: float, alpha: float) -> float:
                     epsabs=1e-14, epsrel=1e-13, limit=200)
     assert err < 1e-10
     return ((alpha + 1.0) * val) ** (1.0 / p)
+
+
+def gauss_jacobi_unit_node(n: int, alpha: float, s0: float, digits: int = 40):
+    """The node near ``s0`` of the n-point Gauss rule for (1-s)^alpha ds on [0, 1], and its weight.
+
+    The node is x = 2s - 1 of P_n^(alpha,0) Newton-polished at ``digits``
+    digits; the weight is the closed form 1 / ((1 - x^2) P_n'(x)^2) (the
+    Gamma-ratio factor is 1 for beta = 0), mapped to [0, 1].
+    """
+    with mpmath.workdps(digits):
+        a, x = mpmath.mpf(alpha), 2 * mpmath.mpf(s0) - 1
+
+        def slope(x):
+            return (n + a + 1) / 2 * mpmath.jacobi(n - 1, a + 1, 1, x)
+
+        for _ in range(3):
+            x -= mpmath.jacobi(n, a, 0, x) / slope(x)
+        return float((x + 1) / 2), float(1 / ((1 - x * x) * slope(x) ** 2))
 
 
 def radial_weighted_moment(n: int, weight_fn) -> float:

@@ -303,6 +303,30 @@ def test_every_criterion_kernel_call_sums_whole_rings(space, monkeypatch):
         assert size == n * len(cuts) and np.array_equal(cuts, n * np.arange(len(cuts)))
 
 
+def test_a_bergman_first_pass_makes_one_kernel_call(monkeypatch):
+    # generations 0 and 1 hold every ring and lie back to back in storage, so
+    # a batch's first pass sums them in one call (a Hardy window's two
+    # generations are apart and take one call each)
+    batches, levels = [], {}
+    kernel_sums, scan_anchors = criteria.kernel_sums, criteria._scan_anchors
+
+    def recorded(r, angles, w, masses, q, cuts):
+        batches[-1].append(w.size)
+        return kernel_sums(r, angles, w, masses, q, cuts)
+
+    def scanned(integrals, scan):
+        def batch(r, angles):
+            batches.append([])
+            return integrals(r, angles)
+        return scan_anchors(batch, scan)
+
+    monkeypatch.setattr(criteria, "kernel_sums", recorded)
+    monkeypatch.setattr(criteria, "_scan_anchors", scanned)
+    criterion_sample(rotation(1.0), cob_z(rotation(1.0)), A0, 0.5, FAST_SCAN, levels)
+    first_two = {rule.offsets[2] for rule, *_ in levels.values()}
+    assert batches and all(sizes[0] in first_two for sizes in batches)
+
+
 def test_every_anchor_of_a_rung_gets_the_rung_circle_count(monkeypatch):
     # rotation:1/coboundary:z needs the full count at every t > 0, so every
     # rung's batch refines to its law count: its window of 6 circles of

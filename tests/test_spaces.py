@@ -1,15 +1,21 @@
+import os
+import subprocess
+import sys
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scipy.special import beta
 
+import semiflow_lab
 from semiflow_lab.analytic import AnalyticFn, neville_extrapolate
 from semiflow_lab.errors import PreconditionError, QuadratureError, RegularityError
 from semiflow_lab.spaces import (BOUNDARY_EPS, DiskRule, GradedDiskRule,
                                  RadialWeight, SpaceSpec, bergman_norm, carleson_measure,
                                  default_gamma, growth_bound_check, hardy_norm, is_regular,
-                                 monomial_bergman_norm)
+                                 monomial_bergman_norm, _jacobi_unit_rule)
 from semiflow_lab.spaces import test_function as anchor_test_function
 
 import oracles
@@ -95,6 +101,53 @@ def test_monomial_bergman_norms_match_oracle(n, alpha):
     assert got == pytest.approx(oracles.radial_monomial_norm(n, 2, alpha), abs=1e-8)
     assert monomial_bergman_norm(n, 2, alpha) == pytest.approx(
         oracles.radial_monomial_norm(n, 2, alpha), abs=1e-10)
+
+
+def test_monomial_bergman_norms_match_mpmath_beta():
+    for n in range(64):
+        for p in (2, 3):
+            for alpha in (0.0, 0.5, 1.0, 3.0):
+                a, q = mpmath.mpf(alpha) + 1, mpmath.mpf(p)
+                exact = float((a * mpmath.beta(q * n / 2 + 1, a)) ** (1 / q))
+                assert monomial_bergman_norm(n, p, alpha) == pytest.approx(exact, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("n", [64, 96, 192, 272])
+def test_gauss_jacobi_rule_matches_mpmath(n, alpha):
+    # the 4 nodes nearest each end, whose weights are smallest, and the 2 in the middle
+    s, w = _jacobi_unit_rule(n, alpha)
+    for i in (0, 1, 2, 3, n // 2 - 1, n // 2, n - 4, n - 3, n - 2, n - 1):
+        node, weight = oracles.gauss_jacobi_unit_node(n, alpha, s[i])
+        assert abs(s[i] - node) <= 1e-15, i
+        assert w[i] == pytest.approx(weight, rel=1e-11, abs=0), i
+    for k in range(11):
+        exact = float(mpmath.beta(k + 1, mpmath.mpf(alpha) + 1))
+        assert np.sum(w * s ** k) == pytest.approx(exact, rel=1e-14, abs=0), k
+
+
+def test_the_package_runs_without_scipy():
+    # every Gauss rule is numpy's: the CLI import and each quadrature path leave scipy unloaded
+    code = """
+import sys
+import semiflow_lab.cli
+from semiflow_lab.analytic import AnalyticFn
+from semiflow_lab.operators import composition_op, matrix
+from semiflow_lab.spaces import (RadialWeight, SpaceSpec, bergman_norm, carleson_measure,
+                                 is_regular, monomial_bergman_norm)
+custom = RadialWeight.custom(lambda r: 2.0 * (1.0 - r * r))
+bergman_norm(AnalyticFn.monomial(3), 2, RadialWeight.standard(0.5))
+is_regular(custom)
+carleson_measure(custom, 0.5)
+monomial_bergman_norm(5, 2, 0.0)
+matrix(composition_op(AnalyticFn(lambda z: 0.5 * z)), SpaceSpec.parse("bergman:2:0"), dim=16)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = os.path.dirname(os.path.dirname(semiflow_lab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_custom_weight_norm_against_oracle():
