@@ -341,6 +341,9 @@ def save_bundle(path, t_values, matrices, space: SpaceSpec) -> Path:
     """Write one CSV per time, named after its manifest key, plus a strict-JSON manifest."""
     if not np.all(np.isfinite(np.asarray(t_values, dtype=float))):
         raise PreconditionError(f"bundle times must be finite, got {list(t_values)}")
+    dim = np.shape(getattr(matrices[0], "entries", matrices[0]))[0]
+    if any(np.shape(getattr(m, "entries", m)) != (dim, dim) for m in matrices):
+        raise PreconditionError(f"bundle matrices must all be {dim} x {dim}, as the first is")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -348,20 +351,15 @@ def save_bundle(path, t_values, matrices, space: SpaceSpec) -> Path:
         key = f"{float(t):.12g}"
         files[key] = f"t_{key}.csv".replace("-", "m")
         save_matrix_csv(mat, root / files[key])
-    manifest = {
-        "space": space.label(),
-        "dim": int(np.asarray(matrices[0].entries if isinstance(matrices[0], OperatorMatrix)
-                              else matrices[0]).shape[0]),
-        "t_values": [float(t) for t in t_values],
-        "files": files,
-    }
+    manifest = {"space": space.label(), "dim": int(dim), "files": files,
+                "t_values": [float(t) for t in t_values]}
     mpath = root / "manifest.json"
     mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False))
     return mpath
 
 
 def load_bundle(manifest_path):
-    """Load a bundle; returns (t -> AbstractOperator, t_values, space)."""
+    """Load a bundle of dim x dim matrices; returns (t -> AbstractOperator, t_values, space)."""
     mpath = Path(manifest_path)
     try:
         manifest = json.loads(mpath.read_text())
@@ -369,11 +367,14 @@ def load_bundle(manifest_path):
         t_values = [float(t) for t in manifest["t_values"]]
         if not np.all(np.isfinite(t_values)):
             raise ValueError(f"t_values {t_values} are not all finite")
+        dim = int(manifest["dim"])
         root = mpath.parent
         ops = {}
         for t in t_values:
             fname = manifest["files"][f"{t:.12g}"]
             entries = load_matrix_csv(root / fname)
+            if entries.shape != (dim, dim):
+                raise ValueError(f"{fname} holds a {entries.shape} matrix, not ({dim}, {dim})")
             ops[round(t, 12)] = AbstractOperator.from_matrix(
                 entries, space, label=f"bundle@{t:g}")
     except (KeyError, TypeError, ValueError, OSError) as exc:

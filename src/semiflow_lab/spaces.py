@@ -1,18 +1,19 @@
 """Hardy and weighted Bergman space machinery.
 
 Both spaces are L^p(mu), mu the boundary measure for H^p and omega dA for
-A^p_omega, and every norm and finite section is one integral
-against mu by a :class:`DiskRule`, which :meth:`SpaceSpec.rule` picks:
-rings times a uniform angular grid.  For Hardy the rings are a geometric
-ladder of circles whose radial weights extrapolate the circle means to the
-boundary; for Bergman they are a radial rule with the weight folded in
-(Gauss-Jacobi in s = r^2 for standard weights, so the algebraic endpoint
-singularity of (1-s)^alpha is handled exactly; every Gauss rule is built
-here in numpy: Golub-Welsch nodes with Christoffel weights).  For kernels that
-concentrate at the boundary, :class:`GradedDiskRule` takes either rule's
-rings with a power-of-two angular count per ring, graded toward the
-boundary, as nested generations: the criteria sum one kernel against them,
-flat nodes and masses, one sum per ring of a generation (:func:`kernel_sums`).
+A^p_omega, and every norm is one integral against mu by a :class:`DiskRule`
+(finite sections read Taylor coefficients instead: ``operators.matrix``),
+which :meth:`SpaceSpec.rule` picks: rings times a uniform angular grid.  For
+Hardy the rings are a geometric ladder of circles whose radial weights
+extrapolate the circle means to the boundary; for Bergman they are a radial
+rule with the weight folded in (Gauss-Jacobi in s = r^2 for standard weights,
+so the algebraic endpoint singularity of (1-s)^alpha is handled exactly;
+every Gauss rule is built here in numpy: Golub-Welsch nodes with Christoffel
+weights).  For kernels that concentrate at the boundary,
+:class:`GradedDiskRule` takes either rule's rings with a power-of-two angular
+count per ring, graded toward the boundary, as nested generations: the
+criteria sum one kernel against them, flat nodes and masses, one sum per ring
+of a generation (:func:`kernel_sums`).
 
 Also here: weight regularity probes, the omega-measure of a Carleson
 square, the boundary-concentrated test functions, and the pointwise growth
@@ -147,14 +148,12 @@ class SpaceSpec:
             return f"bergman:{self.p:g}:{self.weight.alpha:g}"
         return f"bergman:{self.p:g}:custom:{self.weight.label}"
 
-    def rule(self, n_ang: int = N_ANG, n_rad: int = N_RAD) -> "DiskRule":
-        """The space's measure with ``n_ang`` angles per ring: the circles of
-        ``BOUNDARY_EPS`` for Hardy (``n_rad`` unused); ``n_rad`` rings for a
-        standard Bergman weight, 4 ``n_rad`` for a custom one."""
+    def rule(self) -> "DiskRule":
+        """The space's measure, ``N_ANG`` angles per ring: the ``BOUNDARY_EPS`` circles for
+        Hardy, ``N_RAD`` rings for a standard Bergman weight and 4 ``N_RAD`` for a custom one."""
         if self.is_hardy:
-            return DiskRule.boundary(n_ang)
-        n_rad = n_rad if self.weight.is_standard else 4 * n_rad
-        return DiskRule.weighted(self.weight, n_rad, n_ang)
+            return DiskRule.boundary()
+        return DiskRule.weighted(self.weight, N_RAD * (1 if self.weight.is_standard else 4), N_ANG)
 
     def norm(self, f: AnalyticFn) -> float:
         if self.is_hardy:
@@ -363,8 +362,8 @@ def bergman_norm(f: AnalyticFn, p: float, weight: RadialWeight) -> float:
 def monomial_bergman_norm(n: int, p: float, alpha: float) -> float:
     """Closed-form |z^n| norm in the standard-weight Bergman space.
 
-    ||z^n||^p = (alpha+1) B(pn/2 + 1, alpha + 1); used for orthonormal
-    basis scaling where an analytic value keeps the matrix assembly exact.
+    ||z^n||^p = (alpha+1) B(pn/2 + 1, alpha + 1) from log-Gamma values, for
+    any p (``operators.basis_scales`` keeps a product form at p = 2).
     """
     a, b = p * n / 2.0 + 1.0, alpha + 1.0
     logv = math.log(b) + math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)

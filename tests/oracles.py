@@ -9,7 +9,7 @@ polynomial algebra.
 import mpmath
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import betaln, roots_jacobi
+from scipy.special import betaln, comb, roots_jacobi
 
 
 def radial_monomial_norm(n: int, p: float, alpha: float) -> float:
@@ -132,6 +132,48 @@ def bergman_section_by_rings(m, phi, dim: int, alpha: float) -> np.ndarray:
         gram += c * (np.conj(z ** powers) @ images.T) / n_theta
     norms = np.sqrt((alpha + 1.0) * np.exp(betaln(np.arange(dim) + 1.0, alpha + 1.0)))
     return gram / np.outer(norms, norms)
+
+
+def monomial_norms(dim: int, alpha=None) -> np.ndarray:
+    """||z^n||, n < dim: 1 on H^2 (``alpha`` None), the Beta values on A^2_alpha."""
+    if alpha is None:
+        return np.ones(dim)
+    return np.sqrt((alpha + 1.0) * np.exp(betaln(np.arange(dim) + 1.0, alpha + 1.0)))
+
+
+def gallery_section(name: str, t: float, dim: int, alpha=None) -> np.ndarray:
+    """The dim x dim section of a ``gallery_semigroups()`` pair at time t in closed form.
+
+    The coboundaries of z have m_t phi_t^j = e^{-t(j+1)} z^j (dilation) and
+    e^{it(j+1)} z^j (rotation); attraction/derivative has
+    m_t phi_t^j = e^{-t} (e^{-t} z + 1 - e^{-t})^j, binomially expanded.
+    ``alpha`` None is H^2, else A^2_alpha.
+    """
+    j = np.arange(dim)
+    if name == "dilation/coboundary-z":
+        return np.diag(np.exp(-t * (j + 1.0))).astype(complex)
+    if name == "rotation/coboundary-z":
+        return np.diag(np.exp(1j * t * (j + 1.0)))
+    assert name == "attraction/derivative"
+    q, i, s = np.exp(-t), j[:, None], monomial_norms(dim, alpha)
+    powers = np.where(i <= j, (1.0 - q) ** np.maximum(j - i, 0), 0.0)
+    return (q * comb(j, i) * q ** i * powers * s[:, None] / s[None, :]).astype(complex)
+
+
+def affine_power_dilation_section(gamma: float, t: float, dim: int, alpha=None) -> np.ndarray:
+    """The dim x dim section of dilation with the coboundary of (1 - z)^gamma at time t.
+
+    S_t z^j = e^{-tj} z^j m_t with m_t = ((1 - e^{-t} z) / (1 - z))^gamma, whose
+    coefficients are the convolution of the binomial series of (1 - e^{-t} z)^gamma
+    and (1 - z)^-gamma.  ``alpha`` None is H^2, else A^2_alpha.
+    """
+    q, k = np.exp(-t), np.arange(1, dim)
+    numer = np.cumprod(np.concatenate(([1.0], (k - 1.0 - gamma) * q / k)))
+    denom = np.cumprod(np.concatenate(([1.0], (k - 1.0 + gamma) / k)))
+    m = np.convolve(numer, denom)[:dim]
+    i, j, s = np.arange(dim)[:, None], np.arange(dim)[None, :], monomial_norms(dim, alpha)
+    lower = np.where(i >= j, m[np.maximum(i - j, 0)], 0.0)
+    return (np.exp(-t * j) * lower * s[:, None] / s[None, :]).astype(complex)
 
 
 def hardy_level_at_zero(a: complex, n: int, eps=None) -> float:

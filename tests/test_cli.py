@@ -8,7 +8,8 @@ import pytest
 from semiflow_lab.cli import _SCAN_KINDS, _write_json, main
 from semiflow_lab.criteria import SupScanConfig
 from semiflow_lab.intertwine import save_bundle
-from semiflow_lab.operators import gallery_semigroups, matrix
+from semiflow_lab.errors import PreconditionError
+from semiflow_lab.operators import gallery_semigroups, matrix, save_matrix_csv
 from semiflow_lab.spaces import RadialWeight, SpaceSpec
 
 
@@ -147,6 +148,39 @@ def test_intertwine_corrupted_bundle_fails_located(tmp_path):
     assert main(["intertwine", "--bundle", str(manifest), "--out", str(out)]) == 1
     payload = json.loads((out / "bundle.intertwine.json").read_text())
     assert payload["failed_at"] == pytest.approx(0.3)
+
+
+def test_save_bundle_rejects_matrices_of_another_size(tmp_path):
+    a0 = SpaceSpec.bergman(2, RadialWeight.standard(0.0))
+    sg = gallery_semigroups()[0]
+    ts = [0.0, 0.1, 0.2, 0.3]
+    mats = [matrix(sg.at(t, validate=False), a0, 20) for t in ts]
+    mats[2] = matrix(sg.at(0.2, validate=False), a0, 12)
+    with pytest.raises(PreconditionError, match="20 x 20"):
+        save_bundle(tmp_path / "bundle", ts, mats, a0)
+    assert not (tmp_path / "bundle").exists()
+
+
+@pytest.mark.parametrize("edit", ["manifest", "csv"])
+def test_intertwine_bundle_of_the_wrong_size_is_config_error(tmp_path, capsys, edit):
+    # a manifest dim other than the CSVs' size, or one CSV of another size,
+    # is malformed input (exit 2), not an analytic failure (exit 1)
+    a0 = SpaceSpec.bergman(2, RadialWeight.standard(0.0))
+    sg = gallery_semigroups()[0]
+    ts = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+    manifest = save_bundle(tmp_path / "bundle", ts,
+                           [matrix(sg.at(t, validate=False), a0, 20) for t in ts], a0)
+    if edit == "manifest":
+        content = json.loads(manifest.read_text())
+        content["dim"] = 7
+        manifest.write_text(json.dumps(content))
+    else:
+        save_matrix_csv(matrix(sg.at(0.4, validate=False), a0, 12),
+                        tmp_path / "bundle" / "t_0.4.csv")
+    assert main(["intertwine", "--bundle", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "t_0" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_intertwine_malformed_bundle_is_config_error(tmp_path):

@@ -101,7 +101,8 @@ def test_bergman_criterion_zero_time_matches_normalization_sweep():
     anchors = list(FAST_SCAN.small_radii) + [1.0 - 2.0 ** -k for k in range(1, 8)]
     norms = []
     for a in anchors:
-        rule = A0.rule(int(max(512, 64 / (1 - a))), int(max(64, 8 / np.sqrt(1 - a))))
+        rule = DiskRule.weighted(A0.weight, int(max(64, 8 / np.sqrt(1 - a))),
+                                 int(max(512, 64 / (1 - a))))
         f = anchor(a, 2, weight=RadialWeight.standard(0.0))
         norms.append(rule.integrate(np.abs(f(rule.nodes())) ** 2))
     assert sample.value == pytest.approx(max(norms), rel=0.05)

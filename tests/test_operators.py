@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from semiflow_lab.analytic import AnalyticFn, disk_samples, taylor_coefficients
-from semiflow_lab.cocycle import make_coboundary
+from semiflow_lab.cocycle import make_coboundary, resolve_cocycle
 from semiflow_lab.errors import DomainError, PreconditionError
 from semiflow_lab.flow import dilation
 from semiflow_lab.operators import (WeightedCompOp, composition_op,
                                     gallery_semigroups, load_matrix_csv, matrix,
                                     multiplication_op, norm2, norm_lower_bound,
                                     save_matrix_csv, semigroup_op)
-from semiflow_lab.spaces import RadialWeight, SpaceSpec
+from semiflow_lab.spaces import DiskRule, RadialWeight, SpaceSpec
 
 import oracles
 
@@ -67,6 +67,36 @@ def test_bergman_section_matches_the_ring_by_ring_oracle(pair, dim, alpha):
     got = matrix(op, SpaceSpec.bergman(2, RadialWeight.standard(alpha)), dim).entries
     expected = oracles.bergman_section_by_rings(op.m, op.phi, dim, alpha)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("t", [0.05, 0.3, 0.9])
+@pytest.mark.parametrize("dim", [20, 64])
+@pytest.mark.parametrize("alpha", [None, 0.0, 0.5], ids=["hardy", "bergman0", "bergman0.5"])
+@pytest.mark.parametrize("pair", range(3))
+def test_gallery_section_matches_its_closed_form(pair, alpha, dim, t):
+    sg = gallery_semigroups()[pair]
+    space = H2 if alpha is None else SpaceSpec.bergman(2, RadialWeight.standard(alpha))
+    got = matrix(sg.at(t), space, dim).entries
+    expected = oracles.gallery_section(sg.name, t, dim, alpha)
+    assert np.max(np.abs(got - expected)) <= 2e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("space,alpha", [(H2, None), (A0, 0.0)], ids=["hardy", "bergman"])
+@pytest.mark.parametrize("gamma", [0.4, 1.0])
+def test_boundary_singular_section_matches_its_coefficient_oracle(gamma, space, alpha,
+                                                                  monkeypatch):
+    # m_t = ((1 - e^-t z) / (1 - z))^gamma is singular at z = 1; the section reads
+    # Taylor coefficients, so no quadrature rule of the space is ever built
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("matrix built a quadrature rule")
+
+    flow = dilation()
+    op = semigroup_op(flow, resolve_cocycle(f"coboundary:affine-power:{gamma}", flow), 0.5)
+    monkeypatch.setattr(SpaceSpec, "rule", no_quadrature)
+    monkeypatch.setattr(DiskRule, "__init__", no_quadrature)
+    got = matrix(op, space, 64).entries
+    expected = oracles.affine_power_dilation_section(gamma, 0.5, 64, alpha)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("space", [H2, A0], ids=["hardy", "bergman"])

@@ -232,8 +232,8 @@ def test_test_function_norms_uniformly_bounded():
     norms = []
     for k in range(1, 11):
         a = 1.0 - 2.0 ** -k
-        rule = SpaceSpec.bergman(2, W0).rule(int(max(512, 64 / (1 - a))),
-                                             int(max(64, 8 / np.sqrt(1 - a))))
+        rule = DiskRule.weighted(W0, int(max(64, 8 / np.sqrt(1 - a))),
+                                 int(max(512, 64 / (1 - a))))
         f = anchor_test_function(a, 2, weight=W0)
         norms.append(np.sqrt(rule.integrate(np.abs(f(rule.nodes())) ** 2)))
     assert max(norms) < 2.0
@@ -364,10 +364,7 @@ def test_graded_disk_rule_counts_follow_the_ring_law():
 def test_space_rule_picks_radial_count():
     assert SpaceSpec.bergman(2, W0).rule().nodes().shape == (64, 512)
     assert SpaceSpec.bergman(2, ONE).rule().nodes().shape == (256, 512)
-    assert SpaceSpec.bergman(2, W0).rule(64, 16).nodes().shape == (16, 64)
-    assert SpaceSpec.bergman(2, ONE).rule(64, 10).nodes().shape == (40, 64)
     assert SpaceSpec.hardy(2).rule().nodes().shape == (12, 512)
-    assert SpaceSpec.hardy(2).rule(64, 16).nodes().shape == (12, 64)
 
 
 def test_boundary_ladder_is_fixed():
