@@ -35,9 +35,9 @@ from .spaces import (GradedDiskRule, RadialWeight, SpaceSpec, carleson_measure, 
 # clip(scale 2^k, base, cap) points per ring, so the kernel's spike stays
 # resolved.  A Bergman family has clip(int(6 2^(k/2)), 64, 272) rings and
 # clip(ceil(32 / (1 - r)), 256, 65536) angles on ring r, rounded up to a
-# power of two.  A batch stops short at a half-grid indicator <=
-# _HALF_GRID_TOL: the trapezoid error of a periodic analytic integrand falls
-# geometrically, so the finer sum is then off by about its square.
+# power of two.  An anchor stops short at a half-grid step <= _HALF_GRID_TOL
+# times its batch's maximum: the trapezoid error of a periodic analytic
+# integrand falls geometrically, so its finer sum is off by about the square.
 _HARDY_ANGLES = (32.0, 512, 65536)
 _DISK_ANGLES = (32.0, 256, 65536)
 _DISK_RINGS = (6.0, 64, 272)
@@ -161,13 +161,14 @@ def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p
 
     Anchors go to :func:`spaces.kernel_sums` (exponent ``q``) in batches of
     one modulus: a rung's fan, and the candidates of one refinement radius.
-    A batch sums generations 0..G for G = 1, 2, ... until the half-grid
-    indicator max |V_G - V_G-1| / max |V_G| is at most ``_HALF_GRID_TOL``
-    or G reaches G_k; ``angular_indicator`` is the largest indicator of a
-    batch that stopped at G_k, 0.0 if none did, and ``extrapolation_indicator``
-    the largest max |value weighted ``gap``| / max |value| of a batch, 0.0
-    if ``gap`` is None.  A non-finite integral counts as +inf and ends the
-    scan.
+    A batch sums generations 0..G for G = 1, 2, ... up to G_k, and an anchor
+    keeps its value (and its value weighted ``gap``) and leaves at the first
+    G whose step |V_G - V_G-1| is at most ``_HALF_GRID_TOL`` max |V_G| over
+    the batch; ``angular_indicator`` is the largest step / max |V_G| of an
+    anchor still summing at G_k, 0.0 if none was, ``extrapolation_indicator``
+    the largest max |value weighted ``gap``| / max |value| of a batch, 0.0 if
+    ``gap`` is None.  A non-finite value ends its anchor (an infinite max
+    its batch) and counts as +inf, which ends the scan.
     """
     # written as "not 0 <= t < inf" so that NaN fails too
     if not 0 <= t < math.inf:
@@ -193,9 +194,11 @@ def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p
         last = min(len(rule.offsets) - 2, _law_generations(law, k))
         depth = rule.depth[rings]
         sums = np.zeros((len(angles), last + 1, depth.size))    # 0 where h > d_i
+        fine, held = np.empty(len(angles)), np.zeros(len(angles))
+        live = np.arange(len(angles))          # the anchors still summing
 
-        def value(g, weights=weights):        # ring i's generations 0..g, over 2^min(g, d_i)
-            return head(r) * ((sums[:, :g + 1].sum(axis=1) * 0.5 ** np.minimum(g, depth)) @ weights)
+        def value(g, weights=weights):  # live anchors: ring i's generations 0..g over 2^min(g, d_i)
+            return head(r) * ((sums[live, :g + 1].sum(1) * 0.5 ** np.minimum(g, depth)) @ weights)
 
         lo = 0
         for g in range(1, last + 1):
@@ -223,20 +226,24 @@ def _sup_scan(scan: SupScanConfig, t: float, flow: Semiflow, cocycle: Cocycle, p
                     runs[-1][2].append(start + n * np.arange(rings.stop - i))
                     runs[-1][3].append((h, i))
                 for start, stop, cuts, parts in runs:
-                    out = kernel_sums(r, angles, w[start:stop], masses[start:stop], q,
+                    out = kernel_sums(r, angles[live], w[start:stop], masses[start:stop], q,
                                       np.concatenate(cuts) - start)
                     for h, i in parts:
-                        sums[:, h, i - rings.start:] = out[:, :rings.stop - i]
+                        sums[live, h, i - rings.start:] = out[:, :rings.stop - i]
                         out = out[:, rings.stop - i:]
-                fine = value(g)
-                top, step = np.max(np.abs(fine)), np.max(np.abs(fine - value(g - 1)))
+                fine[live] = value(g)
+                step = np.abs(fine[live] - value(g - 1))
+                if gap is not None:
+                    held[live] = value(g, gap)
+                top = np.max(np.abs(fine))
                 if g == last and 0 < top < np.inf:
-                    capped = max(capped, step / top)
-                if not step > _HALF_GRID_TOL * top:     # a non-finite value ends it too
+                    capped = max(capped, np.max(step) / top)
+                live = live[step > _HALF_GRID_TOL * top]    # a non-finite value ends it too
+                if not live.size:
                     break
             lo = g + 1
         if gap is not None and 0 < top < np.inf:
-            extrapolated = max(extrapolated, np.max(np.abs(value(g, gap))) / top)
+            extrapolated = max(extrapolated, np.max(np.abs(held)) / top)
         return np.where(np.isfinite(fine), fine, np.inf)
 
     sample = _scan_anchors(integrals, scan)

@@ -24,9 +24,11 @@ _SELFMAP_TOL = 1e-9
 
 # The circle of the sections' Taylor coefficients: rounding in a_i grows like
 # radius^-i, 680x at i = 127 (the tail modes of dim 64), and aliasing adds
-# a_{i+n} radius^n, below e^-100 on max(2048, 8 dim) nodes.
+# a_{i+n} radius^n, below e^-100 on max(2048, 8 dim) nodes.  Past _MAX_DIM the
+# tail modes lose digits (gallery sections read 1.5e-11 off at dim 256).
 _COEFF_RADIUS = 0.95
 _COEFF_NODES = 2048
+_MAX_DIM = 128
 
 
 class WeightedCompOp:
@@ -104,8 +106,9 @@ def matrix(op: WeightedCompOp, space: SpaceSpec, dim: int = 64) -> OperatorMatri
     ``tail_bound`` is the largest norm of a column's image in the modes
     dim ... 2 dim - 1 that the section drops, read from the same FFT.
     """
-    if dim < 2:
-        raise PreconditionError("matrix dimension must be at least 2")
+    if not 2 <= dim <= _MAX_DIM:
+        raise PreconditionError(f"matrix dimension must be at least 2 and at most {_MAX_DIM}, "
+                                f"got {dim}")
     scales = basis_scales(space, 2 * dim)       # rejects p != 2
     z = _COEFF_RADIUS * unit_circle(max(_COEFF_NODES, 8 * dim))
     pv = op.phi(z)

@@ -22,7 +22,6 @@ estimate against the Bergman norm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -357,17 +356,6 @@ def hardy_norm(f: AnalyticFn, p: float) -> float:
 def bergman_norm(f: AnalyticFn, p: float, weight: RadialWeight) -> float:
     """Weighted Bergman norm by disk quadrature with the weight folded in."""
     return _lp_norm(f, p, SpaceSpec.bergman(p, weight).rule())
-
-
-def monomial_bergman_norm(n: int, p: float, alpha: float) -> float:
-    """Closed-form |z^n| norm in the standard-weight Bergman space.
-
-    ||z^n||^p = (alpha+1) B(pn/2 + 1, alpha + 1) from log-Gamma values, for
-    any p (``operators.basis_scales`` keeps a product form at p = 2).
-    """
-    a, b = p * n / 2.0 + 1.0, alpha + 1.0
-    logv = math.log(b) + math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    return math.exp(logv / p)
 
 
 @dataclass

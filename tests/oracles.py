@@ -207,3 +207,45 @@ def floored_disk_level(k: int, radii_of):
     radii = radii_of(min(272, max(64, int(6.0 / np.sqrt(d)))))
     counts = np.clip(np.ceil(32.0 / np.maximum(1.0 - radii, min(d, 1.0 / 8.0))), 256, 65536)
     return radii, (2 ** np.ceil(np.log2(counts))).astype(int)
+
+
+def taylor_energy(f, k: int, scales=None) -> float:
+    """sum_n |c_n|^2 s_n^2 over the Taylor coefficients c_n of ``f`` (s_n = 1
+    if ``scales`` is None, else ``scales(count)``), from one FFT of 2^(k+8)
+    samples on the circle 1 - 2^-(k+4).
+
+    Aliasing adds c_{n+N} rho^N, e^-16 times coefficients that have decayed
+    for 2^(k+8) terms.  Rounding in the samples is scaled by rho^-n, up to
+    e^16, so the last dyadic block n >= N/2 holds up to 3e-13 of the sum
+    from rounding alone at k = 10; the sum is refused (AssertionError) when
+    that block holds more than 1e-11 of it: then the coefficients decay too
+    slowly for a plain partial sum.
+    """
+    n, rho = 2 ** (k + 8), 1.0 - 2.0 ** -(k + 4)
+    samples = f(rho * np.exp(2j * np.pi * np.arange(n) / n))
+    energy = np.abs(np.fft.fft(samples) / n / rho ** np.arange(n)) ** 2
+    if scales is not None:
+        energy *= scales(n) ** 2
+    total = float(np.sum(energy))
+    assert np.sum(energy[n // 2:]) <= 1e-11 * total, "the coefficients decay too slowly"
+    return total
+
+
+def hardy_taylor_criterion(phi, m, a: complex, k: int) -> float:
+    """The p = 2 Hardy criterion at anchor ``a``: (1 - |a|^2) ||m / (1 - conj(a) phi)||^2
+    on H^2, the sum of the squared Taylor coefficients (maps ``phi`` and ``m`` at one t)."""
+    return (1.0 - abs(a) ** 2) * taylor_energy(lambda z: m(z) / (1.0 - np.conj(a) * phi(z)), k)
+
+
+def bergman_taylor_criterion(phi, m, a: complex, k: int, alpha: float, scales) -> float:
+    """The p = 2 criterion of A^2_alpha (standard weight) at anchor ``a``.
+
+    With gamma = 2 (alpha + 2) + 1, it is head(|a|) ||m (1 - conj(a) phi)^-(gamma+1)/2||^2,
+    the norm summed from Taylor coefficients c_n as sum |c_n|^2 s_n^2 with
+    s_n = ||z^n|| (``scales(count)``).  The head (1 - |a|)^(gamma+1) / omega(S(a)) is
+    2 pi (1 - |a|)^gamma / (1 - |a|^2)^(alpha+1) in closed form.
+    """
+    gamma, r = 2.0 * (alpha + 2.0) + 1.0, abs(a)
+    head = 2.0 * np.pi * (1.0 - r) ** gamma / (1.0 - r * r) ** (alpha + 1.0)
+    return head * taylor_energy(
+        lambda z: m(z) * (1.0 - np.conj(a) * phi(z)) ** (-(gamma + 1.0) / 2.0), k, scales)

@@ -16,7 +16,7 @@ from semiflow_lab.criteria import (DEFAULT_SCAN, DEFAULT_T_GRID, SupScanConfig,
 from semiflow_lab.errors import PreconditionError, RegularityError
 from semiflow_lab.flow import (attraction, dilation, identity_flow, resolve_flow, rotation,
                                verify_semiflow)
-from semiflow_lab.operators import gallery_semigroups
+from semiflow_lab.operators import basis_scales, gallery_semigroups
 from semiflow_lab.spaces import (DiskRule, GradedDiskRule, RadialWeight,
                                  SpaceSpec, carleson_measure, kernel_sums)
 
@@ -265,18 +265,20 @@ def test_nested_hardy_sums_match_the_closed_form_at_zero(k):
 
 def record_kernel_batches(monkeypatch):
     """Patch the scan driver and the criteria's kernel sum to record, per
-    batch of anchors, the anchors and the kernel node-evaluations (anchors
-    x nodes, summed over the batch's kernel calls)."""
+    batch of anchors, the anchors, the kernel node-evaluations (anchors x
+    nodes, summed over the batch's kernel calls) and each kernel call as
+    (its anchor angles, its node count)."""
     batches = []
     kernel_sums, scan_anchors = criteria.kernel_sums, criteria._scan_anchors
 
     def recorded(r, angles, w, masses, q, cuts):
         batches[-1][1] += len(angles) * w.size
+        batches[-1][2].append((np.array(angles), w.size))
         return kernel_sums(r, angles, w, masses, q, cuts)
 
     def scanned(integrals, scan):
         def batch(r, angles):
-            batches.append([r * np.exp(1j * np.asarray(angles)), 0])
+            batches.append([r * np.exp(1j * np.asarray(angles)), 0, []])
             return integrals(r, angles)
         return scan_anchors(batch, scan)
 
@@ -340,7 +342,7 @@ def test_every_anchor_of_a_rung_gets_the_rung_circle_count(monkeypatch):
     for k in range(1, scan.ladder_depth + 1):
         r = 1.0 - 2.0 ** -k
         n_theta = min(cap, max(base, int(scale) << k))
-        for anchors, work in batches:
+        for anchors, work, _ in batches:
             on_rung = np.abs(np.abs(anchors) - r) < 1e-12
             if np.any(on_rung):
                 assert np.all(on_rung) and work == anchors.size * 6 * n_theta, (k, work)
@@ -379,12 +381,37 @@ def test_kernel_work_falls_where_the_pullback_leaves_the_boundary(monkeypatch):
     def work(pair):
         batches.clear()
         criterion_sample(*resolve_pair(pair), A0, 0.5)
-        return sum(work for _, work in batches)
+        return sum(work for _, work, _ in batches)
 
     dilation_work, rotation_work = work("dilation/coboundary:z"), work("rotation:1/coboundary:z")
     monkeypatch.setattr(criteria, "_HALF_GRID_TOL", -1.0)    # no batch stops short of G_k
     assert dilation_work <= 0.45 * work("dilation/coboundary:z")
     assert rotation_work == work("rotation:1/coboundary:z")
+
+
+@pytest.mark.parametrize("space,pair,share", [
+    (H2, "attraction/derivative", 0.30), (A0, "attraction/derivative", 0.40),
+    (H2, "rotation:1/coboundary:z", 1.0), (A0, "rotation:1/coboundary:z", 1.0),
+    (H2, "dilation/coboundary:z", 1.0), (A0, "dilation/coboundary:z", 1.0)],
+    ids=["hardy-attraction", "bergman-attraction", "hardy-rotation", "bergman-rotation",
+         "hardy-dilation", "bergman-dilation"])
+def test_each_anchor_stops_at_its_own_half_grid_step(space, pair, share, monkeypatch):
+    # an anchor leaves its batch once its own step is small, so a pass sums a
+    # subset of the previous pass's anchors; attraction's measure crowds the
+    # boundary fixed point 1, and only the anchors near it sum every
+    # generation, while rotation's and dilation's anchors converge together
+    batches = record_kernel_batches(monkeypatch)
+    criterion_sample(*resolve_pair(pair), space, 0.5)
+    work = batch_wide = 0
+    for anchors, _, calls in batches:
+        for (before, _), (after, _) in zip(calls, calls[1:]):
+            assert set(after) <= set(before)
+        work += sum(angles.size * nodes for angles, nodes in calls)
+        batch_wide += sum(anchors.size * nodes for _, nodes in calls)
+    if share == 1.0:
+        assert work == batch_wide
+    else:
+        assert work <= share * batch_wide
 
 
 def record_generations(monkeypatch):
@@ -502,7 +529,62 @@ def test_default_scan_integral_count(space, monkeypatch):
     # anchors per round
     batches = record_kernel_batches(monkeypatch)
     criterion_sample(dilation(), cob_z(dilation()), space, 0.5)
-    assert sum(anchors.size for anchors, _ in batches) == 13 * 16 + 3 * 5
+    assert sum(anchors.size for anchors, *_ in batches) == 13 * 16 + 3 * 5
+
+
+# At t = 0.5 in closed form: attraction/derivative, and rotation:1 with the
+# coboundary of w = 1 + c z, whose m_t = w(e^{it} z) / w(z).
+_Q, _C = np.exp(-0.5), 0.8 * np.exp(0.3j)
+TAYLOR_PAIRS = {
+    "attraction/derivative": (lambda: (attraction(), Cocycle.derivative(attraction())),
+                              lambda z: _Q * z + 1.0 - _Q, lambda z: np.full_like(z, _Q)),
+    "rotation:1/coboundary:1+cz": (
+        lambda: (rotation(1.0), make_coboundary(AnalyticFn(lambda z: 1.0 + _C * z), rotation(1.0))),
+        lambda z: np.exp(0.5j) * z, lambda z: (1.0 + _C * np.exp(0.5j) * z) / (1.0 + _C * z)),
+}
+# the largest |criterion - oracle| over the fan, over the fan's largest oracle
+# value, at k = 1, 3, 6, 10: 3-5 times the measured error (H^2 rotation's
+# 1.1e-10 at k = 1 is the window's extrapolation error)
+TAYLOR_TOLERANCES = {
+    ("hardy", "attraction/derivative"): (5e-15, 1e-13, 3e-13, 1e-12),
+    ("hardy", "rotation:1/coboundary:1+cz"): (5e-10, 5e-12, 5e-12, 5e-12),
+    ("bergman", "attraction/derivative"): (2e-15, 4e-15, 1e-14, 1e-12),
+    ("bergman", "rotation:1/coboundary:1+cz"): (1.5e-15, 5e-13, 4e-12, 5e-10),
+}
+
+
+@pytest.mark.parametrize("pair", TAYLOR_PAIRS)
+@pytest.mark.parametrize("space", [H2, A0], ids=["hardy", "bergman"])
+def test_every_fan_anchor_matches_the_taylor_oracle(space, pair, monkeypatch):
+    # each anchor of a 16-angle fan on 1 - 2^-k, read through the batch, so
+    # anchors that left their batch early are checked too; the half-grid stop
+    # bounds an anchor's step by the batch maximum, so the error is measured
+    # against the fan's largest value
+    make, phi, m = TAYLOR_PAIRS[pair]
+    scan_anchors, read = criteria._scan_anchors, {}
+
+    def scanned(integrals, scan):
+        def batch(r, angles):
+            values = integrals(r, angles)
+            read.update(zip(r * np.exp(1j * np.asarray(angles)), values))
+            return values
+        return scan_anchors(batch, scan)
+
+    monkeypatch.setattr(criteria, "_scan_anchors", scanned)
+    name = "hardy" if space.is_hardy else "bergman"
+    for k, tol in zip((1, 3, 6, 10), TAYLOR_TOLERANCES[name, pair]):
+        read.clear()
+        r = 1.0 - 2.0 ** -k
+        criterion_sample(*make(), space, 0.5,
+                         SupScanConfig(small_radii=(r,), ladder_depth=0, refine_rounds=0))
+        assert len(read) == 16
+        if space.is_hardy:
+            exact = {a: oracles.hardy_taylor_criterion(phi, m, a, k) for a in read}
+        else:
+            exact = {a: oracles.bergman_taylor_criterion(
+                phi, m, a, k, 0.0, lambda n: basis_scales(space, n)) for a in read}
+        error = max(abs(read[a] - exact[a]) for a in read)
+        assert error <= tol * max(exact.values()), (k, error / max(exact.values()))
 
 
 def test_bergman_criterion_deep_anchor_matches_doubled_uncapped_tensor_grid():

@@ -81,6 +81,19 @@ def test_gallery_section_matches_its_closed_form(pair, alpha, dim, t):
     assert np.max(np.abs(got - expected)) <= 2e-14 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("alpha", [None, 0.0, 0.5], ids=["hardy", "bergman0", "bergman0.5"])
+def test_sections_stop_at_dim_128(alpha):
+    # the fixed coefficient circle |z| = 0.95 scales rounding by 0.95^-(2 dim - 1):
+    # dim 128 keeps its digits, and dim 256 read 1.5e-11 off before it was refused
+    space = H2 if alpha is None else SpaceSpec.bergman(2, RadialWeight.standard(alpha))
+    for sg in gallery_semigroups():
+        got = matrix(sg.at(0.3), space, 128).entries
+        expected = oracles.gallery_section(sg.name, 0.3, 128, alpha)
+        assert np.max(np.abs(got - expected)) <= 2.4e-14 * np.max(np.abs(expected)), sg.name
+        with pytest.raises(PreconditionError, match="at most 128"):
+            matrix(sg.at(0.3), space, 129)
+
+
 @pytest.mark.parametrize("space,alpha", [(H2, None), (A0, 0.0)], ids=["hardy", "bergman"])
 @pytest.mark.parametrize("gamma", [0.4, 1.0])
 def test_boundary_singular_section_matches_its_coefficient_oracle(gamma, space, alpha,

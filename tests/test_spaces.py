@@ -12,10 +12,11 @@ from scipy.special import beta
 import semiflow_lab
 from semiflow_lab.analytic import AnalyticFn, neville_extrapolate
 from semiflow_lab.errors import PreconditionError, QuadratureError, RegularityError
+from semiflow_lab.operators import basis_scales
 from semiflow_lab.spaces import (BOUNDARY_EPS, DiskRule, GradedDiskRule,
                                  RadialWeight, SpaceSpec, bergman_norm, carleson_measure,
                                  default_gamma, growth_bound_check, hardy_norm, is_regular,
-                                 monomial_bergman_norm, _jacobi_unit_rule)
+                                 _jacobi_unit_rule)
 from semiflow_lab.spaces import test_function as anchor_test_function
 
 import oracles
@@ -99,17 +100,17 @@ def test_bergman_norm_identity_alpha1_against_radial_oracle():
 def test_monomial_bergman_norms_match_oracle(n, alpha):
     got = bergman_norm(AnalyticFn.monomial(n), 2, RadialWeight.standard(alpha))
     assert got == pytest.approx(oracles.radial_monomial_norm(n, 2, alpha), abs=1e-8)
-    assert monomial_bergman_norm(n, 2, alpha) == pytest.approx(
-        oracles.radial_monomial_norm(n, 2, alpha), abs=1e-10)
+    scales = basis_scales(SpaceSpec.bergman(2, RadialWeight.standard(alpha)), n + 1)
+    assert scales[n] == pytest.approx(oracles.radial_monomial_norm(n, 2, alpha), abs=1e-10)
 
 
 def test_monomial_bergman_norms_match_mpmath_beta():
-    for n in range(64):
-        for p in (2, 3):
-            for alpha in (0.0, 0.5, 1.0, 3.0):
-                a, q = mpmath.mpf(alpha) + 1, mpmath.mpf(p)
-                exact = float((a * mpmath.beta(q * n / 2 + 1, a)) ** (1 / q))
-                assert monomial_bergman_norm(n, p, alpha) == pytest.approx(exact, rel=1e-13, abs=0)
+    for alpha in (0.0, 0.5, 1.0, 3.0):
+        scales = basis_scales(SpaceSpec.bergman(2, RadialWeight.standard(alpha)), 64)
+        for n in range(64):
+            a = mpmath.mpf(alpha) + 1
+            exact = float(mpmath.sqrt(a * mpmath.beta(n + 1, a)))
+            assert scales[n] == pytest.approx(exact, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 3.0])
@@ -134,12 +135,11 @@ import semiflow_lab.cli
 from semiflow_lab.analytic import AnalyticFn
 from semiflow_lab.operators import composition_op, matrix
 from semiflow_lab.spaces import (RadialWeight, SpaceSpec, bergman_norm, carleson_measure,
-                                 is_regular, monomial_bergman_norm)
+                                 is_regular)
 custom = RadialWeight.custom(lambda r: 2.0 * (1.0 - r * r))
 bergman_norm(AnalyticFn.monomial(3), 2, RadialWeight.standard(0.5))
 is_regular(custom)
 carleson_measure(custom, 0.5)
-monomial_bergman_norm(5, 2, 0.0)
 matrix(composition_op(AnalyticFn(lambda z: 0.5 * z)), SpaceSpec.parse("bergman:2:0"), dim=16)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
