@@ -103,6 +103,10 @@ class AnalyticFn:
     def __repr__(self):
         return f"AnalyticFn({self.label!r}, r_max={self.r_max})"
 
+    def __mul__(self, g: "AnalyticFn") -> "AnalyticFn":
+        return AnalyticFn(lambda z: self(z) * g(z), r_max=min(self.r_max, g.r_max),
+                          label=f"({self.label})*({g.label})")
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -132,37 +136,6 @@ class AnalyticFn:
             return out
 
         return cls(evaluator, label=label)
-
-    # -- algebra ------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, AnalyticFn):
-            return other
-        return AnalyticFn.constant(other)
-
-    def __mul__(self, other):
-        g = self._coerce(other)
-        return AnalyticFn(lambda z: self(z) * g(z), r_max=min(self.r_max, g.r_max),
-                          label=f"({self.label})*({g.label})")
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        g = self._coerce(other)
-        return AnalyticFn(lambda z: self(z) + g(z), r_max=min(self.r_max, g.r_max),
-                          label=f"({self.label})+({g.label})")
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        g = self._coerce(other)
-        return AnalyticFn(lambda z: self(z) - g(z), r_max=min(self.r_max, g.r_max),
-                          label=f"({self.label})-({g.label})")
-
-    def __truediv__(self, other):
-        g = self._coerce(other)
-        return AnalyticFn(lambda z: self(z) / g(z), r_max=min(self.r_max, g.r_max),
-                          label=f"({self.label})/({g.label})")
 
 
 def principal_power(f: AnalyticFn, exponent: float) -> AnalyticFn:

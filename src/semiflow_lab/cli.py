@@ -117,8 +117,7 @@ def _seed_of(cfg, args):
     return args.seed if args.seed is not None else _read(cfg, "scenario", "seed", int, 0)
 
 
-_SCAN_KINDS = {"ladder_depth": int, "n_angles": int, "refine_rounds": int,
-               "refine_contraction": float, "bound_threshold": float, "stability_rel": float}
+_SCAN_KINDS = {"ladder_depth": int, "n_angles": int, "refine_rounds": int}
 
 
 def _scan_from(cfg) -> criteria.SupScanConfig:

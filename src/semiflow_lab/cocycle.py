@@ -17,8 +17,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .analytic import AnalyticFn, disk_samples, unit_circle
-from .errors import (AdmissibilityError, CocycleZeroError, PreconditionError,
-                     require_tolerance, spec_number)
+from .errors import (AdmissibilityError, CocycleZeroError, IntegrationError,
+                     InvalidSemiflowError, PreconditionError, require_tolerance, spec_number)
 from .flow import Semiflow, fixed_points_check
 
 
@@ -69,9 +69,6 @@ class Cocycle:
         else:
             vals = self.sample(self.flow, t, flat)[1]
         return complex(vals[0]) if scalar else vals.reshape(z_arr.shape)
-
-    def __call__(self, t, z):
-        return self.eval(t, z)
 
     def sample(self, flow: Semiflow, t: float, z):
         """(phi_t(z), m_t(z)) in the shape of z; the one place a cocycle evaluates a flow.
@@ -154,9 +151,6 @@ def verify_cocycle(m: Cocycle, flow: Semiflow, t_grid=None, z_grid=None,
         raise PreconditionError("verification grids must be nonempty")
     if not np.all(np.isfinite(t_grid)):
         raise PreconditionError("verification times must be finite")
-    admissible = True
-    if m.kind == "coboundary" and m.zeros:
-        admissible = all(fixed_points_check(flow, m.zeros))
     evaluated: dict = {}
 
     def m_on_grid(t):
@@ -166,6 +160,9 @@ def verify_cocycle(m: Cocycle, flow: Semiflow, t_grid=None, z_grid=None,
         return evaluated[t]
 
     try:
+        admissible = True
+        if m.kind == "coboundary" and m.zeros:
+            admissible = all(fixed_points_check(flow, m.zeros))
         unit = float(np.max(np.abs(m_on_grid(0.0) - 1.0)))
         law = 0.0
         m_at = {float(t): m_on_grid(float(t)) for t in t_grid}
@@ -176,7 +173,7 @@ def verify_cocycle(m: Cocycle, flow: Semiflow, t_grid=None, z_grid=None,
                 lhs = m_on_grid(float(t + s))
                 rhs = m_t * m.eval(float(s), phi_t)
                 law = max(law, float(np.max(np.abs(lhs - rhs))))
-    except (CocycleZeroError, PreconditionError) as exc:
+    except (CocycleZeroError, PreconditionError, InvalidSemiflowError, IntegrationError) as exc:
         return CocycleVerificationReport(np.inf, np.inf, False, tol, False,
                                          note=f"evaluation failed: {exc}")
     passed = admissible and unit < tol and law < tol

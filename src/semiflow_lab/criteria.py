@@ -59,10 +59,15 @@ _MAX_LADDER_DEPTH = int(math.log2(_HARDY_ANGLES[2] / _HARDY_ANGLES[0])) - 1
 # Nodes per flow and cocycle evaluation when generations advance.
 _ADVANCE_SLICE = 32768
 
+# Refinement steps shrink by _REFINE_CONTRACTION per round.  A value above _BOUND_THRESHOLD
+# reads UNBOUNDED-TREND; BOUNDED needs each indicator and relative last correction
+# at most _STABILITY_REL.
+_REFINE_CONTRACTION, _BOUND_THRESHOLD, _STABILITY_REL = 0.5, 1e8, 0.01
+
 
 @dataclass(frozen=True)
 class SupScanConfig:
-    """Discretization of sup over a in the disk, plus verdict thresholds.
+    """Discretization of sup over a in the disk.
 
     The anchor grid is a geometric radius ladder toward the boundary times
     a uniform fan of angles, followed by local refinement around the
@@ -75,9 +80,6 @@ class SupScanConfig:
     ladder_depth: int = 10
     n_angles: int = 16
     refine_rounds: int = 3
-    refine_contraction: float = 0.5
-    bound_threshold: float = 1e8
-    stability_rel: float = 0.01
 
     def __post_init__(self):
         for name, low in (("ladder_depth", 0), ("n_angles", 1), ("refine_rounds", 0)):
@@ -93,22 +95,15 @@ class SupScanConfig:
         if len(self.small_radii) == 0 or not all(0 < r < 1 for r in self.small_radii):
             raise PreconditionError(
                 f"scan small_radii must be a nonempty list in (0, 1), got {list(self.small_radii)}")
-        # written as "not > 0" so that NaN fails too
-        for name in ("bound_threshold", "stability_rel"):
-            if not getattr(self, name) > 0:
-                raise PreconditionError(f"scan {name} must be > 0, got {getattr(self, name)}")
-        if not 0 < self.refine_contraction <= 1:
-            raise PreconditionError(
-                f"scan refine_contraction must be in (0, 1], got {self.refine_contraction}")
 
     def anchor_radii(self) -> np.ndarray:
         ladder = 1.0 - 2.0 ** -np.arange(1, self.ladder_depth + 1)
         return np.concatenate([np.asarray(self.small_radii, dtype=float), ladder])
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["small_radii"] = list(self.small_radii)
-        return d
+        return {**asdict(self), "small_radii": list(self.small_radii),
+                "refine_contraction": _REFINE_CONTRACTION, "bound_threshold": _BOUND_THRESHOLD,
+                "stability_rel": _STABILITY_REL}
 
 
 DEFAULT_SCAN = SupScanConfig()
@@ -286,8 +281,8 @@ def _scan_anchors(integrals, scan: SupScanConfig) -> CriterionSample:
         if not np.isfinite(best_val):
             return CriterionSample(np.inf, best_a, corrections, rung_profile)
         corrections.append(abs(best_val - prev))
-        dr *= scan.refine_contraction
-        dang *= scan.refine_contraction
+        dr *= _REFINE_CONTRACTION
+        dang *= _REFINE_CONTRACTION
     return CriterionSample(best_val, best_a, corrections, rung_profile)
 
 
@@ -408,8 +403,8 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     """Evaluate the criterion across t in [0, 1) and issue the verdict.
 
     BOUNDED is the numerical surrogate for strong continuity: every value
-    finite, below the configured threshold, with stable refinements and
-    every angular and extrapolation indicator at most ``stability_rel``.
+    finite, at most ``_BOUND_THRESHOLD``, with stable refinements and
+    every angular and extrapolation indicator at most ``_STABILITY_REL``.
     Blowups or over-threshold values give UNBOUNDED-TREND; unstable but
     finite scans stay INCONCLUSIVE.
 
@@ -438,11 +433,10 @@ def uniform_bound_verdict(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     finite = np.isfinite(values)
     # a sample is unstable if its last refinement moved it or an indicator
     # says its quadrature is under-resolved
-    rel = scan.stability_rel
-    unstable = any(max(s.angular_indicator, s.extrapolation_indicator) > rel
-                   or (s.corrections and s.corrections[-1] > max(rel * v, 1e-9))
+    unstable = any(max(s.angular_indicator, s.extrapolation_indicator) > _STABILITY_REL
+                   or (s.corrections and s.corrections[-1] > max(_STABILITY_REL * v, 1e-9))
                    for s, v in zip(samples, values) if np.isfinite(v))
-    if not np.all(finite) or np.any(values[finite] > scan.bound_threshold):
+    if not np.all(finite) or np.any(values[finite] > _BOUND_THRESHOLD):
         verdict = "UNBOUNDED-TREND"
     elif not unstable:
         verdict = "BOUNDED"

@@ -51,9 +51,6 @@ class WeightedCompOp:
         return AnalyticFn(lambda z: self.m(z) * f(self.phi(z)),
                           label=f"{self.label}({f.label})")
 
-    def __call__(self, f: AnalyticFn) -> AnalyticFn:
-        return self.apply(f)
-
     def __repr__(self):
         return f"WeightedCompOp({self.label})"
 

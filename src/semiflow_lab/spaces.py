@@ -226,9 +226,9 @@ class DiskRule:
         return cls(*_radial_rule(weight, n_rad), n_ang)
 
     @classmethod
-    def boundary(cls, n_ang: int = N_ANG) -> "DiskRule":
+    def boundary(cls) -> "DiskRule":
         """The circles 1 - eps, eps in ``BOUNDARY_EPS``, weighted by :func:`lagrange_at_zero`."""
-        return cls(1.0 - BOUNDARY_EPS, lagrange_at_zero(BOUNDARY_EPS), 1.0, n_ang)
+        return cls(1.0 - BOUNDARY_EPS, lagrange_at_zero(BOUNDARY_EPS), 1.0, N_ANG)
 
     def nodes(self) -> np.ndarray:
         """The (n_rad, n_ang) tensor nodes, built on each call so no cache holds them."""

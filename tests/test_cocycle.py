@@ -7,8 +7,8 @@ from semiflow_lab.cocycle import (Cocycle, circle_maxima, exp_growth_cocycle, li
                                   make_coboundary, poisson_blowup_cocycle,
                                   resolve_cocycle, unit_cocycle, verify_cocycle)
 from semiflow_lab.errors import AdmissibilityError, CocycleZeroError, PreconditionError
-from semiflow_lab.flow import (GALLERY, Semiflow, attraction, dilation, identity_flow,
-                               rotation)
+from semiflow_lab.flow import (GALLERY, Semiflow, attraction, broken_escape, dilation,
+                               identity_flow, rotation)
 
 
 @pytest.fixture
@@ -99,6 +99,22 @@ def test_verify_cocycle_rejects_a_time_that_is_not_finite(t):
     m = make_coboundary(AnalyticFn.identity(), dilation(), zero_candidates=(0.0,))
     with pytest.raises(PreconditionError):
         verify_cocycle(m, dilation(), t_grid=[0.0, 0.5, t])
+
+
+def _outward():
+    return Semiflow.from_generator(AnalyticFn.constant(2.0), name="outward")
+
+
+@pytest.mark.parametrize("make_cocycle,make_flow", [
+    (unit_cocycle, broken_escape), (unit_cocycle, _outward),
+    # the declared zero's fixed-point check is the first to integrate the flow
+    (lambda: make_coboundary(AnalyticFn.identity(), dilation(), zero_candidates=(0.0,)),
+     _outward)], ids=["broken-escape", "outward-generator", "outward-generator-coboundary"])
+def test_verify_cocycle_reports_a_flow_that_leaves_the_disk(make_cocycle, make_flow):
+    report = verify_cocycle(make_cocycle(), make_flow())
+    assert not report.passed and not report.admissible
+    assert report.max_law_residual == report.max_unit_residual == np.inf
+    assert report.note.startswith("evaluation failed:") and "closed disk" in report.note
 
 
 def test_verify_derivative_cocycle_over_dilation():
@@ -218,6 +234,14 @@ def test_resolve_cocycle_gallery():
     assert m.eval(0.2, 0.3) == pytest.approx(np.exp(-0.3), abs=1e-10)
     with pytest.raises(PreconditionError):
         resolve_cocycle("mystery", flow)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_resolve_coboundary_monomial_over_dilation(k, grid):
+    # w = z^k over phi_t = e^-t z gives m_t = e^{-kt}; only k > 0 declares the zero at 0
+    m = resolve_cocycle(f"coboundary:z^{k}", dilation())
+    assert m.zeros == ((0j,) if k else ())
+    assert np.max(np.abs(m.eval(0.7, grid) - np.exp(-0.7 * k))) < 1e-12
 
 
 def _bound(flow, spec):

@@ -222,7 +222,7 @@ def test_under_resolved_scan_is_never_bounded(space, gamma, scan):
     flow = dilation()
     report = uniform_bound_verdict(
         flow, resolve_cocycle(f"coboundary:affine-power:{gamma}", flow), space, scan=scan)
-    assert max(report.angular_indicator) > scan.stability_rel
+    assert max(report.angular_indicator) > criteria._STABILITY_REL
     assert report.verdict == "INCONCLUSIVE"
 
 

@@ -1,14 +1,17 @@
 """The package namespace exports only names that something outside their own
 module uses: the library, the benchmark or the acceptance battery.  A default
-of an exported function is a setting only if some call passes it."""
+of an exported function is a setting only if some call passes it, and a scan
+field only if the benchmark sets it."""
 
 import ast
+import dataclasses
 import inspect
 import re
 import types
 from pathlib import Path
 
 import semiflow_lab
+from semiflow_lab.criteria import SupScanConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,3 +80,11 @@ def test_every_exported_default_is_passed_somewhere():
                 unset.append(f"{name}.{param.name}")
     # an allowance that some call now passes is no longer needed
     assert sorted(unset) == sorted(UNSET)
+
+
+def test_every_scan_setting_is_set_by_the_benchmark():
+    # a scan field that only tests set is a constant of the criteria module
+    texts = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    unset = [f.name for f in dataclasses.fields(SupScanConfig)
+             if not any(re.search(rf"\b{f.name}\b", text) for text in texts)]
+    assert unset == []

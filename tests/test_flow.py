@@ -60,6 +60,15 @@ def test_ode_escape_raises_invalid_semiflow():
         bad(1.0, 0.5)
 
 
+def test_plain_generator_escape_is_caught_on_an_accepted_state():
+    # an AnalyticFn generator rejects stage points outside the disk first; a
+    # plain callable evaluates them, so the check on accepted states fires
+    bad = Semiflow.from_generator(lambda z: 2.0 + 0.0 * z)
+    with pytest.raises(InvalidSemiflowError,
+                       match=r"trajectory escaped the disk \(\|w\| = 1\.12 at t = 0\.31\)"):
+        bad.at_times([0.5], [0.5])
+
+
 def test_ode_step_budget(monkeypatch):
     monkeypatch.setattr(flow_module, "_MAX_STEPS", 3)
     s = Semiflow.from_generator(AnalyticFn(lambda z: -z))

@@ -13,7 +13,7 @@ from semiflow_lab.intertwine import (AbstractOperator, check_intertwiner,
                                      commutant_check, extract_semigroup, load_bundle,
                                      recover_symbols, save_bundle)
 from semiflow_lab.operators import (OperatorSemigroup, WeightedCompOp, composition_op,
-                                    gallery_semigroups, matrix, multiplication_op)
+                                    gallery_semigroups, matrix, multiplication_op, norm2)
 from semiflow_lab.spaces import RadialWeight, SpaceSpec
 
 A0 = SpaceSpec.bergman(2, RadialWeight.standard(0.0))
@@ -301,6 +301,19 @@ def test_bundle_round_trip(tmp_path):
     assert report.passed
     zs = disk_samples(40, max_radius=0.8)
     assert np.max(np.abs(flow(0.3, zs) - sg.flow(0.3, zs))) < 1e-7
+
+
+def test_bundle_norm_surrogate_reads_its_attached_sections(tmp_path, monkeypatch):
+    # a bundle of dim >= 32 carries the sections; none is rebuilt from the symbols
+    sg = gallery_semigroups()[1]
+    mats = [matrix(sg.at(t, validate=False), A0, 40) for t in EXTRACT_GRID]
+    t_family, t_values, _ = load_bundle(save_bundle(tmp_path / "bundle", EXTRACT_GRID, mats, A0))
+    built = []
+    monkeypatch.setattr(intertwine, "matrix", lambda *a, **k: built.append(a) or matrix(*a, **k))
+    _, _, report = extract_semigroup(t_family, t_values)
+    assert report.passed and not built
+    leading = [norm2(t_family(t).section.entries[:32, :32]).value for t in t_values]
+    assert report.norm_surrogate == max(leading)
 
 
 def test_bundle_keeps_apart_times_its_manifest_tells_apart(tmp_path):

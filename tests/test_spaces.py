@@ -375,7 +375,7 @@ def test_boundary_ladder_is_fixed():
 
 @pytest.mark.parametrize("n", [0, 1, 3, 5])
 def test_boundary_ladder_extrapolates_circle_means(n):
-    rule = DiskRule.boundary(64)
+    rule = DiskRule.boundary()
     z = rule.nodes()
     assert np.allclose(np.abs(z), 1.0 - BOUNDARY_EPS[:, None], rtol=0, atol=1e-15)
     values = np.abs(z ** n) ** 2                        # (1 - eps)^(2n) on each circle
@@ -385,7 +385,7 @@ def test_boundary_ladder_extrapolates_circle_means(n):
 
 
 def test_boundary_ladder_weights_are_the_extrapolation_at_zero():
-    rule = DiskRule.boundary(64)
+    rule = DiskRule.boundary()
     eps = BOUNDARY_EPS
     c = rule.radial_w
     assert c.shape == eps.shape and rule.scale == 1.0
