@@ -5,8 +5,7 @@ The package namespace holds the entry points; report types and helpers
 that only their own module uses stay in that module."""
 
 from .analytic import (AnalyticFn, derivative, disk_samples, eps_ladder,
-                       neville_extrapolate, principal_power, taylor_coefficients,
-                       unit_circle)
+                       neville_extrapolate, principal_power, unit_circle)
 from .cocycle import Cocycle, limsup_probe, make_coboundary, verify_cocycle
 from .criteria import (SupScanConfig, bergman_criterion, direct_decay_probe,
                        hardy_criterion, sufficiency_probe, uniform_bound_verdict)

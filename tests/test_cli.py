@@ -150,6 +150,33 @@ def test_intertwine_corrupted_bundle_fails_located(tmp_path):
     assert payload["failed_at"] == pytest.approx(0.3)
 
 
+def test_intertwine_non_intertwiner_in_a_bundle_fails_located(tmp_path):
+    # dilation's diag(e^-tj) with A[1, 0] = 0.5 at t = 0.2: Tz / T1 leaves the
+    # disk, and the check reports that instead of evaluating outside it
+    a0 = SpaceSpec.bergman(2, RadialWeight.standard(0.0))
+    ts = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+    mats = [np.diag(np.exp(-t * np.arange(20))).astype(complex) for t in ts]
+    mats[2][1, 0] = 0.5
+    out = tmp_path / "out"
+    assert main(["intertwine", "--bundle", str(save_bundle(tmp_path / "bundle", ts, mats, a0)),
+                 "--out", str(out)]) == 1
+    payload = json.loads((out / "bundle.intertwine.json").read_text())
+    assert payload["failed_at"] == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_intertwine_bundle_too_small_for_the_self_map_is_config_error(tmp_path, capsys, dim):
+    # dim / 2 recovered coefficients of phi must include its linear term
+    a0 = SpaceSpec.bergman(2, RadialWeight.standard(0.0))
+    ts = [0.0, 0.1, 0.2, 0.3]
+    mats = [np.diag(np.exp(-t * np.arange(dim))) for t in ts]
+    manifest = save_bundle(tmp_path / "bundle", ts, mats, a0)
+    assert main(["intertwine", "--bundle", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"dim {dim}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_save_bundle_rejects_matrices_of_another_size(tmp_path):
     a0 = SpaceSpec.bergman(2, RadialWeight.standard(0.0))
     sg = gallery_semigroups()[0]

@@ -5,6 +5,7 @@ field only if the benchmark sets it."""
 
 import ast
 import dataclasses
+import importlib.util
 import inspect
 import re
 import types
@@ -88,3 +89,14 @@ def test_every_scan_setting_is_set_by_the_benchmark():
     unset = [f.name for f in dataclasses.fields(SupScanConfig)
              if not any(re.search(rf"\b{f.name}\b", text) for text in texts)]
     assert unset == []
+
+
+def test_every_traced_patch_point_resolves():
+    # the traced benchmark run installs its wrappers with owner.__dict__[attr],
+    # so a renamed src function would break only that run
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in spans.PATCH_POINTS
+               if attr not in owner.__dict__]
+    assert missing == []
