@@ -132,8 +132,27 @@ class AnalyticFn:
         def evaluator(z, _c=c):
             out = np.zeros_like(z)
             for a in _c[::-1]:
-                out = out * z + a
+                out *= z
+                out += a
             return out
+
+        return cls(evaluator, label=label)
+
+    @classmethod
+    def kernel_power(cls, a, exponent: float, scale: float,
+                     label: str = "kernel") -> "AnalyticFn":
+        """scale (1 - conj(a) z)^exponent for |a| < 1, in real arithmetic from w = 1 - conj(a) z:
+        modulus scale |w|^exponent, argument exponent atan2(Im w, Re w), principal since
+        Re w > 0 on the closed disk."""
+        abar = np.conj(complex(a))
+
+        def evaluator(z):
+            w = 1.0 - abar * z
+            mod = scale * np.exp(0.5 * exponent * np.log(w.real * w.real + w.imag * w.imag))
+            arg = exponent * np.arctan2(w.imag, w.real)
+            np.multiply(mod, np.cos(arg), out=w.real)     # w is spent: the result goes there
+            np.multiply(mod, np.sin(arg), out=w.imag)
+            return w
 
         return cls(evaluator, label=label)
 

@@ -7,9 +7,10 @@ C_ij = a_i(T z^j) that is the exact identity C[:, j+1] = L(phi) C[:, j],
 L(phi) the lower-triangular Toeplitz matrix of phi's coefficients: a
 product's coefficient i reads only coefficients <= i, so every leading
 block holds it with no truncation term.  This module reads one C per
-operator (from an attached section, or by applying T once to each of
-z^0 ... z^11), recovers the symbols from it and checks the identity, and
-extracts a (semiflow, cocycle) pair from a one-parameter operator family,
+operator (from an attached section, from the symbols of a weighted
+composition operator, or by applying T once to each of z^0 ... z^11),
+recovers the symbols from it and checks the identity, and extracts a
+(semiflow, cocycle) pair from a one-parameter operator family,
 re-verifying the algebraic laws on the extracted objects.
 """
 
@@ -25,8 +26,8 @@ from .analytic import AnalyticFn, circle_coefficients, disk_samples, eps_ladder,
 from .cocycle import Cocycle
 from .errors import DegenerateOperatorError, DomainError, ExtractionError, PreconditionError
 from .flow import Semiflow
-from .operators import (OperatorMatrix, WeightedCompOp, basis_scales,
-                        load_matrix_csv, matrix, norm2, save_matrix_csv)
+from .operators import (OperatorMatrix, WeightedCompOp, basis_scales, load_matrix_csv,
+                        matrix, norm2, power_coefficients, save_matrix_csv)
 from .spaces import RadialWeight, SpaceSpec
 
 # The coefficient matrix of an action-defined operator: _ROWS Taylor
@@ -50,18 +51,20 @@ def _toeplitz(a: np.ndarray, cols: int) -> np.ndarray:
 
 class AbstractOperator:
     """A linear operator given by its action on analytic functions, or by a
-    finite section in the orthonormal monomial basis (``action`` None)."""
+    finite section in the orthonormal monomial basis (``action`` None).  One
+    made from a weighted composition operator keeps it as ``comp``."""
 
     def __init__(self, action, space: SpaceSpec | None = None, label: str = "T",
-                 section: OperatorMatrix | None = None):
+                 section: OperatorMatrix | None = None, comp: WeightedCompOp | None = None):
         self.action = action
         self.space = space or SpaceSpec.bergman(2.0, RadialWeight.standard(0.0))
         self.label = label
         self.section = section
+        self.comp = comp
 
     @classmethod
     def from_weighted_comp(cls, op: WeightedCompOp, space: SpaceSpec | None = None) -> "AbstractOperator":
-        return cls(op.apply, space=space, label=op.label)
+        return cls(op.apply, space=space, label=op.label, comp=op)
 
     @classmethod
     def from_matrix(cls, entries, space: SpaceSpec,
@@ -82,13 +85,19 @@ class AbstractOperator:
 
         A section A in the basis e_n = z^n / s_n of :func:`operators.basis_scales`
         gives C = diag(s)^-1 A diag(s), N x N, and T1 as the series of its
-        column 0, without applying T.  Otherwise T is applied once to each
-        z^j, j < 12, C is 64 x 12, and T1 is the image of z^0.
+        column 0, without applying T.  Otherwise C is 64 x 12: for a weighted
+        composition operator f -> m (f o phi) its columns are m phi^j, m and
+        phi evaluated once (:func:`operators.power_coefficients`), and T1 is m;
+        else T is applied once to each z^j, j < 12, and T1 is the image of z^0.
         """
         if self.section is not None:
             s = basis_scales(self.space, self.section.dim)
             c = self.section.entries * s / s[:, None]
             return c, AnalyticFn.from_coefficients(c[:, 0])
+        if self.comp is not None:
+            # a fresh T1, since recover_symbols relabels it
+            return (power_coefficients(self.comp, _COEFF_RADIUS, _COEFF_NODES, _ROWS, _COLUMNS),
+                    AnalyticFn(self.comp.m, label=f"{self.label}(1)"))
         z = _COEFF_RADIUS * unit_circle(_COEFF_NODES)
         images = [self(AnalyticFn.monomial(j)) for j in range(_COLUMNS)]
         return np.array([circle_coefficients(f(z), _COEFF_RADIUS, _ROWS) for f in images]).T, images[0]

@@ -5,6 +5,8 @@ from Taylor coefficients on one circle and takes the largest singular value
 by power iteration (a lower bound for the operator norm, nondecreasing in
 N).  The general-p route maximizes ||Tf||/||f|| over a deterministic trial family.
 The two surrogates cross-validate each other; neither is an exact norm.
+Both evaluate the symbols m and phi once per node set: a section on its
+circle, the trial family on the space's quadrature nodes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .analytic import neville_extrapolate  # noqa: F401 (perfbench patches it he
 from .cocycle import Cocycle
 from .errors import DomainError, PreconditionError
 from .flow import Semiflow
-from .spaces import SpaceSpec, test_function
+from .spaces import SpaceSpec, _lp_norm, test_function
 
 _SELFMAP_TOL = 1e-9
 
@@ -93,13 +95,28 @@ def basis_scales(space: SpaceSpec, count: int) -> np.ndarray:
     return np.sqrt(np.cumprod(np.concatenate(([1.0], k / (k + space.weight.alpha + 1.0)))))
 
 
+def power_coefficients(op: WeightedCompOp, radius: float, nodes: int, rows: int,
+                       cols: int) -> np.ndarray:
+    """The rows x cols matrix C_ij = a_i(m phi^j) of Taylor coefficients, each column
+    from one FFT of its samples on ``nodes`` points of the circle ``radius``
+    (:func:`analytic.circle_coefficients`).  m and phi are evaluated once; the
+    m phi^j buffer is multiplied by phi in place from column to column."""
+    z = radius * unit_circle(nodes)
+    pv = op.phi(z)
+    col = np.array(op.m(z))      # a copy: m may return its argument
+    coeffs = np.empty((rows, cols), dtype=complex)
+    for j in range(cols):
+        coeffs[:, j] = circle_coefficients(col, radius, rows)
+        col *= pv
+    return coeffs
+
+
 def matrix(op: WeightedCompOp, space: SpaceSpec, dim: int = 64) -> OperatorMatrix:
     """Entries <T e_j, e_i> = a_i(m phi^j) s_i / s_j from Taylor coefficients.
 
     Monomials are orthogonal for every radial weight, so a section needs only
-    the coefficients a_i of m phi^j, read from one FFT per column on the
-    circle |z| = ``_COEFF_RADIUS`` (:func:`analytic.circle_coefficients`);
-    the m phi^j buffer is multiplied by phi in place from column to column.
+    the coefficients a_i of m phi^j, read on the circle |z| = ``_COEFF_RADIUS``
+    by :func:`power_coefficients`.
     ``tail_bound`` is the largest norm of a column's image in the modes
     dim ... 2 dim - 1 that the section drops, read from the same FFT.
     """
@@ -107,13 +124,7 @@ def matrix(op: WeightedCompOp, space: SpaceSpec, dim: int = 64) -> OperatorMatri
         raise PreconditionError(f"matrix dimension must be at least 2 and at most {_MAX_DIM}, "
                                 f"got {dim}")
     scales = basis_scales(space, 2 * dim)       # rejects p != 2
-    z = _COEFF_RADIUS * unit_circle(max(_COEFF_NODES, 8 * dim))
-    pv = op.phi(z)
-    col = np.array(op.m(z))      # m phi^j, advanced in place (a copy: m may return its argument)
-    coeffs = np.empty((2 * dim, dim), dtype=complex)
-    for j in range(dim):
-        coeffs[:, j] = circle_coefficients(col, _COEFF_RADIUS, 2 * dim)
-        col *= pv
+    coeffs = power_coefficients(op, _COEFF_RADIUS, max(_COEFF_NODES, 8 * dim), 2 * dim, dim)
     coeffs *= scales[:, None] / scales[None, :dim]
     tail = float(np.max(np.linalg.norm(coeffs[dim:], axis=0)))
     return OperatorMatrix(coeffs[:dim], space.label(), dim, tail)
@@ -155,17 +166,19 @@ def norm2(a: OperatorMatrix | np.ndarray) -> PowerIterationResult:
 
 def _hardy_trial(a: complex, p: float) -> AnalyticFn:
     """Unit-norm boundary-concentrated Hardy trial function."""
-    abar = np.conj(complex(a))
-    q = 2.0 / p
     scale = (1.0 - abs(complex(a)) ** 2) ** (1.0 / p)
-    return AnalyticFn(lambda z: scale * np.exp(-q * np.log(1.0 - abar * z)),
-                      label=f"hardy-trial[{a:.3g}]")
+    return AnalyticFn.kernel_power(a, -2.0 / p, scale, label=f"hardy-trial[{a:.3g}]")
 
 
 def norm_lower_bound(op: WeightedCompOp, space: SpaceSpec, trials: int = 32,
                      seed: int = 0) -> float:
     """max ||T f|| / ||f|| over seeded random polynomials of degree 12 plus
-    boundary test functions; a deterministic lower bound for the operator norm."""
+    boundary test functions; a deterministic lower bound for the operator norm.
+
+    The space's quadrature nodes z are built once and m(z), phi(z) read once;
+    each trial f is evaluated at z and at phi(z), and ||T f|| integrates
+    m(z) f(phi(z)).
+    """
     if trials < 1:
         raise PreconditionError("need at least one trial")
     rng = np.random.default_rng(seed)
@@ -176,11 +189,16 @@ def norm_lower_bound(op: WeightedCompOp, space: SpaceSpec, trials: int = 32,
             a = r * np.exp(2j * np.pi * (ang + 0.25) / 4)
             family.append(_hardy_trial(a, space.p) if space.is_hardy else
                           test_function(a, space.p, weight=space.weight))
+    rule = space.rule()
+    z = rule.nodes()
     best = 0.0
-    for f in family:
-        nf = space.norm(f)
-        if nf > 0:
-            best = max(best, space.norm(op.apply(f)) / nf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mz, pz = op.m(z), op.phi(z)
+        for f in family:
+            nf = _lp_norm(f(z), z, space.p, rule, f.label)
+            if nf > 0:
+                tf = _lp_norm(mz * f(pz), z, space.p, rule, f"{op.label}({f.label})")
+                best = max(best, tf / nf)
     return best
 
 

@@ -154,11 +154,6 @@ class SpaceSpec:
             return DiskRule.boundary()
         return DiskRule.weighted(self.weight, N_RAD * (1 if self.weight.is_standard else 4), N_ANG)
 
-    def norm(self, f: AnalyticFn) -> float:
-        if self.is_hardy:
-            return hardy_norm(f, self.p)
-        return bergman_norm(f, self.p, self.weight)
-
 
 @lru_cache(maxsize=64)
 def _jacobi_unit_rule(n: int, alpha: float):
@@ -334,28 +329,37 @@ def kernel_sums(r: float, angles, w, masses, q: float, cuts) -> np.ndarray:
     return total
 
 
-def _lp_norm(f: AnalyticFn, p: float, rule: DiskRule) -> float:
-    """(integral of |f|^p against the rule's measure)^(1/p); a non-finite
-    integral raises, its witness the node of the first non-finite sample."""
-    z = rule.nodes()
+def _lp_norm(values, z, p: float, rule: DiskRule, label: str) -> float:
+    """(integral of |values|^p against the rule's measure)^(1/p) for samples at the
+    rule's nodes ``z``, so a caller evaluates each function once per node set
+    (``operators.norm_lower_bound`` reads m and phi once for all its trials); a
+    non-finite integral raises, its witness the node of the first non-finite sample."""
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = np.abs(f(z)) ** p
+        samples = np.abs(values) ** p
         total = float(rule.integrate(samples))
     if not np.isfinite(total):
         bad = np.flatnonzero(~np.isfinite(samples))
-        raise QuadratureError(f"non-finite |f|^p samples for {f.label}",
+        raise QuadratureError(f"non-finite |f|^p samples for {label}",
                               witness=complex(z.flat[bad[0]]) if bad.size else None)
     return max(total, 0.0) ** (1.0 / p)
 
 
+def _fn_norm(f: AnalyticFn, p: float, rule: DiskRule) -> float:
+    """:func:`_lp_norm` of f sampled at the rule's nodes."""
+    z = rule.nodes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = f(z)
+    return _lp_norm(values, z, p, rule, f.label)
+
+
 def hardy_norm(f: AnalyticFn, p: float) -> float:
     """Hardy-space norm: circle p-means extrapolated to the boundary, then the root."""
-    return _lp_norm(f, p, SpaceSpec.hardy(p).rule())
+    return _fn_norm(f, p, SpaceSpec.hardy(p).rule())
 
 
 def bergman_norm(f: AnalyticFn, p: float, weight: RadialWeight) -> float:
     """Weighted Bergman norm by disk quadrature with the weight folded in."""
-    return _lp_norm(f, p, SpaceSpec.bergman(p, weight).rule())
+    return _fn_norm(f, p, SpaceSpec.bergman(p, weight).rule())
 
 
 @dataclass
@@ -446,7 +450,8 @@ def test_function(a: complex, p: float, gamma: float | None = None,
     """Boundary-concentrated unit-scale test function anchored at ``a``.
 
     f(z) = (1-|a|)^{(gamma+1)/p} / ((1 - conj(a) z)^{(gamma+1)/p} omega(S(a))^{1/p}),
-    principal branch (safe: Re(1 - conj(a) z) > 0 on the disk).
+    principal branch (safe: Re(1 - conj(a) z) > 0 on the disk), by
+    :meth:`analytic.AnalyticFn.kernel_power`.
     """
     weight = weight or RadialWeight.standard(0.0)
     a = complex(a)
@@ -459,9 +464,7 @@ def test_function(a: complex, p: float, gamma: float | None = None,
         raise PreconditionError(f"test-function exponent must be finite and positive, got {gamma}")
     q = (gamma + 1.0) / p
     scale = (1.0 - abs(a)) ** q / carleson_measure(weight, a) ** (1.0 / p)
-    abar = np.conj(a)
-    return AnalyticFn(lambda z: scale * np.exp(-q * np.log(1.0 - abar * z)),
-                      label=f"test[a={a:.4g},p={p:g}]")
+    return AnalyticFn.kernel_power(a, -q, scale, label=f"test[a={a:.4g},p={p:g}]")
 
 
 def growth_bound_check(f: AnalyticFn, p: float, alpha: float) -> float:

@@ -1,9 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 
 from semiflow_lab.analytic import (AnalyticFn, derivative, disk_samples, eps_ladder,
                                    neville_extrapolate, principal_power, taylor_coefficients)
 from semiflow_lab.errors import DomainError, PreconditionError
+from semiflow_lab.spaces import RadialWeight, default_gamma
 
 import oracles
 
@@ -116,3 +118,37 @@ def test_neville_extrapolation_recovers_polynomial_limit():
 def test_neville_needs_samples():
     with pytest.raises(PreconditionError):
         neville_extrapolate([], [])
+
+
+def test_polynomial_evaluation_is_bitwise_the_out_of_place_horner_sum():
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal(13) + 1j * rng.standard_normal(13)
+    z = disk_samples(200, max_radius=1.0, min_radius=0.0)
+    expected = np.zeros_like(z)
+    for a in coeffs[::-1]:
+        expected = expected * z + a
+    assert np.array_equal(AnalyticFn.from_coefficients(coeffs)(z), expected)
+
+
+# the exponents of the Hardy trials, -2/p, and of the Bergman test functions,
+# -(gamma + 1)/p with the default gamma of a standard weight
+KERNEL_EXPONENTS = sorted({-2.0 / p for p in (1, 2, 3)}
+                          | {-(default_gamma(p, RadialWeight.standard(alpha)) + 1.0) / p
+                             for p in (1, 2, 3) for alpha in (0.0, 0.5, 1.0)})
+
+
+@pytest.mark.parametrize("mod", [0.2, 0.5, 0.8, 0.95])
+def test_kernel_power_matches_30_digit_principal_power(mod):
+    a = mod * np.exp(0.7j)
+    # rays through and near the spike at a / |a|, out to |z| = 1 - 1e-6
+    radii = np.array([0.0, 0.3, 0.9, 0.999, 1.0 - 1e-6])
+    angles = 0.7 + np.array([0.0, 1e-5, -1e-3, 0.1, 1.5, np.pi])
+    z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    scale = 0.37
+    with mpmath.workdps(30):
+        abar = mpmath.conj(mpmath.mpc(a))
+        for s in KERNEL_EXPONENTS:
+            got = AnalyticFn.kernel_power(a, s, scale)(z)
+            want = np.array([complex(scale * mpmath.power(1 - abar * mpmath.mpc(w), s))
+                             for w in z])
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, s

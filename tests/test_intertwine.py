@@ -165,15 +165,37 @@ def test_check_intertwiner_power_relation_spotchecks():
 
 
 def test_check_intertwiner_applies_each_monomial_at_most_once():
-    # the coefficient matrix reads T z^0 ... T z^11, and every residual reads it
+    # an operator given only by its action: the coefficient matrix reads
+    # T z^0 ... T z^11, and every residual reads it
     sg = OperatorSemigroup(attraction(), Cocycle.derivative(attraction()))
-    op = wrap(sg.at(0.3, validate=False))
+    comp = sg.at(0.3, validate=False)
+    op = AbstractOperator(comp.apply, A0, label=comp.label)
     applied, action = [], op.action
     op.action = lambda f: applied.append(f.label) or action(f)
     assert check_intertwiner(op).passed
     assert len(applied) <= 12
     assert len(set(applied)) == len(applied)
     assert all(label.startswith("z^") for label in applied)
+
+
+def test_coefficients_of_a_weighted_composition_evaluate_each_symbol_once():
+    comp = gallery_semigroups()[1].at(0.3, validate=False)
+    calls = Counter()
+
+    def counted(fn, key):
+        def evaluator(z):
+            calls[key] += 1
+            return fn(z)
+        return AnalyticFn(evaluator, label=fn.label)
+
+    op = wrap(WeightedCompOp(counted(comp.m, "m"), counted(comp.phi, "phi"), validate=False,
+                             label=comp.label))
+    c, _ = op.coefficients()
+    assert calls == {"m": 1, "phi": 1}
+    # the columns m phi^j agree with T applied to z^j to rounding
+    by_action, t1 = AbstractOperator(comp.apply, A0, label=comp.label).coefficients()
+    assert np.max(np.abs(c - by_action)) <= 1e-13 * np.max(np.abs(c))
+    assert np.max(np.abs(op.coefficients()[1](GRID) - t1(GRID))) <= 1e-15
 
 
 def test_check_intertwiner_reads_a_bundle_without_applying_it():

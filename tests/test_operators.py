@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from semiflow_lab.analytic import AnalyticFn, disk_samples, taylor_coefficients
 from semiflow_lab.cocycle import make_coboundary, resolve_cocycle
-from semiflow_lab.errors import DomainError, PreconditionError
+from semiflow_lab.errors import DomainError, PreconditionError, QuadratureError
 from semiflow_lab.flow import dilation
 from semiflow_lab.operators import (WeightedCompOp, composition_op,
                                     gallery_semigroups, load_matrix_csv, matrix,
@@ -199,6 +201,65 @@ def test_norm_lower_bound_consistent_with_sections():
     section = norm2(matrix(op, H2, 64)).value
     lower_h2 = norm_lower_bound(op, H2, trials=8)
     assert lower_h2 <= section + 1e-6
+
+
+def counted(fn: AnalyticFn, calls: Counter, key: str) -> AnalyticFn:
+    def evaluator(z):
+        calls[key] += 1
+        return fn(z)
+    return AnalyticFn(evaluator, label=fn.label)
+
+
+@pytest.mark.parametrize("spec", ["hardy:3", "bergman:3:0.5"])
+def test_norm_lower_bound_evaluates_each_symbol_once(spec):
+    op = gallery_semigroups()[1].at(0.5)
+    calls = Counter()
+    counting = WeightedCompOp(counted(op.m, calls, "m"), counted(op.phi, calls, "phi"),
+                              validate=False, label=op.label)
+    assert norm_lower_bound(counting, SpaceSpec.parse(spec)) == norm_lower_bound(
+        op, SpaceSpec.parse(spec))
+    assert calls == {"m": 1, "phi": 1}
+
+
+# values recorded when each trial re-evaluated m and phi and the boundary
+# trials ran the complex exp(s log(1 - conj(a) z)); seeds 0, 1, 2 at t = 0.5
+NORM_LOWER_BOUND_PINS = {
+    ("hardy:3", "dilation/coboundary-z"): (0.6012972797547927,) * 3,
+    ("hardy:3", "attraction/derivative"): (0.6595736100286391,) * 3,
+    ("hardy:3", "rotation/coboundary-z"): (1.0000000062092007, 1.0000000027767766,
+                                           1.000000003101218),
+    ("bergman:3:0.5", "dilation/coboundary-z"): (0.5775159783480622, 0.5615656376011234,
+                                                 0.5615656376011234),
+    ("bergman:3:0.5", "attraction/derivative"): (0.7656242437246178,) * 3,
+    ("bergman:3:0.5", "rotation/coboundary-z"): (1.0000000004203484, 1.0000000005882437,
+                                                 1.000000000507313),
+}
+
+
+@pytest.mark.parametrize("spec, name", sorted(NORM_LOWER_BOUND_PINS))
+def test_norm_lower_bound_keeps_its_recorded_values(spec, name):
+    op = {sg.name: sg for sg in gallery_semigroups()}[name].at(0.5)
+    got = [norm_lower_bound(op, SpaceSpec.parse(spec), seed=seed) for seed in range(3)]
+    assert got == pytest.approx(NORM_LOWER_BOUND_PINS[spec, name], rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("space", [H2, A0], ids=["hardy", "bergman"])
+def test_norm_lower_bound_names_a_non_finite_image_node(space):
+    op = WeightedCompOp(AnalyticFn(lambda z: np.exp(1.0 / (1.0 - z)), label="exp(1/(1-z))"),
+                        AnalyticFn.identity())
+    with pytest.raises(QuadratureError) as info:
+        norm_lower_bound(op, space, trials=2)
+    witness = info.value.witness
+    assert witness in space.rule().nodes()
+    # |m f(phi)|^2 overflows only near z = 1, where Re 1/(1 - z) is about 709.78 / 2 or more
+    assert abs(1.0 - witness) < 1.0 / 300.0
+
+
+def test_norm_lower_bound_checks_the_trials_domain_at_phi_of_the_nodes():
+    op = WeightedCompOp(AnalyticFn.constant(1.0), AnalyticFn(lambda z: 1.2 * z, label="1.2z"),
+                        validate=False)
+    with pytest.raises(DomainError):
+        norm_lower_bound(op, H2, trials=2)
 
 
 def test_matrix_action_matches_taylor_of_applied_function():
