@@ -196,16 +196,6 @@ def derivative(f: AnalyticFn, z, rho):
     return complex(vals[0]) if scalar else vals
 
 
-def taylor_coefficients(f: AnalyticFn, count: int, radius: float = 0.5) -> np.ndarray:
-    """First ``count`` Taylor coefficients of f at 0 from :func:`circle_coefficients`
-    on max(4 count, 256) nodes of the circle ``radius``."""
-    if count < 1:
-        raise PreconditionError("coefficient count must be at least 1")
-    if not 0.0 < radius <= f.r_max:
-        raise DomainError(f"sampling radius {radius} outside (0, r_max] of {f.label}")
-    return circle_coefficients(f(radius * unit_circle(max(4 * count, 256))), radius, count)
-
-
 def circle_coefficients(samples: np.ndarray, radius: float, count: int) -> np.ndarray:
     """First ``count`` Taylor coefficients a_i = FFT_i / (n radius^i) of f from its
     samples at ``radius * unit_circle(n)``; aliasing adds a_{i+n} radius^n."""

@@ -536,14 +536,13 @@ def direct_decay_probe(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     if np.any(np.diff(t_seq) >= 0):
         raise PreconditionError("decay probe times must decrease")
     p = space.p
-    rule = space.rule()
-    z = rule.nodes()
+    z, masses = space.rule().measure()
     entries = np.empty((len(family), t_seq.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for j, t in enumerate(t_seq):
             phi, mul = cocycle.sample(flow, t, z)
             for k, f in enumerate(family):
-                total = float(rule.integrate(np.abs(mul * f(phi) - f(z)) ** p))
+                total = float(masses @ np.abs(mul * f(phi) - f(z)) ** p)
                 entries[k, j] = max(total, 0.0) ** (1.0 / p) if np.isfinite(total) else np.inf
     decayed = bool(np.all(np.isfinite(entries[:, -1])) and np.all(entries[:, -1] < tol))
     return DecayTable([f.label for f in family], [float(t) for t in t_seq],

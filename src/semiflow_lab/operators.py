@@ -189,15 +189,14 @@ def norm_lower_bound(op: WeightedCompOp, space: SpaceSpec, trials: int = 32,
             a = r * np.exp(2j * np.pi * (ang + 0.25) / 4)
             family.append(_hardy_trial(a, space.p) if space.is_hardy else
                           test_function(a, space.p, weight=space.weight))
-    rule = space.rule()
-    z = rule.nodes()
+    z, masses = space.rule().measure()
     best = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         mz, pz = op.m(z), op.phi(z)
         for f in family:
-            nf = _lp_norm(f(z), z, space.p, rule, f.label)
+            nf = _lp_norm(f(z), z, space.p, masses, f.label)
             if nf > 0:
-                tf = _lp_norm(mz * f(pz), z, space.p, rule, f"{op.label}({f.label})")
+                tf = _lp_norm(mz * f(pz), z, space.p, masses, f"{op.label}({f.label})")
                 best = max(best, tf / nf)
     return best
 

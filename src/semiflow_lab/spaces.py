@@ -1,19 +1,20 @@
 """Hardy and weighted Bergman space machinery.
 
 Both spaces are L^p(mu), mu the boundary measure for H^p and omega dA for
-A^p_omega, and every norm is one integral against mu by a :class:`DiskRule`
-(finite sections read Taylor coefficients instead: ``operators.matrix``),
-which :meth:`SpaceSpec.rule` picks: rings times a uniform angular grid.  For
-Hardy the rings are a geometric ladder of circles whose radial weights
+A^p_omega, and one rule class, :class:`GradedDiskRule`, integrates against
+mu: rings times power-of-two angular counts, held as nested generations.
+For Hardy the rings are a geometric ladder of circles whose radial weights
 extrapolate the circle means to the boundary; for Bergman they are a radial
 rule with the weight folded in (Gauss-Jacobi in s = r^2 for standard weights,
 so the algebraic endpoint singularity of (1-s)^alpha is handled exactly;
 every Gauss rule is built here in numpy: Golub-Welsch nodes with Christoffel
-weights).  For kernels that concentrate at the boundary,
-:class:`GradedDiskRule` takes either rule's rings with a power-of-two angular
-count per ring, graded toward the boundary, as nested generations: the
-criteria sum one kernel against them, flat nodes and masses, one sum per ring
-of a generation (:func:`kernel_sums`).
+weights).  :meth:`SpaceSpec.rule` gives every ring one uniform grid of
+``N_ANG`` angles, and every norm is one sum against its flat
+:meth:`GradedDiskRule.measure` (finite sections read Taylor coefficients
+instead: ``operators.matrix``).  For kernels that concentrate at the
+boundary the criteria grade the angular counts toward the boundary and sum
+one kernel against the generations, one sum per ring of a generation
+(:func:`kernel_sums`).
 
 Also here: weight regularity probes, the omega-measure of a Carleson
 square, the boundary-concentrated test functions, and the pointwise growth
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import AnalyticFn, disk_samples, eps_ladder, unit_circle
+from .analytic import AnalyticFn, disk_samples, eps_ladder
 from .analytic import neville_extrapolate  # noqa: F401 (perfbench patches it here)
 from .errors import PreconditionError, QuadratureError, RegularityError, spec_number
 
@@ -147,12 +148,15 @@ class SpaceSpec:
             return f"bergman:{self.p:g}:{self.weight.alpha:g}"
         return f"bergman:{self.p:g}:custom:{self.weight.label}"
 
-    def rule(self) -> "DiskRule":
-        """The space's measure, ``N_ANG`` angles per ring: the ``BOUNDARY_EPS`` circles for
-        Hardy, ``N_RAD`` rings for a standard Bergman weight and 4 ``N_RAD`` for a custom one."""
+    def rule(self) -> "GradedDiskRule":
+        """The space's measure, ``N_ANG`` angles on every ring (depth 1): the circles
+        1 - ``BOUNDARY_EPS`` with their :func:`lagrange_at_zero` weights for Hardy,
+        ``N_RAD`` rings for a standard Bergman weight and 4 ``N_RAD`` for a custom one."""
         if self.is_hardy:
-            return DiskRule.boundary()
-        return DiskRule.weighted(self.weight, N_RAD * (1 if self.weight.is_standard else 4), N_ANG)
+            return GradedDiskRule(1.0 - BOUNDARY_EPS, lagrange_at_zero(BOUNDARY_EPS),
+                                  np.ones(BOUNDARY_EPS.size, dtype=int), N_ANG)
+        return GradedDiskRule.weighted(self.weight, N_RAD * (1 if self.weight.is_standard else 4),
+                                       N_ANG, N_ANG, N_ANG)
 
 
 @lru_cache(maxsize=64)
@@ -201,39 +205,6 @@ def lagrange_at_zero(eps) -> np.ndarray:
     return np.prod(np.where(same, 1.0, eps / np.where(same, 1.0, eps - eps[:, None])), axis=1)
 
 
-class DiskRule:
-    """Rings of radius r_k times a uniform angular grid: one measure of L^p(mu).
-
-    ``integrate(values)`` is ``scale * sum_k radial_w_k * mean_k(values)``.
-    For omega dA (:meth:`weighted`) the rings are a radial Gauss rule; for
-    the boundary measure of H^p (:meth:`boundary`) they are circles of
-    radius 1 - eps on the eps ladder and radial_w are the Lagrange weights
-    at eps = 0, so the sum is the circle means extrapolated to the boundary.
-    """
-
-    def __init__(self, radii, radial_w, scale: float, n_ang: int):
-        self.radii, self.radial_w, self.scale = radii, radial_w, scale
-        self.circle = unit_circle(n_ang)
-
-    @classmethod
-    def weighted(cls, weight: RadialWeight, n_rad: int, n_ang: int) -> "DiskRule":
-        """Integrals against omega dA; see :func:`_radial_rule`."""
-        return cls(*_radial_rule(weight, n_rad), n_ang)
-
-    @classmethod
-    def boundary(cls) -> "DiskRule":
-        """The circles 1 - eps, eps in ``BOUNDARY_EPS``, weighted by :func:`lagrange_at_zero`."""
-        return cls(1.0 - BOUNDARY_EPS, lagrange_at_zero(BOUNDARY_EPS), 1.0, N_ANG)
-
-    def nodes(self) -> np.ndarray:
-        """The (n_rad, n_ang) tensor nodes, built on each call so no cache holds them."""
-        return self.radii[:, None] * self.circle[None, :]
-
-    def integrate(self, values):
-        """``scale`` times the radial sum of the angular means of ``values``."""
-        return self.scale * np.sum(self.radial_w * np.mean(values, axis=1))
-
-
 class GradedDiskRule:
     """Rings r_i with weights c_i and power-of-two angular counts, as nested generations.
 
@@ -258,10 +229,10 @@ class GradedDiskRule:
     @classmethod
     def weighted(cls, weight: RadialWeight, n_rad: int, ang_scale: float, ang_base: int,
                  ang_cap: int) -> "GradedDiskRule":
-        """The radial rule of :meth:`DiskRule.weighted`, ring i with clip(ceil(ang_scale /
-        (1 - r_i)), ang_base, ang_cap) angles rounded up to a power of two (``ang_base``
-        is one), resolving alike an integrand of angular width about 1 - r on ring r;
-        generations 0..G floor that width at ang_scale / (ang_base 2^(G-1))."""
+        """The radial rule :func:`_radial_rule` (integrals against omega dA), ring i with
+        clip(ceil(ang_scale / (1 - r_i)), ang_base, ang_cap) angles rounded up to a power
+        of two (``ang_base`` is one), resolving alike an integrand of angular width about
+        1 - r on ring r; generations 0..G floor that width at ang_scale / (ang_base 2^(G-1))."""
         radii, radial_w, scale = _radial_rule(weight, n_rad)
         counts = np.clip(np.ceil(ang_scale / (1.0 - radii)), ang_base, ang_cap)
         return cls(radii, scale * radial_w, np.ceil(np.log2(counts / ang_base)).astype(int) + 1,
@@ -273,6 +244,15 @@ class GradedDiskRule:
         circle = np.exp(2j * np.pi * (np.arange(n) if h == 0 else np.arange(1, n, 2)) / n)
         rings = slice(self.first[h], None)
         return (self.radii[rings, None] * circle).ravel(), np.repeat(self.mass[rings], circle.size)
+
+    def measure(self):
+        """Flat nodes and masses of generations 0..max d_i, ring i's masses divided by
+        2^d_i, so that ``masses @ f(nodes)`` is the rule's integral; built on each call."""
+        nodes = [self.generation(h)[0] for h in range(self.first.size)]
+        share = self.mass * 0.5 ** self.depth
+        return np.concatenate(nodes), np.concatenate(
+            [np.repeat(share[first:], z.size // (self.radii.size - first))
+             for first, z in zip(self.first.tolist(), nodes)])
 
 
 # Anchors x nodes per block of a kernel sum: each float temporary of a
@@ -329,27 +309,27 @@ def kernel_sums(r: float, angles, w, masses, q: float, cuts) -> np.ndarray:
     return total
 
 
-def _lp_norm(values, z, p: float, rule: DiskRule, label: str) -> float:
-    """(integral of |values|^p against the rule's measure)^(1/p) for samples at the
-    rule's nodes ``z``, so a caller evaluates each function once per node set
-    (``operators.norm_lower_bound`` reads m and phi once for all its trials); a
+def _lp_norm(values, z, p: float, masses, label: str) -> float:
+    """(masses @ |values|^p)^(1/p) for samples at the nodes ``z`` of a rule's
+    :meth:`GradedDiskRule.measure`, so a caller evaluates each function once per node
+    set (``operators.norm_lower_bound`` reads m and phi once for all its trials); a
     non-finite integral raises, its witness the node of the first non-finite sample."""
     with np.errstate(over="ignore", invalid="ignore"):
         samples = np.abs(values) ** p
-        total = float(rule.integrate(samples))
+        total = float(masses @ samples)
     if not np.isfinite(total):
         bad = np.flatnonzero(~np.isfinite(samples))
         raise QuadratureError(f"non-finite |f|^p samples for {label}",
-                              witness=complex(z.flat[bad[0]]) if bad.size else None)
+                              witness=complex(z[bad[0]]) if bad.size else None)
     return max(total, 0.0) ** (1.0 / p)
 
 
-def _fn_norm(f: AnalyticFn, p: float, rule: DiskRule) -> float:
+def _fn_norm(f: AnalyticFn, p: float, rule: "GradedDiskRule") -> float:
     """:func:`_lp_norm` of f sampled at the rule's nodes."""
-    z = rule.nodes()
+    z, masses = rule.measure()
     with np.errstate(over="ignore", invalid="ignore"):
         values = f(z)
-    return _lp_norm(values, z, p, rule, f.label)
+    return _lp_norm(values, z, p, masses, f.label)
 
 
 def hardy_norm(f: AnalyticFn, p: float) -> float:

@@ -1,7 +1,8 @@
 """Independent oracles used by the tests.
 
 Every routine here deliberately avoids the code paths it is used to check:
-norms come from adaptive 1-D quadrature instead of fixed Gauss rules,
+norms come from adaptive 1-D quadrature instead of fixed Gauss rules, or
+from a tensor grid summed ring by ring instead of nested generations,
 Carleson masses from a brute-force 2-D tensor rule, Taylor data from direct
 polynomial algebra.
 """
@@ -96,6 +97,33 @@ def circle_ladder_limit(circle_stat, n_theta=512):
     circle = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
     return neville_extrapolate(BOUNDARY_EPS,
                                [circle_stat((1.0 - e) * circle) for e in BOUNDARY_EPS])
+
+
+class TensorRule:
+    """Rings times one uniform grid of ``n_ang`` angles, integrated ring mean by
+    ring mean: a layout of its own, independent of the nested generations of
+    ``spaces.GradedDiskRule``.  The rings are the spaces' radial rule of
+    ``n_rad`` rings for ``weight`` (scale folded into ``radial_w``), or, for
+    ``weight`` None, the boundary circles 1 - eps with their Lagrange weights
+    at eps = 0."""
+
+    def __init__(self, n_ang: int, weight=None, n_rad: int = 64):
+        from semiflow_lab.spaces import BOUNDARY_EPS, _radial_rule, lagrange_at_zero
+
+        if weight is None:
+            self.radii, self.radial_w = 1.0 - BOUNDARY_EPS, lagrange_at_zero(BOUNDARY_EPS)
+        else:
+            self.radii, radial_w, scale = _radial_rule(weight, n_rad)
+            self.radial_w = scale * radial_w
+        self.circle = np.exp(2j * np.pi * np.arange(n_ang) / n_ang)
+
+    def nodes(self) -> np.ndarray:
+        """The (rings, n_ang) tensor nodes."""
+        return self.radii[:, None] * self.circle
+
+    def integrate(self, values) -> float:
+        """sum_k radial_w_k times the mean of ``values`` on ring k."""
+        return float(np.sum(self.radial_w * np.mean(values, axis=1)))
 
 
 def hardy_norm_by_circles(fn, p: float) -> float:

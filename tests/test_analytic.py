@@ -2,8 +2,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from semiflow_lab.analytic import (AnalyticFn, derivative, disk_samples, eps_ladder,
-                                   neville_extrapolate, principal_power, taylor_coefficients)
+from semiflow_lab.analytic import (AnalyticFn, circle_coefficients, derivative, disk_samples,
+                                   eps_ladder, neville_extrapolate, principal_power, unit_circle)
 from semiflow_lab.errors import DomainError, PreconditionError
 from semiflow_lab.spaces import RadialWeight, default_gamma
 
@@ -56,23 +56,18 @@ def test_derivative_circle_must_stay_inside():
 
 def test_taylor_geometric():
     f = AnalyticFn(lambda z: 1.0 / (1.0 - z))
-    coeffs = taylor_coefficients(f, 4, radius=0.5)
+    coeffs = circle_coefficients(f(0.5 * unit_circle(256)), 0.5, 4)
     assert np.allclose(coeffs, np.ones(4), atol=1e-9)
 
 
 def test_taylor_monomial():
-    coeffs = taylor_coefficients(AnalyticFn.monomial(3), 5, radius=0.5)
+    coeffs = circle_coefficients(AnalyticFn.monomial(3)(0.5 * unit_circle(256)), 0.5, 5)
     assert np.allclose(coeffs, [0, 0, 0, 1, 0], atol=1e-12)
 
 
 def test_taylor_exponential():
-    coeffs = taylor_coefficients(AnalyticFn(lambda z: np.exp(z)), 3, radius=0.5)
+    coeffs = circle_coefficients(AnalyticFn(lambda z: np.exp(z))(0.5 * unit_circle(256)), 0.5, 3)
     assert np.allclose(coeffs, [1.0, 1.0, 0.5], atol=1e-9)
-
-
-def test_taylor_rejects_bad_radius():
-    with pytest.raises(DomainError):
-        taylor_coefficients(AnalyticFn(lambda z: z), 3, radius=1.5)
 
 
 def test_derivative_matches_coefficient_derivative_on_polynomials():

@@ -1,6 +1,7 @@
 import json
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from semiflow_lab.errors import PreconditionError, RegularityError
 from semiflow_lab.flow import (attraction, dilation, identity_flow, resolve_flow, rotation,
                                verify_semiflow)
 from semiflow_lab.operators import basis_scales, gallery_semigroups
-from semiflow_lab.spaces import (DiskRule, GradedDiskRule, RadialWeight,
-                                 SpaceSpec, carleson_measure, kernel_sums)
+from semiflow_lab.spaces import (GradedDiskRule, RadialWeight, SpaceSpec, carleson_measure,
+                                 kernel_sums)
 
 import oracles
 
@@ -39,15 +40,16 @@ def deep_scan(a_abs):
 
 
 def tensor_criterion(flow, cocycle, weight, t, a, gamma, n_rad, n_ang, p=2):
-    """The Bergman criterion integral at ``a`` on a tensor DiskRule, a block of rings at a time."""
-    rule = DiskRule.weighted(weight, n_rad, n_ang)
+    """The Bergman criterion integral at ``a`` on an oracle tensor rule, a block of rings
+    at a time."""
+    rule = oracles.TensorRule(n_ang, weight, n_rad)
     total = 0.0
     for rows in np.array_split(np.arange(n_rad), max(1, n_rad * n_ang // 2_000_000)):
         z = (rule.radii[rows, None] * rule.circle[None, :]).ravel()
         phi = flow.at_times([t], z, check=False)[0]
         vals = np.abs(cocycle.eval(t, z)) ** p / np.abs(1.0 - np.conj(a) * phi) ** (gamma + 1.0)
         total += np.sum(rule.radial_w[rows] * vals.reshape(rows.size, n_ang).mean(axis=1))
-    return (1.0 - abs(a)) ** (gamma + 1.0) / carleson_measure(weight, abs(a)) * rule.scale * total
+    return (1.0 - abs(a)) ** (gamma + 1.0) / carleson_measure(weight, abs(a)) * total
 
 
 def test_poisson_normalization_at_zero():
@@ -101,8 +103,8 @@ def test_bergman_criterion_zero_time_matches_normalization_sweep():
     anchors = list(FAST_SCAN.small_radii) + [1.0 - 2.0 ** -k for k in range(1, 8)]
     norms = []
     for a in anchors:
-        rule = DiskRule.weighted(A0.weight, int(max(64, 8 / np.sqrt(1 - a))),
-                                 int(max(512, 64 / (1 - a))))
+        rule = oracles.TensorRule(int(max(512, 64 / (1 - a))), A0.weight,
+                                  int(max(64, 8 / np.sqrt(1 - a))))
         f = anchor(a, 2, weight=RadialWeight.standard(0.0))
         norms.append(rule.integrate(np.abs(f(rule.nodes())) ** 2))
     assert sample.value == pytest.approx(max(norms), rel=0.05)
@@ -249,7 +251,7 @@ def test_nested_hardy_sums_match_the_closed_form_at_zero(k):
     # every circle and generations 0..k-1 its half grid; at t = 0 both sums
     # have a closed form (tests/oracles.py) at an anchor off every node
     a = (1.0 - 2.0 ** -10) * np.exp(0.3j)
-    boundary = DiskRule.boundary()
+    boundary = oracles.TensorRule(512)
     rule = GradedDiskRule(boundary.radii, boundary.radial_w, np.full(12, 7), 512)
     w, masses = (np.concatenate(parts) for parts in
                  zip(*(rule.generation(h) for h in range(len(rule.offsets) - 1))))
@@ -506,7 +508,7 @@ def test_bergman_levels_read_prefixes_of_one_family(weight, monkeypatch):
         assert len(levels) == 1, k
         rule = next(iter(levels.values()))[0]
         radii, counts = oracles.floored_disk_level(
-            k, lambda n: DiskRule.weighted(weight, n, 1).radii)
+            k, lambda n: oracles.TensorRule(1, weight, n).radii)
         assert np.array_equal(rule.radii, radii), k
         last = rule.offsets.index(sum(summed)) - 1              # generations 0..G_k summed
         assert rule.offsets[last + 1] == counts.sum(), k
@@ -911,6 +913,21 @@ def test_decay_blowup_never_settles():
     table = direct_decay_probe(identity_flow(), poisson_blowup_cocycle(), H2)
     assert not table.decayed
     assert not np.all(np.isfinite(table.entries[:, -1]))
+
+
+# direct_decay_probe's default tables (ten functions x t = 2^-1 ... 2^-10), keyed
+# "flow/cocycle@space"; a change of the space rules' node layout may move them
+# by summation order only
+DECAY_PINS = json.loads((Path(__file__).with_name("decay_pins.json")).read_text())
+
+
+@pytest.mark.parametrize("key", sorted(DECAY_PINS))
+def test_decay_table_keeps_its_recorded_values(key):
+    pair, spec = key.split("@")
+    flow_spec, cocycle_spec = pair.split("/")
+    flow = resolve_flow(flow_spec)
+    table = direct_decay_probe(flow, resolve_cocycle(cocycle_spec, flow), SpaceSpec.parse(spec))
+    np.testing.assert_allclose(table.entries, DECAY_PINS[key], rtol=1e-13, atol=0.0)
 
 
 def test_decay_family_has_ten_members():

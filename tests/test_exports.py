@@ -100,3 +100,27 @@ def test_every_traced_patch_point_resolves():
     missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in spans.PATCH_POINTS
                if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_no_src_module_imports_a_name_it_never_uses():
+    # the package namespace re-exports its imports, and a line marked
+    # "# noqa: F401" keeps a name where the benchmark patches it
+    unused = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                    or any("# noqa: F401" in line
+                           for line in lines[node.lineno - 1:node.end_lineno])):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert unused == []

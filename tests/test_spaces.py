@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import beta
 
 import semiflow_lab
-from semiflow_lab.analytic import AnalyticFn, neville_extrapolate
+from semiflow_lab.analytic import AnalyticFn, neville_extrapolate, unit_circle
 from semiflow_lab.errors import PreconditionError, QuadratureError, RegularityError
 from semiflow_lab.operators import basis_scales
-from semiflow_lab.spaces import (BOUNDARY_EPS, DiskRule, GradedDiskRule,
-                                 RadialWeight, SpaceSpec, bergman_norm, carleson_measure,
-                                 default_gamma, growth_bound_check, hardy_norm, is_regular,
-                                 _jacobi_unit_rule)
+from semiflow_lab.spaces import (BOUNDARY_EPS, GradedDiskRule, RadialWeight, SpaceSpec,
+                                 bergman_norm, carleson_measure, default_gamma,
+                                 growth_bound_check, hardy_norm, is_regular, lagrange_at_zero,
+                                 _jacobi_unit_rule, _radial_rule)
 from semiflow_lab.spaces import test_function as anchor_test_function
 
 import oracles
@@ -232,8 +232,8 @@ def test_test_function_norms_uniformly_bounded():
     norms = []
     for k in range(1, 11):
         a = 1.0 - 2.0 ** -k
-        rule = DiskRule.weighted(W0, int(max(64, 8 / np.sqrt(1 - a))),
-                                 int(max(512, 64 / (1 - a))))
+        rule = oracles.TensorRule(int(max(512, 64 / (1 - a))), W0,
+                                  int(max(64, 8 / np.sqrt(1 - a))))
         f = anchor_test_function(a, 2, weight=W0)
         norms.append(np.sqrt(rule.integrate(np.abs(f(rule.nodes())) ** 2)))
     assert max(norms) < 2.0
@@ -308,21 +308,10 @@ def test_parseval_property(re_coeffs):
 @pytest.mark.parametrize("n,m", [(0, 0), (1, 1), (20, 20), (3, 5), (20, 19), (7, 0)])
 def test_disk_rule_monomial_moments(n, m, weight, alpha):
     # int z^n conj(z)^m omega dA = (alpha+1) B(n+1, alpha+1) delta_nm; omega = 1 is alpha = 0
-    rule = DiskRule.weighted(weight, 64, 256)
-    z = rule.nodes()
+    # on the space's own rule: 64 Jacobi rings, or 256 Legendre rings for the custom weight
+    z, masses = SpaceSpec.bergman(2, weight).rule().measure()
     expected = (alpha + 1.0) * beta(n + 1, alpha + 1.0) if n == m else 0.0
-    assert abs(rule.integrate(z ** n * np.conj(z) ** m) - expected) < 1e-10
-
-
-def graded_integral(rule, fn):
-    """Sum ``fn`` over every generation of a nested rule; a ring of depth d
-    sums generations 0..d, which is its integral times 2^d."""
-    total = 0.0
-    for h in range(len(rule.offsets) - 1):
-        z, masses = rule.generation(h)
-        rings = rule.depth[rule.depth >= h]
-        total += np.sum(masses * np.repeat(0.5 ** rings, z.size // rings.size) * fn(z))
-    return total
+    assert abs(masses @ (z ** n * np.conj(z) ** m) - expected) < 1e-10
 
 
 @pytest.mark.parametrize("weight,alpha", [(W0, 0.0), (RadialWeight.standard(0.5), 0.5),
@@ -337,7 +326,8 @@ def test_graded_disk_rule_monomial_moments(n, m, weight, alpha):
     assert sorted(set(counts.tolist())) == [16, 32, 64, 128, 256]
     assert rule.offsets[-1] == counts.sum()
     expected = (alpha + 1.0) * beta(n + 1, alpha + 1.0) if n == m else 0.0
-    assert abs(graded_integral(rule, lambda z: z ** n * np.conj(z) ** m) - expected) < 1e-10
+    z, masses = rule.measure()
+    assert abs(masses @ (z ** n * np.conj(z) ** m) - expected) < 1e-10
 
 
 def test_graded_disk_rule_counts_follow_the_ring_law():
@@ -362,9 +352,28 @@ def test_graded_disk_rule_counts_follow_the_ring_law():
 
 
 def test_space_rule_picks_radial_count():
-    assert SpaceSpec.bergman(2, W0).rule().nodes().shape == (64, 512)
-    assert SpaceSpec.bergman(2, ONE).rule().nodes().shape == (256, 512)
-    assert SpaceSpec.hardy(2).rule().nodes().shape == (12, 512)
+    for space, rings in ((SpaceSpec.bergman(2, W0), 64), (SpaceSpec.bergman(2, ONE), 256),
+                         (SpaceSpec.hardy(2), 12)):
+        rule = space.rule()
+        assert rule.radii.size == rings and np.all(rule.depth == 1)
+        assert rule.offsets[-1] == rings * 512
+
+
+@pytest.mark.parametrize("space", [SpaceSpec.hardy(2), SpaceSpec.bergman(2, W0),
+                                   SpaceSpec.bergman(2, ONE)], ids=["hardy", "bergman", "custom"])
+def test_space_rule_measure_is_the_uniform_grid(space):
+    # generations 0 and 1 of a depth-1 family are radii x unit_circle(512), the
+    # same floats, each node carrying its ring's weight / 512
+    if space.is_hardy:
+        radii, ring_w = 1.0 - BOUNDARY_EPS, lagrange_at_zero(BOUNDARY_EPS)
+    else:
+        radii, radial_w, scale = _radial_rule(space.weight, 64 if space.weight.is_standard else 256)
+        ring_w = scale * radial_w
+    z, masses = space.rule().measure()
+    grid = (radii[:, None] * unit_circle(512)).ravel()
+    got, want = np.argsort(z), np.argsort(grid)
+    assert np.array_equal(z[got], grid[want])
+    assert np.array_equal(masses[got], np.repeat(ring_w / 512, 512)[want])
 
 
 def test_boundary_ladder_is_fixed():
@@ -375,7 +384,7 @@ def test_boundary_ladder_is_fixed():
 
 @pytest.mark.parametrize("n", [0, 1, 3, 5])
 def test_boundary_ladder_extrapolates_circle_means(n):
-    rule = DiskRule.boundary()
+    rule = oracles.TensorRule(512)
     z = rule.nodes()
     assert np.allclose(np.abs(z), 1.0 - BOUNDARY_EPS[:, None], rtol=0, atol=1e-15)
     values = np.abs(z ** n) ** 2                        # (1 - eps)^(2n) on each circle
@@ -385,10 +394,9 @@ def test_boundary_ladder_extrapolates_circle_means(n):
 
 
 def test_boundary_ladder_weights_are_the_extrapolation_at_zero():
-    rule = DiskRule.boundary()
     eps = BOUNDARY_EPS
-    c = rule.radial_w
-    assert c.shape == eps.shape and rule.scale == 1.0
+    c = lagrange_at_zero(eps)
+    assert c.shape == eps.shape
     assert abs(np.sum(c) - 1.0) < 1e-14
     # a degree-11 polynomial in eps through the 12 rungs is recovered at 0
     coeffs = np.random.default_rng(3).normal(size=12)
