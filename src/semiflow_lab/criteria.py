@@ -539,10 +539,11 @@ def direct_decay_probe(flow: Semiflow, cocycle: Cocycle, space: SpaceSpec,
     z, masses = space.rule().measure()
     entries = np.empty((len(family), t_seq.size))
     with np.errstate(over="ignore", invalid="ignore"):
+        at_z = [f(z) for f in family]          # f(z) does not depend on t
         for j, t in enumerate(t_seq):
             phi, mul = cocycle.sample(flow, t, z)
-            for k, f in enumerate(family):
-                total = float(masses @ np.abs(mul * f(phi) - f(z)) ** p)
+            for k, (f, fz) in enumerate(zip(family, at_z)):
+                total = float(masses @ np.abs(mul * f(phi) - fz) ** p)
                 entries[k, j] = max(total, 0.0) ** (1.0 / p) if np.isfinite(total) else np.inf
     decayed = bool(np.all(np.isfinite(entries[:, -1])) and np.all(entries[:, -1] < tol))
     return DecayTable([f.label for f in family], [float(t) for t in t_seq],

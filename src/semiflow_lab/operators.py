@@ -6,7 +6,8 @@ by power iteration (a lower bound for the operator norm, nondecreasing in
 N).  The general-p route maximizes ||Tf||/||f|| over a deterministic trial family.
 The two surrogates cross-validate each other; neither is an exact norm.
 Both evaluate the symbols m and phi once per node set: a section on its
-circle, the trial family on the space's quadrature nodes.
+circle, the trial family on the space's quadrature nodes, where the whole
+family is one matrix per block of nodes and no trial is evaluated on its own.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AnalyticFn, circle_coefficients, disk_samples, unit_circle
+from .analytic import _SLACK, AnalyticFn, circle_coefficients, disk_samples, unit_circle
 from .analytic import neville_extrapolate  # noqa: F401 (perfbench patches it here)
 from .cocycle import Cocycle
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, QuadratureError
 from .flow import Semiflow
-from .spaces import SpaceSpec, _lp_norm, test_function
+from .spaces import _KERNEL_BLOCK, SpaceSpec, _test_kernel
 
 _SELFMAP_TOL = 1e-9
 
@@ -164,40 +165,95 @@ def norm2(a: OperatorMatrix | np.ndarray) -> PowerIterationResult:
     return PowerIterationResult(sigma, False, 1000)
 
 
-def _hardy_trial(a: complex, p: float) -> AnalyticFn:
-    """Unit-norm boundary-concentrated Hardy trial function."""
-    scale = (1.0 - abs(complex(a)) ** 2) ** (1.0 / p)
-    return AnalyticFn.kernel_power(a, -2.0 / p, scale, label=f"hardy-trial[{a:.3g}]")
-
-
 def norm_lower_bound(op: WeightedCompOp, space: SpaceSpec, trials: int = 32,
                      seed: int = 0) -> float:
     """max ||T f|| / ||f|| over seeded random polynomials of degree 12 plus
     boundary test functions; a deterministic lower bound for the operator norm.
 
-    The space's quadrature nodes z are built once and m(z), phi(z) read once;
-    each trial f is evaluated at z and at phi(z), and ||T f|| integrates
-    m(z) f(phi(z)).
+    The norms read only |f|^p.  A boundary trial scale (1 - conj(a) z)^(-s/p)
+    has |f|^p = scale^p |1 - conj(a) z|^-s, with s = 2 and scale^p = 1 - |a|^2
+    on H^p and :func:`spaces.test_function`'s exponent and scale on A^p_omega,
+    so every trial is read from a polynomial of degree at most 12, and one real
+    product of their coefficients with the powers of a block of nodes gives
+    them all.  The space's quadrature nodes z are built once and m(z), phi(z)
+    read once; per block, ||f||^p and ||T f||^p of every trial are the sums
+    masses @ |F(z)|^p and (masses |m(z)|^p) @ |F(phi(z))|^p, added in block order.
     """
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    family = [AnalyticFn.from_coefficients(rng.standard_normal(13) + 1j * rng.standard_normal(13))
-              for _ in range(trials)]
-    for r in (0.2, 0.5, 0.8, 0.95):
-        for ang in range(4):
-            a = r * np.exp(2j * np.pi * (ang + 0.25) / 4)
-            family.append(_hardy_trial(a, space.p) if space.is_hardy else
-                          test_function(a, space.p, weight=space.weight))
+    p = space.p
+    draws = np.random.default_rng(seed).standard_normal((trials, 2, 13))
+    anchors = np.array([r * np.exp(2j * np.pi * (ang + 0.25) / 4)
+                        for r in (0.2, 0.5, 0.8, 0.95) for ang in range(4)])
+    size = trials + anchors.size
+    coeffs = np.zeros((size, 13), dtype=complex)      # the polynomials, then 1 - conj(a) z
+    coeffs[:trials] = draws[:, 0] + 1j * draws[:, 1]
+    coeffs[trials:, 0] = 1.0
+    coeffs[trials:, 1] = -anchors.conj()
+    # maps Re and Im of w^0 .. w^12 to Re and Im of each trial's polynomial
+    real_coeffs = np.block([[coeffs.real, -coeffs.imag], [coeffs.imag, coeffs.real]])
+    if space.is_hardy:
+        s, lift = 2.0, 1.0 - np.abs(anchors) ** 2
+    else:
+        q, scale = np.array([_test_kernel(a, p, None, space.weight) for a in anchors]).T
+        s, lift = q[0] * p, scale ** p
+    # blocks of about _KERNEL_BLOCK trial x node entries; their buffers are
+    # allocated once per call, so every block reuses the same cache-hot memory
+    step = max(1, _KERNEL_BLOCK // size)
+    powers = np.ones((13, step), dtype=complex)
+    real_powers = np.empty((26, step))
+    work = np.empty((2 * size, step))
+
+    def trial_moduli(w):
+        """|F(w)|^p, a row per trial: |poly|^p, or scale^p |1 - conj(a) w|^-s for a kernel."""
+        n = w.size
+        for k in range(1, 13):
+            np.multiply(powers[k - 1, :n], w, out=powers[k, :n])
+        real_powers[:13, :n] = powers[:, :n].real
+        real_powers[13:, :n] = powers[:, :n].imag
+        out = np.matmul(real_coeffs, real_powers[:, :n], out=work[:, :n])
+        out *= out
+        out = np.add(out[:size], out[size:], out=out[:size])
+        np.power(out[:trials], 0.5 * p, out=out[:trials])
+        np.power(out[trials:], -0.5 * s, out=out[trials:])
+        out[trials:] *= lift[:, None]
+        return out
+
     z, masses = space.rule().measure()
-    best = 0.0
+    sums = np.zeros((2, size))
     with np.errstate(over="ignore", invalid="ignore"):
         mz, pz = op.m(z), op.phi(z)
-        for f in family:
-            nf = _lp_norm(f(z), z, space.p, masses, f.label)
+        for w in (z, pz):
+            top = float(np.max(np.abs(w)))
+            if top > 1.0 + _SLACK:
+                raise DomainError(f"evaluation of the trials at |z| = {top:.6g} exceeds r_max = 1")
+        mp = np.abs(mz) ** p
+        for start in range(0, z.size, step):
+            block = slice(start, start + step)
+            sums[0] += trial_moduli(z[block]) @ masses[block]
+            sums[1] += trial_moduli(pz[block]) @ (masses[block] * mp[block])
+
+        def non_finite(k, image):
+            """The error for trial k (for T f if ``image``), its witness the node of
+            the first non-finite sample, recomputed block by block."""
+            label = f"poly[{k}]" if k < trials else f"test[a={anchors[k - trials]:.4g},p={p:g}]"
+            message = f"non-finite |f|^p samples for {f'{op.label}({label})' if image else label}"
+            for start in range(0, z.size, step):
+                block = slice(start, start + step)
+                row = trial_moduli((pz if image else z)[block])[k]
+                bad = np.flatnonzero(~np.isfinite(row * mp[block] if image else row))
+                if bad.size:
+                    return QuadratureError(message, witness=complex(z[start + bad[0]]))
+            return QuadratureError(message)
+
+        best = 0.0
+        for k, (nf, tf) in enumerate(sums.T.tolist()):
+            if not np.isfinite(nf):
+                raise non_finite(k, False)
             if nf > 0:
-                tf = _lp_norm(mz * f(pz), z, space.p, masses, f"{op.label}({f.label})")
-                best = max(best, tf / nf)
+                if not np.isfinite(tf):
+                    raise non_finite(k, True)
+                best = max(best, max(tf, 0.0) ** (1.0 / p) / nf ** (1.0 / p))
     return best
 
 

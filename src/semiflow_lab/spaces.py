@@ -309,27 +309,18 @@ def kernel_sums(r: float, angles, w, masses, q: float, cuts) -> np.ndarray:
     return total
 
 
-def _lp_norm(values, z, p: float, masses, label: str) -> float:
-    """(masses @ |values|^p)^(1/p) for samples at the nodes ``z`` of a rule's
-    :meth:`GradedDiskRule.measure`, so a caller evaluates each function once per node
-    set (``operators.norm_lower_bound`` reads m and phi once for all its trials); a
-    non-finite integral raises, its witness the node of the first non-finite sample."""
+def _fn_norm(f: AnalyticFn, p: float, rule: "GradedDiskRule") -> float:
+    """(masses @ |f(z)|^p)^(1/p) on the nodes z of the rule's :meth:`GradedDiskRule.measure`;
+    a non-finite integral raises, its witness the node of the first non-finite sample."""
+    z, masses = rule.measure()
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = np.abs(values) ** p
+        samples = np.abs(f(z)) ** p
         total = float(masses @ samples)
     if not np.isfinite(total):
         bad = np.flatnonzero(~np.isfinite(samples))
-        raise QuadratureError(f"non-finite |f|^p samples for {label}",
+        raise QuadratureError(f"non-finite |f|^p samples for {f.label}",
                               witness=complex(z[bad[0]]) if bad.size else None)
     return max(total, 0.0) ** (1.0 / p)
-
-
-def _fn_norm(f: AnalyticFn, p: float, rule: "GradedDiskRule") -> float:
-    """:func:`_lp_norm` of f sampled at the rule's nodes."""
-    z, masses = rule.measure()
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = f(z)
-    return _lp_norm(values, z, p, masses, f.label)
 
 
 def hardy_norm(f: AnalyticFn, p: float) -> float:
@@ -425,16 +416,10 @@ def default_gamma(p: float, weight: RadialWeight) -> float:
     return p * (alpha + 2.0) + 1.0
 
 
-def test_function(a: complex, p: float, gamma: float | None = None,
-                  weight: RadialWeight | None = None) -> AnalyticFn:
-    """Boundary-concentrated unit-scale test function anchored at ``a``.
-
-    f(z) = (1-|a|)^{(gamma+1)/p} / ((1 - conj(a) z)^{(gamma+1)/p} omega(S(a))^{1/p}),
-    principal branch (safe: Re(1 - conj(a) z) > 0 on the disk), by
-    :meth:`analytic.AnalyticFn.kernel_power`.
-    """
-    weight = weight or RadialWeight.standard(0.0)
-    a = complex(a)
+def _test_kernel(a: complex, p: float, gamma: float | None,
+                 weight: RadialWeight) -> tuple[float, float]:
+    """(q, scale) of :func:`test_function`, f = scale (1 - conj(a) z)^-q with
+    q = (gamma + 1)/p and scale = (1-|a|)^q / omega(S(a))^{1/p}."""
     # written as "not 1 <= p < inf" and "not 0 < gamma < inf" so that NaN fails too
     if not 1 <= p < np.inf:
         raise PreconditionError(f"test-function p must be finite and at least 1, got {p}")
@@ -443,7 +428,19 @@ def test_function(a: complex, p: float, gamma: float | None = None,
     if not 0 < gamma < np.inf:
         raise PreconditionError(f"test-function exponent must be finite and positive, got {gamma}")
     q = (gamma + 1.0) / p
-    scale = (1.0 - abs(a)) ** q / carleson_measure(weight, a) ** (1.0 / p)
+    return q, (1.0 - abs(a)) ** q / carleson_measure(weight, a) ** (1.0 / p)
+
+
+def test_function(a: complex, p: float, gamma: float | None = None,
+                  weight: RadialWeight | None = None) -> AnalyticFn:
+    """Boundary-concentrated unit-scale test function anchored at ``a``.
+
+    f(z) = (1-|a|)^{(gamma+1)/p} / ((1 - conj(a) z)^{(gamma+1)/p} omega(S(a))^{1/p}),
+    principal branch (safe: Re(1 - conj(a) z) > 0 on the disk), by
+    :meth:`analytic.AnalyticFn.kernel_power`.
+    """
+    a = complex(a)
+    q, scale = _test_kernel(a, p, gamma, weight or RadialWeight.standard(0.0))
     return AnalyticFn.kernel_power(a, -q, scale, label=f"test[a={a:.4g},p={p:g}]")
 
 

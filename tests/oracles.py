@@ -132,6 +132,47 @@ def hardy_norm_by_circles(fn, p: float) -> float:
     return float(value.real)
 
 
+def norm_lower_bound_by_trials(op, space, trials: int = 32, seed: int = 0) -> float:
+    """``operators.norm_lower_bound`` as a loop over its trials: each trial an
+    ``AnalyticFn`` (a degree-12 polynomial by Horner, or a boundary kernel by
+    ``kernel_power`` / ``spaces.test_function``), with ||f|| and ||T f|| from
+    f and ``op.apply(f)`` on ``space.rule().measure()``, one trial at a time.
+    A non-finite integral raises ``QuadratureError`` for the first trial in
+    family order, its witness the node of the first non-finite sample."""
+    from semiflow_lab.analytic import AnalyticFn
+    from semiflow_lab.errors import QuadratureError
+    from semiflow_lab.spaces import test_function
+
+    p = space.p
+    rng = np.random.default_rng(seed)
+    family = [AnalyticFn.from_coefficients(rng.standard_normal(13) + 1j * rng.standard_normal(13),
+                                           label=f"poly[{k}]") for k in range(trials)]
+    for r in (0.2, 0.5, 0.8, 0.95):
+        for ang in range(4):
+            a = r * np.exp(2j * np.pi * (ang + 0.25) / 4)
+            family.append(AnalyticFn.kernel_power(a, -2.0 / p, (1.0 - abs(a) ** 2) ** (1.0 / p),
+                                                  label=f"test[a={a:.4g},p={p:g}]")
+                          if space.is_hardy else test_function(a, p, weight=space.weight))
+    z, masses = space.rule().measure()
+
+    def norm(fn):
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = np.abs(fn(z)) ** p
+            total = float(masses @ samples)
+        if not np.isfinite(total):
+            bad = np.flatnonzero(~np.isfinite(samples))
+            raise QuadratureError(f"non-finite |f|^p samples for {fn.label}",
+                                  witness=complex(z[bad[0]]) if bad.size else None)
+        return max(total, 0.0) ** (1.0 / p)
+
+    best = 0.0
+    for f in family:
+        nf = norm(f)
+        if nf > 0:
+            best = max(best, norm(op.apply(f)) / nf)
+    return best
+
+
 def hardy_section_by_circles(m, phi, dim: int) -> np.ndarray:
     """<m phi^j, z^i> on H^2 from direct circle means, no FFT."""
     def pairs(z):

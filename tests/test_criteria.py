@@ -930,6 +930,25 @@ def test_decay_table_keeps_its_recorded_values(key):
     np.testing.assert_allclose(table.entries, DECAY_PINS[key], rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("space", [H2, A0], ids=["hardy", "bergman"])
+def test_decay_probe_evaluates_each_function_at_the_nodes_once(space):
+    # f(z) is read once per call and f(phi_t(z)) once per t
+    flow = attraction()
+    m = Cocycle.derivative(flow)
+    calls = Counter()
+
+    def counted(f):
+        def evaluator(z):
+            calls[f.label] += 1
+            return f(z)
+        return AnalyticFn(evaluator, label=f.label)
+
+    family = default_decay_family()
+    table = direct_decay_probe(flow, m, space, f_family=[counted(f) for f in family])
+    assert calls == {f.label: 1 + len(table.t_values) for f in family}
+    assert np.array_equal(table.entries, direct_decay_probe(flow, m, space).entries)
+
+
 def test_decay_family_has_ten_members():
     assert len(default_decay_family()) == 10
 

@@ -262,6 +262,56 @@ def test_norm_lower_bound_checks_the_trials_domain_at_phi_of_the_nodes():
         norm_lower_bound(op, H2, trials=2)
 
 
+ORACLE_SPACES = [SpaceSpec.parse(spec) for spec in ("hardy:2", "hardy:3", "hardy:1.5",
+                                                    "bergman:2:0", "bergman:3:0.5",
+                                                    "bergman:1.5:1")]
+ORACLE_SPACES.append(SpaceSpec.bergman(2, RadialWeight.custom(lambda r: 2.0 * (1.0 - r ** 2),
+                                                              label="2(1-r^2)")))
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=[s.label() for s in ORACLE_SPACES])
+@pytest.mark.parametrize("name", [sg.name for sg in gallery_semigroups()])
+def test_norm_lower_bound_matches_the_per_trial_loop(space, name):
+    op = {sg.name: sg for sg in gallery_semigroups()}[name].at(0.5)
+    for seed in range(3):
+        assert norm_lower_bound(op, space, seed=seed) == pytest.approx(
+            oracles.norm_lower_bound_by_trials(op, space, seed=seed), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("trials", [1, 32, 100])
+@pytest.mark.parametrize("spec", ["hardy:3", "bergman:3:0.5"])
+def test_norm_lower_bound_evaluates_two_functions_whatever_the_trial_count(
+        spec, trials, monkeypatch):
+    op = WeightedCompOp(AnalyticFn(lambda z: 1.0 / (2.0 - z), label="m"), half_map())
+    calls = Counter()
+    plain = AnalyticFn.__call__
+
+    def counting(self, z):
+        calls[self.label] += 1
+        return plain(self, z)
+
+    monkeypatch.setattr(AnalyticFn, "__call__", counting)
+    norm_lower_bound(op, SpaceSpec.parse(spec), trials=trials)
+    assert calls == {"m": 1, "z/2": 1}
+
+
+def test_norm_lower_bound_names_the_first_failing_trial():
+    # phi = w0, a zero of the seed-0 polynomial trial, and |m|^2 = 1.797e308 / 10:
+    # on A^2_0 |m f(w0)|^2 overflows exactly for the trials with |f(w0)|^2 > 10,
+    # the first of them (13.8; the four before read at most 7.8) the kernel at
+    # a = 0.5 e^{i pi/8}, the sixth trial
+    w0 = 0.8600531970538215 + 0.4624899418161484j
+    op = WeightedCompOp(AnalyticFn.constant(np.sqrt(np.finfo(float).max / 10.0)),
+                        AnalyticFn.constant(w0), label="T")
+    with pytest.raises(QuadratureError) as got:
+        norm_lower_bound(op, A0, trials=1)
+    with pytest.raises(QuadratureError) as want:
+        oracles.norm_lower_bound_by_trials(op, A0, trials=1)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith("T(test[a=0.4619+0.1913j,p=2])")
+    assert got.value.witness == want.value.witness == A0.rule().measure()[0][0]
+
+
 def test_matrix_action_matches_taylor_of_applied_function():
     op = WeightedCompOp(AnalyticFn(lambda z: 1.0 / (2.0 - z), label="m"), half_map())
     n = 32
